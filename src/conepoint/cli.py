@@ -8,7 +8,7 @@ Subcommands:
   classify  direction classification report at the singular points
 
 Exit codes: 0 success, 2 refusal (obstructed or outside the normal cone),
-3 spec error, 4 numeric failure.  With a fixed seed, outputs are
+3 spec or argument error, 4 numeric failure.  With a fixed seed, outputs are
 byte-identical between runs; grid work is fanned out to a worker pool
 capped by the ACSV_CONE_THREADS environment variable and re-emitted in
 sorted order.
@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -83,11 +84,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_vec(text: str) -> Tuple[int, ...]:
+_NEGATIVE_VECTOR = re.compile(r"-\d+(?:[,;]-?\d+)+")
+
+
+def _attach_negative_vectors(argv: Sequence[str]) -> List[str]:
+    """Rewrite `--at -1,0,5` as `--at=-1,0,5`: argparse takes any token that
+    starts with '-' and is not a plain number for an option."""
+    out: List[str] = []
+    for tok in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and _NEGATIVE_VECTOR.fullmatch(tok)):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
+def _parse_vec(text: str, arity: int) -> Tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(","))
+        r = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise specio.SpecFormatError(f"bad integer vector {text!r}") from None
+    if len(r) != arity:
+        raise specio.SpecFormatError(f"{text!r} has {len(r)} entries, the spec has "
+                                     f"{arity} variables")
+    return r
+
+
+def _parse_direction(text: str, arity: int) -> Tuple[int, ...]:
+    r = _parse_vec(text, arity)
+    if not any(r):
+        raise specio.SpecFormatError(f"direction {text!r} must be nonzero")
+    return r
 
 
 def _parse_beta(text):
@@ -123,12 +151,14 @@ def _emit(text: str, out: Optional[str]):
 def _cmd_oracle(args) -> int:
     spec, _, _ = _load(args)
     if args.at:
-        r = _parse_vec(args.at)
+        r = _parse_vec(args.at, spec.arity)
         v = coefficient_at(spec, r)
         _emit(specio.format_value(v, args.float_digits) + "\n", args.out)
         return EXIT_OK
     if args.order is None:
         raise specio.SpecFormatError("oracle needs --order or --at")
+    if args.order < 0:
+        raise specio.SpecFormatError(f"--order must be nonnegative, got {args.order}")
     table = expand(spec, args.order)
     if args.format == "csv":
         _emit(specio.table_to_csv(table, args.float_digits), args.out)
@@ -140,7 +170,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_asym(args) -> int:
     spec, points, _ = _load(args)
-    r = _parse_vec(args.r)
+    r = _parse_direction(args.r, spec.arity)
     est = total_asymptotics(spec, r, points=points, order_terms=args.terms,
                             seed=args.seed)
     _emit(specio.canonical_json(specio.estimate_to_json(est)), args.out)
@@ -151,7 +181,7 @@ def _cmd_asym(args) -> int:
 
 def _cmd_classify(args) -> int:
     spec, points, _ = _load(args)
-    r = _parse_vec(args.r)
+    r = _parse_direction(args.r, spec.arity)
     if points is None:
         raise specio.SpecFormatError("classify needs known points (preset or spec "
                                      "with a 'points' field)")
@@ -176,7 +206,8 @@ def _cmd_classify(args) -> int:
 
 def _grid(args, spec) -> List[Tuple[int, ...]]:
     if args.directions:
-        return sorted({_parse_vec(part) for part in args.directions.split(";") if part})
+        return sorted({_parse_direction(part, spec.arity)
+                       for part in args.directions.split(";") if part})
     data = quadratic_point_data(spec, (1,) * spec.arity)
     lam_lo = args.lambda_min
     lam_hi = args.lambda_max
@@ -251,7 +282,8 @@ def _cmd_compare(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_attach_negative_vectors(argv))
     handlers = {"oracle": _cmd_oracle, "asym": _cmd_asym,
                 "compare": _cmd_compare, "classify": _cmd_classify}
     try:

@@ -12,10 +12,21 @@ dynamic program:
   for g = prod Q_j^(-s_j), solved coefficient by coefficient in graded
   order, then multiplied by the numerator.
 
-Both recurrences are exact over the rationals.  Factors with non-unit
-constant terms and fractional powers contribute an overall scalar
-prod c_j^(-s_j) which is kept separate from the rational table (it is the
-only possibly irrational quantity in the computation).
+Both recurrences are exact over the rationals, but the sweeps never build
+a Fraction: denominators are cleared once and every coefficient is carried
+as a scaled Python int (Bareiss's integer-preserving idea applied to the
+graded recurrence).  The integer recurrence carries d0^(grade(m)+1) * f_m,
+d0 being the constant term of D after clearing denominators; the real one
+carries |m|! * C^|m| * g_m, C clearing the power and factor denominators,
+which the binomial expansion of each unit-normalized factor to the power
+-s shows to be an integer.  Each step of the real recurrence ends in one
+exact division; a nonzero remainder raises ArithmeticError rather than
+rounding.  Values become canonical Fractions once, when the table is built.
+Float mode runs the same loops on unscaled doubles.
+
+Factors with non-unit constant terms and fractional powers contribute an
+overall scalar prod c_j^(-s_j) which is kept separate from the rational
+table (it is the only possibly irrational quantity in the computation).
 
 Tables may be restricted to a box of target indices; the sweep then clips
 each graded level to the dependency closure of the box, which is what
@@ -27,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import add, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .polyseries import FIELD_RATIONAL, FIELD_REAL, MultiPoly, TruncatedSeries
@@ -244,9 +256,28 @@ class _BoxClip:
         return True
 
 
+def _denominator_lcm(*polys: MultiPoly) -> int:
+    return math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+
+
+def _lifted(c, L: int, k: int, C: Optional[int], top: int) -> List[object]:
+    """L c n!/(n-k)! C^k for n = 0..top, as ints: the coefficient of a
+    dependency k degrees down in the scaled real recurrence (c itself when
+    C is None)."""
+    if C is None:
+        return [c] * (top + 1)
+    ck = int(c * L) * C ** k
+    return [ck * math.perm(n, k) for n in range(top + 1)]
+
+
 def _sweep_integer(numer: MultiPoly, D: MultiPoly, w: Tuple[int, ...], max_level: int,
                    clip: Optional[_BoxClip]) -> Dict[Exponent, object]:
-    """Solve D * f = numer level by level in the grading w."""
+    """Solve D * f = numer level by level in the grading w.
+
+    Exact inputs run on ints: with L clearing the denominators of D and
+    numer and d0 = L*D[0], the sweep carries G_m = d0^(g+1) f_m (g the grade
+    of m) through G_m = d0^g L P_m - sum_u L c_u d0^(grade(u)-1) G_{m-u}.
+    """
     _check_graded_unit(D, w)
     zero = (0,) * D.arity
     d0 = D.terms[zero]
@@ -254,6 +285,19 @@ def _sweep_integer(numer: MultiPoly, D: MultiPoly, w: Tuple[int, ...], max_level
     p_levels = _split_by_grade(numer, w)
     if any(g < 0 for g in p_levels):
         raise SpecError("numerator has negative grade in the chosen direction")
+    exact = D.field_tag == numer.field_tag == FIELD_RATIONAL
+    div = None if exact or d0 == 1 else d0
+    if exact:
+        L = _denominator_lcm(D, numer)
+        d0 = int(d0 * L)
+        # generators may sit above max_level; the table needs d0^(grade(u)-1)
+        top = max([max_level + 1] + [_grade_of(u, w) for u, _ in gens])
+        d0_pow = [1]
+        for _ in range(top):
+            d0_pow.append(d0_pow[-1] * d0)
+        gens = [(u, int(c * L) * d0_pow[_grade_of(u, w) - 1]) for u, c in gens]
+        p_levels = {g: {m: int(c * L) * d0_pow[g] for m, c in terms.items()}
+                    for g, terms in p_levels.items() if g <= max_level}
 
     table: Dict[Exponent, object] = {}
     support: List[List[Exponent]] = [[] for _ in range(max_level + 1)]
@@ -263,30 +307,38 @@ def _sweep_integer(numer: MultiPoly, D: MultiPoly, w: Tuple[int, ...], max_level
             gl = level - _grade_of(u, w)
             if gl >= 0:
                 for m in support[gl]:
-                    cand.add(tuple(a + b for a, b in zip(m, u)))
+                    cand.add(tuple(map(add, m, u)))
         plevel = p_levels.get(level, {})
         for m in cand:
             if clip is not None and not clip.keep(m, level):
                 continue
             val = plevel.get(m, 0)
             for u, cu in gens:
-                prev = table.get(tuple(a - b for a, b in zip(m, u)))
+                prev = table.get(tuple(map(sub, m, u)))
                 if prev is not None:
                     val = val - cu * prev
             if val:
-                val = val / d0 if d0 != 1 else val
+                if div is not None:
+                    val = val / div
                 table[m] = val
                 support[level].append(m)
+    if exact:
+        for m, val in table.items():
+            table[m] = Fraction(val, d0_pow[_grade_of(m, w) + 1])
     return table
 
 
 def _sweep_real(D: MultiPoly, A: List[MultiPoly], w: Tuple[int, ...], max_level: int,
-                clip: Optional[_BoxClip]) -> Dict[Exponent, object]:
+                clip: Optional[_BoxClip], C: Optional[int]) -> Dict[Exponent, object]:
     """Solve D * d_i(g) = -A_i * g for g with g(0) = 1, graded by w.
 
     Requires strictly positive w and orthant-supported D, A_i (arranged by
     the caller); then every dependency of a grade-l coefficient lies at a
-    strictly smaller grade.
+    strictly smaller grade.  With an integer C the result holds the ints
+    N_m = n! C^n g_m, n = |m|: with L clearing the denominators of D and
+    the A_i, m_i L N_m is an integer combination of lower N's, each lifted
+    by n!/n'! C^(n-n'), and the division by m_i L must be exact.  With C
+    None the coefficients are used as given (float mode).
     """
     arity = D.arity
     zero = (0,) * arity
@@ -301,10 +353,15 @@ def _sweep_real(D: MultiPoly, A: List[MultiPoly], w: Tuple[int, ...], max_level:
         for m in Ai.terms:
             gens.add(tuple(a + b for a, b in zip(m, unit[i])))
     gens.discard(zero)
-    d_gens = [(m, c) for m, c in D.terms.items() if m != zero]
-    a_terms = [list(Ai.terms.items()) for Ai in A]
+    L = _denominator_lcm(D, *A) if C is not None else 1
+    # n = |m| <= grade(m) <= max_level because every w_i >= 1
+    d_gens = [(m, _lifted(c, L, sum(m), C, max_level))
+              for m, c in D.terms.items() if m != zero]
+    a_terms = [[(tuple(map(add, u, unit[i])), _lifted(c, L, sum(u) + 1, C, max_level))
+                for u, c in Ai.terms.items()] for i, Ai in enumerate(A)]
 
-    table: Dict[Exponent, object] = {zero: Fraction(1) if D.field_tag == FIELD_RATIONAL else 1.0}
+    one = 1 if C is not None else (Fraction(1) if D.field_tag == FIELD_RATIONAL else 1.0)
+    table: Dict[Exponent, object] = {zero: one}
     support: List[List[Exponent]] = [[] for _ in range(max_level + 1)]
     support[0].append(zero)
     for level in range(1, max_level + 1):
@@ -313,7 +370,7 @@ def _sweep_real(D: MultiPoly, A: List[MultiPoly], w: Tuple[int, ...], max_level:
             gl = level - _grade_of(u, w)
             if gl >= 0:
                 for m in support[gl]:
-                    cand.add(tuple(a + b for a, b in zip(m, u)))
+                    cand.add(tuple(map(add, m, u)))
         for m in cand:
             if any(e < 0 for e in m):
                 continue
@@ -321,45 +378,79 @@ def _sweep_real(D: MultiPoly, A: List[MultiPoly], w: Tuple[int, ...], max_level:
                 continue
             i = max(range(arity), key=m.__getitem__)
             mi = m[i]
+            n = sum(m)
             val = 0
             for u, cu in a_terms[i]:
-                key = list(m)
-                key[i] -= 1
-                prev = table.get(tuple(a - b for a, b in zip(key, u)))
+                prev = table.get(tuple(map(sub, m, u)))
                 if prev is not None:
-                    val = val - cu * prev
+                    val = val - cu[n] * prev
             for u, cu in d_gens:
-                prev = table.get(tuple(a - b for a, b in zip(m, u)))
+                prev = table.get(tuple(map(sub, m, u)))
                 if prev is not None:
-                    val = val - cu * (mi - u[i]) * prev
+                    val = val - cu[n] * (mi - u[i]) * prev
             if val:
-                table[m] = val / mi
+                if C is None:
+                    val = val / mi
+                else:
+                    val, rem = divmod(val, mi * L)
+                    if rem:
+                        raise ArithmeticError(f"scaled coefficient at {m} is not an integer")
+                table[m] = val
                 support[level].append(m)
     return table
 
 
 def _multiply_numerator(table: Dict[Exponent, object], numer: MultiPoly,
                         w: Tuple[int, ...], max_level: int,
-                        clip: Optional[_BoxClip]) -> Dict[Exponent, object]:
+                        clip: Optional[_BoxClip], C: Optional[int]) -> Dict[Exponent, object]:
+    """numer times the plain-series table from _sweep_real (same C); empties
+    `table` once the product is built.
+
+    With an integer C, the product at key is carried at the common scale
+    Lp T! C^T, T = |key| - min|p| and Lp clearing the numerator's
+    denominators, and converted to a Fraction at the end.
+    """
+    pmin = min((sum(p) for p in numer.terms), default=0)
+    Lp = _denominator_lcm(numer) if C is not None else 1
+    top = max(sum(m) for m in table)
     out: Dict[Exponent, object] = {}
     for p, cp in numer.terms.items():
         gp = _grade_of(p, w)
+        dp = sum(p) - pmin
+        # the coefficient of N_m, indexed by |m|: Lp cp (|m|+dp)!/|m|! C^dp
+        lift = _lifted(cp, Lp, dp, C, top + dp)[dp:]
         for m, cm in table.items():
             g = gp + _grade_of(m, w)
             if g > max_level:
                 continue
-            key = tuple(a + b for a, b in zip(p, m))
+            key = tuple(map(add, p, m))
             if clip is not None and not clip.keep(key, g):
                 continue
+            term = lift[sum(m)] * cm
             if key in out:
-                out[key] = out[key] + cp * cm
+                out[key] = out[key] + term
             else:
-                out[key] = cp * cm
-    return {m: c for m, c in out.items() if c}
+                out[key] = term
+    table.clear()
+    for key in [key for key, c in out.items() if not c]:
+        del out[key]
+    if C is not None:
+        dens = [Lp]
+        for T in range(1, max((sum(k) - pmin for k in out), default=0) + 1):
+            dens.append(dens[-1] * T * C)
+        for key, c in out.items():
+            out[key] = Fraction(c, dens[sum(key) - pmin])
+    return out
 
 
 def _prepare_real(spec: QuasiRationalSpec, float_mode: bool):
-    """Unit-normalize factors; return (D, A_list, scale)."""
+    """Unit-normalize factors; return (D, A_list, scale, C).
+
+    C = lcm(power denominators) * lcm(unit-normalized coefficient
+    denominators) makes |m|! C^|m| g_m an integer, since the coefficient of
+    R^k in (1 + R)^(-p/q), times k! q^k, is one.  C is None when some
+    coefficient or power is not rational (float mode included).
+    """
     arity = spec.arity
     zero = (0,) * arity
     scale = Fraction(1)
@@ -385,6 +476,10 @@ def _prepare_real(spec: QuasiRationalSpec, float_mode: bool):
             poly = poly.scale(Fraction(1, 1) / Fraction(c))
         hats.append(poly)
         powers.append(s)
+    C = None
+    if not float_mode and all(isinstance(s, Fraction) for s in powers) and all(
+            p.field_tag == FIELD_RATIONAL for p in (spec.numerator, *hats)):
+        C = math.lcm(*(s.denominator for s in powers)) * _denominator_lcm(*hats)
     D = MultiPoly.const(arity, 1)
     for h in hats:
         D = D * h
@@ -403,7 +498,7 @@ def _prepare_real(spec: QuasiRationalSpec, float_mode: bool):
         D = D.to_field(FIELD_REAL)
         A = [a.to_field(FIELD_REAL) for a in A]
         total_scale = float(total_scale)
-    return D, A, total_scale
+    return D, A, total_scale, C
 
 
 def _run(spec: QuasiRationalSpec, max_level: int,
@@ -427,7 +522,7 @@ def _run(spec: QuasiRationalSpec, max_level: int,
         values = _sweep_integer(numer, D, w, max_level, clip)
         scale = Fraction(1) if not float_mode else 1.0
     else:
-        D, A, scale = _prepare_real(spec, float_mode)
+        D, A, scale, C = _prepare_real(spec, float_mode)
         _check_graded_unit(D, w)
         numer_lo = numer.min_exponents()
         clip = hclip = None
@@ -437,8 +532,8 @@ def _run(spec: QuasiRationalSpec, max_level: int,
             lo = tuple(0 for _ in range(spec.arity))
             hclip = _BoxClip(lo, hi, list(D.terms), max_level, w)
             clip = _BoxClip(box[0], box[1], [], max_level, w)
-        values = _sweep_real(D, A, w, max_level, hclip)
-        values = _multiply_numerator(values, numer, w, max_level, clip)
+        values = _multiply_numerator(_sweep_real(D, A, w, max_level, hclip, C),
+                                     numer, w, max_level, clip, C)
     tbl_box = None if box is None else (tuple(box[0]), tuple(box[1]))
     return CoeffTable(spec.arity, values, w, max_level, scale,
                       FIELD_REAL if float_mode else FIELD_RATIONAL, tbl_box)

@@ -187,3 +187,38 @@ class TestDeterminismAndErrors:
         assert rc == 0
         report = json.loads(out)
         assert abs(report["value"] * 2 ** 60 - 2.595e16) < 0.001e16
+
+
+class TestInputErrors:
+    def test_negative_order_exit_3(self, capsys):
+        rc, out, err = run(capsys, "oracle", "--preset", "aztec", "--order", "-1")
+        assert rc == 3 and not out
+        assert "--order" in err
+
+    def test_zero_direction_exit_3(self, capsys):
+        for argv in (("asym", "--preset", "aztec", "--r", "0,0,0"),
+                     ("compare", "--preset", "aztec", "--directions", "1,2,9;0,0,0")):
+            rc, out, err = run(capsys, *argv)
+            assert rc == 3 and not out, argv
+            assert "nonzero" in err
+
+    def test_wrong_length_vectors_exit_3(self, capsys):
+        for argv in (("oracle", "--preset", "aztec", "--at", "1,1"),
+                     ("asym", "--preset", "aztec", "--r", "1,1"),
+                     ("compare", "--preset", "aztec", "--directions", "1,1,1,1")):
+            rc, out, err = run(capsys, *argv)
+            assert rc == 3 and not out, argv
+            assert "3 variables" in err
+
+    def test_space_separated_negative_index(self, capsys):
+        rc, out, _ = run(capsys, "oracle", "--preset", "aztec", "--at", "-1,1,5")
+        rc_eq, out_eq, _ = run(capsys, "oracle", "--preset", "aztec", "--at=-1,1,5")
+        assert rc == rc_eq == 0
+        assert out == out_eq and out.strip() != "0"
+
+    def test_space_separated_negative_direction(self, capsys):
+        rc, out, _ = run(capsys, "asym", "--preset", "aztec", "--r", "-1,2,9")
+        rc_eq, out_eq, _ = run(capsys, "asym", "--preset", "aztec", "--r=-1,2,9")
+        assert rc == rc_eq == 0
+        assert out == out_eq
+        assert json.loads(out)["direction"] == [-1, 2, 9]

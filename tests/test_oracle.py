@@ -1,9 +1,11 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from conepoint.presets import preset
 from conepoint.polyseries import MultiPoly, TruncatedSeries
 from conepoint.oracle import (NotNormalizedError, QuasiRationalSpec, SpecError,
                               coefficient_at, empirical_decay, expand, expand_box,
@@ -139,6 +141,64 @@ class TestOracleInvariants:
             for m, v in t_real.nonzero_items():
                 assert t_int.value_at(m) == t_real.scale * v
 
+    def test_scaled_sweeps_on_edge_case_specs(self):
+        # the sweeps clear denominators and constant terms into scaled ints:
+        # constants d0 in {-2, 3}, rational coefficients, a generator above
+        # the requested order, fractional powers with denominators 2, 3, 4
+        rng = random.Random(77)
+        dens = (1, 2, 3, 5)
+
+        def factor(arity, const, order):
+            terms = {(0,) * arity: Fraction(const)}
+            for _ in range(rng.randint(1, 3)):
+                m = tuple(rng.randint(0, 2) for _ in range(arity))
+                if sum(m):
+                    terms[m] = Fraction(rng.randint(-3, 3), rng.choice(dens))
+            high = [0] * arity
+            high[rng.randrange(arity)] = order + rng.randint(1, 3)
+            terms[tuple(high)] = Fraction(rng.choice((-1, 1)), rng.choice(dens))
+            return MultiPoly(arity, terms)
+
+        for trial in range(24):
+            arity = rng.randint(1, 3)
+            N = rng.randint(3, 6)
+            factors = [(factor(arity, rng.choice((-2, 3)), N), rng.randint(1, 2))]
+            if trial % 2:
+                q = (2, 3, 4)[trial // 2 % 3]
+                factors.append((factor(arity, 1, N), Fraction(rng.choice((1, -1, 5, 7)), q)))
+            numer = MultiPoly(arity, {tuple(rng.randint(0, 2) for _ in range(arity)):
+                                      Fraction(rng.randint(1, 4), rng.choice(dens))
+                                      for _ in range(2)})
+            spec = QuasiRationalSpec(arity, numer, tuple(factors), (-1,) * arity)
+            table = expand(spec, N)
+            ns = naive_series(spec, N)
+            for m, c in ns.terms.items():
+                assert table.value_at(m) == c, f"trial {trial} at {m}"
+            for m, v in table.nonzero_items():
+                assert type(v) is Fraction
+                assert ns.coeff(m) == table.scale * v, f"trial {trial} at {m}"
+
+    def test_engines_agree_on_non_unit_constants(self):
+        rng = random.Random(31)
+        for trial in range(12):
+            arity = rng.randint(1, 3)
+            factors = []
+            for const in (rng.choice((-2, 3)), rng.choice((-2, 3, Fraction(1, 2)))):
+                terms = {(0,) * arity: Fraction(const)}
+                for _ in range(3):
+                    m = tuple(rng.randint(0, 2) for _ in range(arity))
+                    if sum(m):
+                        terms[m] = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+                factors.append((MultiPoly(arity, terms), 1))
+            numer = MultiPoly(arity, {(0,) * arity: Fraction(2, 3),
+                                      (1,) * arity: Fraction(-1, 2)})
+            spec = QuasiRationalSpec(arity, numer, tuple(factors), (-1,) * arity)
+            t_int = expand(spec, 6, engine="integer")
+            t_real = expand(spec, 6, engine="real")
+            assert set(t_int.values) == set(t_real.values), f"trial {trial}"
+            for m, v in t_int.nonzero_items():
+                assert t_real.value_at(m) == v, f"trial {trial} at {m}"
+
     def test_recurrence_residual_vanishes(self, fls):
         # (prod Q) P d_i f - f (d_iP prod Q - P sum s_j d_iQ_j prod_{k!=j} Q_k) = 0
         spec = fls.spec
@@ -243,3 +303,65 @@ class TestExpandBox:
             for j in range(-2, 3):
                 for n in range(10):
                     assert box.value_at((i, j, n)) == full.value_at((i, j, n))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 digests of serialized tables, recorded from the Fraction-based
+# sweeps; the scaled-integer sweeps must reproduce them byte for byte.
+GOLDEN_ORDERS = {"aztec": 20, "cube_grove": 16, "qrw2d": 14, "fls": 16,
+                 "superballot": 14, "superballot-core": 18}
+GOLDEN_JSON = {
+    "aztec": "b6c0a78c35c7840a81c888df85c0281256c6f7725aba63fc665c4021efdec9a6",
+    "cube_grove": "83d5443d79bf656657253314a23e529bab5ee07a6a1798421d9bffb8a08a57b4",
+    "qrw2d": "7b7844a05748c967adfae85a788190d6f2db9a4d0413f95bba9f73b4e3d61cb7",
+    "fls": "1e6d4c06a9a0440eb9c998f065103c7fa25ed75bb7ff71c3618815c0bca89103",
+    "superballot": "1af4a92e001f6543ff338393ca2554fb3e96239ae82f456f3d0ea6f0b5ac6010",
+    "superballot-core": "5bd084d8c557d71ab1409034dee3c65832d43d260f89bc4ccf512a83dba9f580",
+}
+GOLDEN_BOX = {
+    "aztec": (((-4, -3, 0), (3, 4, 17)),
+              "63da2be884f6864260633832b7c1e78d7d9d7bb48070db33841af4cbf980ada6"),
+    "cube_grove": (((2, 1, 3), (9, 8, 7)),
+                   "eb83149cf9184e6c9416fedaed1088c0f86cc33a08e760ab79a00126b578f744"),
+    "fls": (((3, 0, 2), (9, 8, 10)),
+            "aaed2ebe17aa53bb09e94f0b8ea93205fe04a2829ad54aa1b61fb547c2f2b351"),
+    "superballot": (((1, 2, 0), (6, 5, 7)),
+                    "63da00ba1e2109673f184a8ffb0e4450a57047cdfa9390b8b95d8d07d40926c3"),
+}
+# exact tables printed with 17 digits, then float-mode sweeps printed the same way
+GOLDEN_CSV = {
+    "aztec": ("9fac72f47c77cc492e718f9d6a39c6a1ec039baa50af8c7c52cede0ed691fcfd",
+              "9fac72f47c77cc492e718f9d6a39c6a1ec039baa50af8c7c52cede0ed691fcfd"),
+    "fls": ("4cc9c56ce02334b1039377a46311a4ab5996b3c1a578965cbddb4df93239e98a",
+            "7f54461e98fd9bd0b7f055a90a6c1c9c3d6507aa8a54cbdcf8ba92006458cbdf"),
+    "qrw2d": ("9c9d786fe8c59838cb227bb7c7b56a678e50b7bf5ac62a77ed250c0c8387f55d",
+              "9c9d786fe8c59838cb227bb7c7b56a678e50b7bf5ac62a77ed250c0c8387f55d"),
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
+    def test_table_json(self, name):
+        from conepoint.specio import canonical_json, table_to_json
+        table = expand(preset(name).spec, GOLDEN_ORDERS[name])
+        assert _sha256(canonical_json(table_to_json(table))) == GOLDEN_JSON[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_BOX))
+    def test_box_json(self, name):
+        from conepoint.specio import canonical_json, table_to_json
+        (lo, hi), digest = GOLDEN_BOX[name]
+        table = expand_box(preset(name).spec, lo, hi)
+        assert _sha256(canonical_json(table_to_json(table))) == digest
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CSV))
+    def test_float_csv(self, name):
+        from conepoint.specio import table_to_csv
+        spec = preset(name).spec
+        exact_digest, float_digest = GOLDEN_CSV[name]
+        exact = expand(spec, GOLDEN_ORDERS[name])
+        assert _sha256(table_to_csv(exact, float_digits=17)) == exact_digest
+        approx = expand(spec, GOLDEN_ORDERS[name], float_mode=True)
+        assert _sha256(table_to_csv(approx, float_digits=17)) == float_digest
