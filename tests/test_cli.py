@@ -1,5 +1,8 @@
+import hashlib
 import json
 from pathlib import Path
+
+import pytest
 
 from conepoint.cli import main
 from conepoint import specio
@@ -222,3 +225,45 @@ class TestInputErrors:
         assert rc == rc_eq == 0
         assert out == out_eq
         assert json.loads(out)["direction"] == [-1, 2, 9]
+
+
+# SHA-256 of stdout and the exit code, recorded before per-point preparation
+# was split out of total_asymptotics; the split must not change a byte.
+GOLDEN_STDOUT = {
+    ("compare", "--preset", "aztec", "--t-list", "9,19", "--slice-step", "0.25"):
+        (0, "0610cb4ad38a7195d93599f8d488dad256ca6eb62c2d9b69751b476cae0e0e90"),
+    ("compare", "--preset", "cube_grove", "--directions", "7,7,7;9,9,9;5,6,7;4,9,8"):
+        (0, "bf6804edc06471429f2b05f3a6d3eb4023bec986600ca455829184dd1f406d92"),
+    ("compare", "--preset", "fls", "--directions", "10,10,10;8,12,10;6,9,14"):
+        (0, "ec957bd5d46f6d27d39eddee251231e771c5149f43e30c4248db9a0218f2d171"),
+    ("compare", "--preset", "superballot-core", "--directions", "10,20,30;12,12,12;5,9,11"):
+        (0, "8b9876f2a7589f6f4501d67d9f02351965bfb9ae6012175f53a1cb39874904a7"),
+    # every row is refused: the numerator vanishes at (1,1,1)
+    ("compare", "--preset", "qrw2d", "--t-list", "9", "--slice-step", "0.5"):
+        (0, "0d63b4b04e76e56076e464deb6a399747d4bf7608a138f25efdc11f9983d8d5c"),
+    ("asym", "--preset", "aztec", "--r", "0,0,9"):
+        (0, "155d156314f95b9dd7ead061ef0b18f9d8a45f80b848f3d8e3f80ce73e5e4e40"),
+    ("asym", "--preset", "cube_grove", "--r", "5,6,7"):
+        (0, "c275260883dfc5e022b97eeeda0ed2aa0c17a8821be3b4c9eabb1b47e07e7e0d"),
+    ("asym", "--preset", "qrw2d", "--r", "1,2,9"):
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("asym", "--preset", "fls", "--r", "10,10,10"):
+        (0, "d5c125066c0f57c324308382ad5ff6f99fa854fa4d903693bf9d5d36b2b4f860"),
+    ("asym", "--preset", "superballot", "--r", "10,20,30"):
+        (4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("asym", "--preset", "superballot-core", "--r", "10,20,30"):
+        (0, "8cb2c0e8c0375c2a18cb0f6465fae8164f879d906a2fb85397b91d873d56d4a6"),
+    ("classify", "--preset", "aztec", "--r", "1,0,1"):
+        (0, "8b73c67522f75728bead520059870d6512d75d703c78db691e3ccd0ecdb381cb"),
+    ("classify", "--preset", "cube_grove", "--r", "5,6,7"):
+        (0, "e177c1b9cb633006ba99cdd3e6da68826e9ad98d61371bb54e04c56c0bd57408"),
+    ("classify", "--preset", "fls", "--r", "10,10,10"):
+        (0, "223b7f34d658b825296e44232e487ddf528ddb8c0d9e4b1e4bf58ee49b00eb80"),
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT), ids=" ".join)
+    def test_stdout_and_exit_code(self, capsys, argv):
+        rc, out, _ = run(capsys, *argv)
+        assert (rc, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_STDOUT[argv]
