@@ -8,15 +8,15 @@ from .oracle import (CoeffTable, NotNormalizedError, QuasiRationalSpec, SpecErro
                      naive_series, normalize_laurent)
 from .localgeo import (DegenerateError, DirectionClass, DirectionTag, GeometryError,
                        QuadraticPointData, SignatureError, classify_direction,
-                       classify_quadratic, dual_eval, dual_quadratic,
-                       homogeneous_part, hyperbolicity_check, normalizer_absdet,
-                       quadratic_point_data, vanishing_degree)
+                       classify_quadratic, dual_quadratic, homogeneous_part,
+                       hyperbolicity_check, normalizer_absdet, quadratic_point_data,
+                       vanishing_degree)
 from .critpoints import (CriticalPoint, SearchReport, find_singular_points,
                          find_smooth_critical, verify_transverse)
-from .asympt import (AsymptoticEstimate, ExpansionTable, GammaPoleError, RefusalError,
-                     cone_constant, cone_plane_asymptotics, decay_exponent,
+from .asympt import (AsymptoticEstimate, ExpansionTable, GammaPoleError, PreparedPoint,
+                     RefusalError, cone_constant, cone_plane_asymptotics, decay_exponent,
                      double_residue, dual_power_derivative, expansion_coefficients,
-                     local_degree, oriented_double_residue, quadratic_asymptotics,
+                     local_degree, oriented_double_residue, prepare, quadratic_asymptotics,
                      smooth_asymptotics, total_asymptotics)
 from .presets import Preset, grove_relation_check, preset, qrw_simulate
 

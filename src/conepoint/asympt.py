@@ -31,10 +31,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .polyseries import MultiPoly, TruncatedSeries
+from .polyseries import MultiPoly, TruncatedSeries, binomials
 from .oracle import QuasiRationalSpec, _as_int
 from .localgeo import (DegenerateError, DirectionTag, GeometryError, Matrix,
-                       QuadraticPointData, classify_direction, homogeneous_part,
+                       QuadraticPointData, _bilinear, classify_direction, homogeneous_part,
                        log_compose_taylor, quadratic_point_data, vanishing_degree)
 from . import critpoints as _crit
 
@@ -114,14 +114,6 @@ class ExpansionTable:
         return self.entries.items()
 
 
-def _binom_general(alpha, n: int):
-    out = Fraction(1) if not isinstance(alpha, float) else 1.0
-    a = Fraction(alpha) if not isinstance(alpha, float) else alpha
-    for i in range(n):
-        out = out * (a - i) / (i + 1)
-    return out
-
-
 def expansion_coefficients(p_series: TruncatedSeries, q_series: TruncatedSeries,
                            h_series_list: Sequence[TruncatedSeries], s,
                            n_list: Sequence[int], N: int) -> ExpansionTable:
@@ -138,17 +130,18 @@ def expansion_coefficients(p_series: TruncatedSeries, q_series: TruncatedSeries,
         if ht.total_degree() != 1:
             raise GeometryError("smooth factor must vanish to order exactly 1")
         Rh = h_series_list[0] - TruncatedSeries.from_poly(ht, h_series_list[0].order)
-        n1 = n_list[0]
+        c_h = binomials(-Fraction(n_list[0]), N)
     entries: Dict[Tuple[Tuple[int, ...], int, int], object] = {}
     # truncated products are exact within their order, so entries beyond the
     # available local order are simply absent rather than wrong
     rq_pow = TruncatedSeries.const(p_series.arity, 1, p_series.order)
+    c_q = binomials(-s, N)
     for ell in range(0, N):
         if ell > 0:
             rq_pow = rq_pow * Rq
             if rq_pow.is_zero():
                 break
-        c_ell = _binom_general(-s if not isinstance(s, float) else -float(s), ell)
+        c_ell = c_q[ell]
         inner = rq_pow * p_series
         if k == 0:
             _collect(entries, inner, ell, 0, c_ell, N, k)
@@ -159,8 +152,7 @@ def expansion_coefficients(p_series: TruncatedSeries, q_series: TruncatedSeries,
                     rh_pow = rh_pow * Rh
                     if rh_pow.is_zero():
                         break
-                c_n = _binom_general(-Fraction(n1), n)
-                _collect(entries, inner * rh_pow, ell, n, c_ell * c_n, N, k)
+                _collect(entries, inner * rh_pow, ell, n, c_ell * c_h[n], N, k)
     return ExpansionTable(entries, N, k)
 
 
@@ -307,9 +299,9 @@ def intersection_lines(data: QuadraticPointData) -> List[Tuple[object, ...]]:
         basis.append(tuple(v))
     v1, v2 = basis
     M = data.q_matrix
-    a = _bili(M, v1, v1)
-    b = 2 * _bili(M, v1, v2)
-    c = _bili(M, v2, v2)
+    a = _bilinear(M, v1, v1)
+    b = 2 * _bilinear(M, v1, v2)
+    c = _bilinear(M, v2, v2)
     # roots of a t^2 + b t + c = 0 as (lam : mu)
     if a == 0 and c == 0:
         pairs = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
@@ -342,10 +334,6 @@ def _sqrt_maybe_exact(x):
     return math.sqrt(float(x))
 
 
-def _bili(M, a, b):
-    return sum(a[i] * sum(M[i][j] * b[j] for j in range(len(b))) for i in range(len(a)))
-
-
 def oriented_double_residue(data: QuadraticPointData, tol: float = 1e-12):
     """Res2 with the orientation fixed to the positive branch.
 
@@ -354,7 +342,6 @@ def oriented_double_residue(data: QuadraticPointData, tol: float = 1e-12):
     flange boundary realizes in the probability applications, which is
     the positive one.
     """
-    qt = MultiPoly(3, {})
     d = data.arity
     terms = {}
     for i in range(d):
@@ -524,57 +511,81 @@ class AsymptoticEstimate:
     notes: Tuple[str, ...] = ()
 
 
+@dataclass(frozen=True)
+class PreparedPoint:
+    """What total_asymptotics needs at one point, whatever the direction."""
+
+    Z: Tuple[object, ...]
+    data: QuadraticPointData
+    degree: object                   # local_degree(spec, Z)
+    table: Optional[ExpansionTable]  # bare quadratic points (k = 0) only
+
+
+def prepare(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None, *,
+            order_terms: int = 1, x: Optional[Sequence[float]] = None,
+            series_order: int = 8, tol: float = 1e-9,
+            seed: int = 0) -> Tuple[PreparedPoint, ...]:
+    """Do the work of total_asymptotics that does not depend on the direction.
+
+    points may be supplied (e.g. from a preset); otherwise the singular
+    points of every factor on the |Z_j| = e^{x_j} torus are discovered
+    numerically.  The result can be passed as `points` to total_asymptotics
+    for any number of directions.
+    """
+    if points is None:
+        x = x or [0.0] * spec.arity
+        points = [p.Z for poly, _ in spec.factors
+                  for p in _crit.find_singular_points(poly, x, seed=seed).points]
+        if not points:
+            raise RefusalError("no quadratic points found on the torus", {"x": list(x)})
+    out = []
+    for Z in points:
+        data = quadratic_point_data(spec, Z, order=series_order, tol=tol)
+        table = (expansion_coefficients(data.p_series, data.q_series, (), data.s, (),
+                                        order_terms) if data.k == 0 else None)
+        out.append(PreparedPoint(tuple(Z), data, local_degree(spec, Z), table))
+    return tuple(out)
+
+
 def total_asymptotics(spec: QuasiRationalSpec, r: Sequence[int],
-                      points: Optional[Sequence[Sequence]] = None,
+                      points: Optional[Sequence] = None,
                       order_terms: int = 1, x: Optional[Sequence[float]] = None,
                       series_order: int = 8, tol: float = 1e-9,
                       seed: int = 0) -> AsymptoticEstimate:
     """Sum the quadratic-point contributions over the critical set.
 
-    points may be supplied (e.g. from a preset); otherwise the singular
-    points of every factor on the |Z_j| = e^{x_j} torus are discovered
-    numerically.  Directions outside the normal cone at every point yield
-    a zero estimate flagged as exponentially small; obstructed directions
-    raise RefusalError.
+    points are raw points, None (discover them, see prepare) or the result
+    of prepare, in which case order_terms, x, series_order and seed are the
+    ones given to prepare and only the per-direction work is done here.
+    Directions outside the normal cone at every point yield a zero estimate
+    flagged as exponentially small; obstructed directions raise
+    RefusalError.
     """
     r = tuple(int(e) for e in r)
-    if points is None:
-        x = x or [0.0] * spec.arity
-        found = []
-        for poly, _ in spec.factors:
-            rep = _crit.find_singular_points(poly, x, seed=seed)
-            found.extend(p.Z for p in rep.points)
-        points = found
-        if not points:
-            raise RefusalError("no quadratic points found on the torus",
-                               {"x": list(x)})
+    if points is None or not all(isinstance(p, PreparedPoint) for p in points):
+        points = prepare(spec, points, order_terms=order_terms, x=x,
+                         series_order=series_order, tol=tol, seed=seed)
     contribs: List[PointContribution] = []
     notes: List[str] = []
     total = 0
-    degs = []
     any_interior = False
-    for Z in points:
-        data = quadratic_point_data(spec, Z, order=series_order, tol=tol)
-        degs.append((Z, local_degree(spec, Z)))
+    for pt in points:
+        data = pt.data
         if data.k == 0:
             cls = classify_direction(data, r, tol)
-            if cls.tag is DirectionTag.OutsideNormalCone:
-                contribs.append(PointContribution(tuple(Z), "quadratic-point-series",
-                                                  cls.tag.value, 0))
-                continue
-            table = expansion_coefficients(data.p_series, data.q_series, (), data.s, (),
-                                           order_terms)
-            val = quadratic_asymptotics(data, table, r, order_terms)
-            contribs.append(PointContribution(tuple(Z), "quadratic-point-series",
+            val = 0
+            if cls.tag is not DirectionTag.OutsideNormalCone:
+                val = quadratic_asymptotics(data, pt.table, r)
+                any_interior = True
+                total = total + val
+            contribs.append(PointContribution(pt.Z, "quadratic-point-series",
                                               cls.tag.value, val))
-            any_interior = True
-            total = total + val
         elif data.k == 1:
             val, cls = cone_plane_asymptotics(data, r, tol)
             tag = ("cone-plane-arctan" if cls.tag is DirectionTag.InteriorEllipticCone
                    else "cone-plane-flange" if cls.tag is DirectionTag.InteriorE
                    else "outside")
-            contribs.append(PointContribution(tuple(Z), tag, cls.tag.value, val))
+            contribs.append(PointContribution(pt.Z, tag, cls.tag.value, val))
             if cls.tag is not DirectionTag.OutsideNormalCone:
                 any_interior = True
                 total = total + val
@@ -588,7 +599,8 @@ def total_asymptotics(spec: QuasiRationalSpec, r: Sequence[int],
     else:
         tag = contribs[0].formula if len({c.formula for c in contribs if c.value != 0}) <= 1 \
             else "mixed"
-    alpha = decay_exponent(spec, degs) if degs else float(spec.arity)
+    alpha = decay_exponent(spec, [(pt.Z, pt.degree) for pt in points]) if points \
+        else float(spec.arity)
     if isinstance(total, complex) and abs(total.imag) < 1e-12 * (1 + abs(total)):
         total = total.real
     return AsymptoticEstimate(r, total, alpha, tuple(contribs), tag, tuple(notes))

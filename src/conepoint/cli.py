@@ -9,26 +9,25 @@ Subcommands:
 
 Exit codes: 0 success, 2 refusal (obstructed or outside the normal cone),
 3 spec or argument error, 4 numeric failure.  With a fixed seed, outputs are
-byte-identical between runs; grid work is fanned out to a worker pool
-capped by the ACSV_CONE_THREADS environment variable and re-emitted in
-sorted order.
+byte-identical between runs.  `compare` prepares each singular point once
+and then evaluates every grid direction against the prepared points.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .oracle import (QuasiRationalSpec, SpecError, coefficient_at, expand, expand_box)
 from .localgeo import GeometryError, classify_direction, quadratic_point_data
-from .asympt import (GammaPoleError, RefusalError, local_degree, total_asymptotics)
+from .asympt import (GammaPoleError, PreparedPoint, RefusalError, local_degree, prepare,
+                     total_asymptotics)
 from .presets import PRESET_NAMES, preset
 from . import specio
 
@@ -204,11 +203,13 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _grid(args, spec) -> List[Tuple[int, ...]]:
-    if args.directions:
-        return sorted({_parse_direction(part, spec.arity)
-                       for part in args.directions.split(";") if part})
-    data = quadratic_point_data(spec, (1,) * spec.arity)
+def _grid(args, spec, prepared: Sequence[PreparedPoint]) -> List[Tuple[int, ...]]:
+    """The integer points of the slices r = (floor(lam_1 t), ...,
+    floor(lam_{d-1} t), t) that lie well inside the dual cone of the first
+    prepared point."""
+    if not prepared:
+        raise specio.SpecFormatError("a slice grid needs a point; give --directions")
+    data = prepared[0].data
     lam_lo = args.lambda_min
     lam_hi = args.lambda_max
     if lam_lo is None or lam_hi is None:
@@ -218,48 +219,42 @@ def _grid(args, spec) -> List[Tuple[int, ...]]:
         lam_hi = 2.0
     ts = [int(t) for t in args.t_list.split(",")]
     step = args.slice_step
-    n_steps = int(round((lam_hi - lam_lo) / step))
+    lams = [lam_lo + i * step for i in range(int(round((lam_hi - lam_lo) / step)) + 1)]
     out = []
     for t in ts:
-        for i in range(n_steps + 1):
-            lam1 = lam_lo + i * step
-            for j in range(n_steps + 1):
-                lam2 = lam_lo + j * step
-                r = (math.floor(lam1 * t), math.floor(lam2 * t), t)
-                if float(data.dual_eval(r, r)) > args.cone_margin * t * t:
-                    out.append(r)
+        for lam in itertools.product(lams, repeat=spec.arity - 1):
+            r = tuple(math.floor(x * t) for x in lam) + (t,)
+            if float(data.dual_eval(r, r)) > args.cone_margin * t * t:
+                out.append(r)
     return sorted(set(out))
 
 
 def _cmd_compare(args) -> int:
     spec, points, _ = _load(args)
-    targets = _grid(args, spec)
+    targets = (sorted({_parse_direction(part, spec.arity)
+                       for part in args.directions.split(";") if part})
+               if args.directions else None)
+    prepared = prepare(spec, points, seed=args.seed)
+    if targets is None:
+        targets = _grid(args, spec, prepared)
     if not targets:
         raise specio.SpecFormatError("empty comparison grid")
     lo = tuple(min(0, min(r[i] for r in targets)) for i in range(spec.arity))
     hi = tuple(max(0, max(r[i] for r in targets)) for i in range(spec.arity))
     table = expand_box(spec, lo, hi)
-
-    def predict(r):
-        try:
-            est = total_asymptotics(spec, r, points=points)
-            return r, est.value, est.per_point[0].direction_class if est.per_point else "?"
-        except RefusalError as e:
-            return r, None, e.diagnostics.get("class", "refused")
-
-    workers = max(1, int(os.environ.get("ACSV_CONE_THREADS", "4")))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(predict, targets))
-    rows.sort(key=lambda row: row[0])
     header = ",".join(f"r{i+1}" for i in range(spec.arity)) + \
         ",oracle,prediction,rel_error,class"
     lines = [header]
     errors = []
-    for r, pred, cls in rows:
+    for r in targets:
         oracle_v = float(table.value_at(r))
-        if pred is None:
+        try:
+            est = total_asymptotics(spec, r, points=prepared)
+        except RefusalError as e:
+            cls = e.diagnostics.get("class", "refused")
             lines.append(",".join(map(str, r)) + f",{oracle_v!r},,,{cls}")
             continue
+        pred, cls = est.value, est.per_point[0].direction_class if est.per_point else "?"
         pred_f = float(pred.real if isinstance(pred, complex) else pred)
         if oracle_v == 0.0 and pred_f == 0.0:
             rel = 0.0

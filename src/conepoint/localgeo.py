@@ -113,10 +113,6 @@ def mat_inverse(M: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in A)
 
 
-def mat_vec(M: Matrix, v: Sequence):
-    return tuple(sum(M[i][j] * v[j] for j in range(len(v))) for i in range(len(M)))
-
-
 # -- quadratic classification -------------------------------------------------
 
 
@@ -233,11 +229,6 @@ class QuadraticPointData:
 
     def dual_eval(self, a: Sequence, b: Sequence):
         return _bilinear(self.dual_matrix, a, b)
-
-
-def dual_eval(data: QuadraticPointData, a: Sequence, b: Sequence):
-    """Pairing a^T (dual matrix) b."""
-    return data.dual_eval(a, b)
 
 
 def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence, order: int = 6,

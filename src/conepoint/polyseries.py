@@ -121,9 +121,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def num_terms(self) -> int:
-        return len(self.terms)
-
     def constant_term(self):
         return self.terms.get((0,) * self.arity, _coerce(0, self.field_tag))
 
@@ -132,11 +129,6 @@ class MultiPoly:
         if not self.terms:
             return (0,) * self.arity
         return tuple(min(m[i] for m in self.terms) for i in range(self.arity))
-
-    def max_exponents(self) -> Exponent:
-        if not self.terms:
-            return (0,) * self.arity
-        return tuple(max(m[i] for m in self.terms) for i in range(self.arity))
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -148,10 +140,6 @@ class MultiPoly:
         if not self.terms:
             return 0
         return min(sum(m) for m in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
 
     def to_field(self, tag: str) -> "MultiPoly":
         if tag == self.field_tag:
@@ -317,13 +305,6 @@ class TruncatedSeries:
     def constant_term(self):
         return self.terms.get((0,) * self.arity, _coerce(0, self.field_tag))
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order >= self.order:
-            return self
-        return TruncatedSeries(self.arity, order,
-                               {m: c for m, c in self.terms.items() if sum(m) <= order},
-                               self.field_tag)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -417,15 +398,23 @@ class TruncatedSeries:
         # u has zero constant term, so u^n vanishes past n = order
         result = TruncatedSeries.const(self.arity, 1, self.order, self.field_tag)
         power = TruncatedSeries.const(self.arity, 1, self.order, self.field_tag)
-        binom = _coerce(1, FIELD_RATIONAL)
-        a = Fraction(alpha) if not isinstance(alpha, float) else alpha
+        binoms = binomials(alpha, self.order)
         for n in range(1, self.order + 1):
-            binom = binom * (a - (n - 1)) / n
             power = power * u
             if power.is_zero():
                 break
-            result = result + power.scale(binom)
+            result = result + power.scale(binoms[n])
         return result.scale(lead)
+
+
+def binomials(alpha, n: int) -> list:
+    """binom(alpha, 0), ..., binom(alpha, n) by the running product; exact
+    unless alpha is a float."""
+    a = alpha if isinstance(alpha, float) else Fraction(alpha)
+    out = [1.0 if isinstance(alpha, float) else Fraction(1)]
+    for i in range(n):
+        out.append(out[-1] * (a - i) / (i + 1))
+    return out
 
 
 def _int_nth_root(n: int, q: int) -> int:

@@ -17,7 +17,7 @@ from conepoint.localgeo import dual_quadratic, mat_inverse, quadratic_point_data
 from conepoint.critpoints import find_smooth_critical
 from conepoint.asympt import (cone_constant, cone_plane_asymptotics, double_residue,
                               dual_power_derivative, oriented_double_residue,
-                              smooth_asymptotics, total_asymptotics)
+                              prepare, smooth_asymptotics, total_asymptotics)
 from conepoint.presets import grove_relation_check, qrw_simulate
 
 
@@ -99,6 +99,7 @@ def test_criterion_04_double_residues(aztec, cube_grove, scoreboard):
 def test_criterion_05_aztec_convergence(aztec, scoreboard):
     t_start = time.perf_counter()
     lam = [k / 10 for k in range(-9, 10)]
+    points = prepare(aztec.spec, aztec.known_points)
     medians = []
     for T in (19, 29, 39):
         table = expand(aztec.spec, T)
@@ -108,7 +109,7 @@ def test_criterion_05_aztec_convergence(aztec, scoreboard):
                 if 2 * l1 * l1 + 2 * l2 * l2 > 0.8:
                     continue
                 r = (math.floor(l1 * T), math.floor(l2 * T), T)
-                est = total_asymptotics(aztec.spec, r, points=list(aztec.known_points))
+                est = total_asymptotics(aztec.spec, r, points=points)
                 o = table.value_at(r)
                 if sum(r) % 2 == 0:
                     assert o == 0 and est.value == 0.0
@@ -125,6 +126,7 @@ def test_criterion_05_aztec_convergence(aztec, scoreboard):
 
 def test_criterion_06_grove_convergence(cube_grove, scoreboard):
     lam = [k / 10 for k in range(2, 21)]
+    points = prepare(cube_grove.spec, [(1, 1, 1)])
     medians = []
     for T in (20, 30, 40):
         targets = set()
@@ -139,7 +141,7 @@ def test_criterion_06_grove_convergence(cube_grove, scoreboard):
         table = expand_box(cube_grove.spec, (0, 0, 0), hi)
         errs = []
         for r in sorted(targets):
-            est = total_asymptotics(cube_grove.spec, r, points=[(1, 1, 1)])
+            est = total_asymptotics(cube_grove.spec, r, points=points)
             o = float(table.value_at(r))
             errs.append(abs(est.value - o) / abs(o))
         medians.append(statistics.median(errs))

@@ -10,9 +10,10 @@ from conepoint.critpoints import find_smooth_critical
 from conepoint.asympt import (GammaPoleError, RefusalError, cone_constant,
                               cone_plane_asymptotics, decay_exponent, double_residue,
                               dual_power_derivative, expansion_coefficients,
-                              local_degree, oriented_double_residue,
+                              local_degree, oriented_double_residue, prepare,
                               quadratic_asymptotics, smooth_asymptotics,
                               total_asymptotics)
+from conepoint.presets import preset
 
 
 def mp(arity, *terms):
@@ -280,3 +281,24 @@ class TestTotals:
     def test_superballot_prediction(self, superballot_core):
         est = total_asymptotics(superballot_core.spec, (10, 20, 30), points=[(1, 1, 1)])
         assert abs(est.value * 2 ** 60 - 2.595e16) < 0.001e16
+
+    @pytest.mark.parametrize("name,directions", [
+        ("aztec", [(0, 0, 9), (0, 0, 8), (1, 0, 1), (3, -2, 11), (5, 6, 9)]),
+        ("cube_grove", [(5, 6, 7), (9, 9, 9), (1, 1, 9)]),
+        ("fls", [(10, 10, 10), (6, 9, 14), (1, 0, 0)]),
+        ("superballot-core", [(10, 20, 30), (12, 12, 12)]),
+    ])
+    def test_prepared_points_give_the_same_estimates(self, monkeypatch, name, directions):
+        pr = preset(name)
+        raw = [total_asymptotics(pr.spec, r, points=list(pr.known_points), order_terms=2)
+               for r in directions]
+        prepared = prepare(pr.spec, pr.known_points, order_terms=2)
+        assert [p.Z for p in prepared] == [tuple(Z) for Z in pr.known_points]
+
+        def per_point_work(*args, **kwargs):
+            raise AssertionError("per-point work repeated for a prepared point")
+
+        for fn in ("quadratic_point_data", "local_degree", "expansion_coefficients"):
+            monkeypatch.setattr(f"conepoint.asympt.{fn}", per_point_work)
+        assert [total_asymptotics(pr.spec, r, points=prepared)
+                for r in directions] == raw

@@ -123,6 +123,39 @@ class TestCompare:
         assert rc == 0
         assert "median rel error" in out
 
+    def test_grid_uses_the_spec_point(self, capsys, tmp_path):
+        # X -> 2X, Y -> 2Y, Z -> 2Z moves the point to (1/2,1/2,1/2) and scales
+        # both a_r and Z^(-r) by 2^|r|: the grid and the relative errors stay
+        raw = json.loads((SPEC_DIR / "superballot-core.json").read_text())
+        for term in raw["factors"][0]["poly"]:
+            term["coeff"] = str(int(term["coeff"]) * 2 ** sum(term["exponents"]))
+        raw["points"] = [["1/2"] * 3]
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(raw))
+        grid = ("--t-list", "9,13", "--slice-step", "0.25")
+        rc, out, _ = run(capsys, "compare", "--preset", "superballot-core", *grid)
+        rc_scaled, out_scaled, _ = run(capsys, "compare", "--spec", str(path), *grid)
+        assert rc == rc_scaled == 0
+        rows = [line.split(",") for line in out.splitlines()[1:-1]]
+        rows_scaled = [line.split(",") for line in out_scaled.splitlines()[1:-1]]
+        assert len(rows) > 20
+        assert [row[:3] + row[6:] for row in rows] == \
+            [row[:3] + row[6:] for row in rows_scaled]
+        for row, row_scaled in zip(rows, rows_scaled):
+            assert abs(float(row[5]) - float(row_scaled[5])) <= 1e-12, row
+
+    def test_spec_without_points_discovers_them(self, capsys, tmp_path):
+        raw = json.loads((SPEC_DIR / "superballot-core.json").read_text())
+        raw.pop("points")
+        path = tmp_path / "core.json"
+        path.write_text(json.dumps(raw))
+        directions = ("--directions", "10,20,30;12,12,12")
+        rc, out, _ = run(capsys, "compare", "--preset", "superballot-core", *directions)
+        rc_found, out_found, _ = run(capsys, "compare", "--spec", str(path), "--seed", "3",
+                                     *directions)
+        assert rc == rc_found == 0
+        assert out_found == out
+
 
 class TestDeterminismAndErrors:
     def test_byte_identical_reruns(self, capsys):
@@ -174,12 +207,6 @@ class TestDeterminismAndErrors:
         assert rc == 4
         assert "numeric failure" in err
 
-    def test_env_thread_cap_respected(self, capsys, monkeypatch):
-        monkeypatch.setenv("ACSV_CONE_THREADS", "1")
-        rc, out, _ = run(capsys, "compare", "--preset", "cube_grove",
-                         "--directions", "7,7,7")
-        assert rc == 0
-
     def test_generic_spec_discovers_points(self, tmp_path, capsys):
         # spec JSON with no 'points' field: the singular point is found numerically
         raw = json.loads((SPEC_DIR / "superballot-core.json").read_text())
@@ -212,6 +239,15 @@ class TestInputErrors:
             rc, out, err = run(capsys, *argv)
             assert rc == 3 and not out, argv
             assert "3 variables" in err
+
+    def test_slice_grid_without_points_exit_3(self, capsys, tmp_path):
+        raw = json.loads((SPEC_DIR / "superballot-core.json").read_text())
+        raw["points"] = []
+        path = tmp_path / "core.json"
+        path.write_text(json.dumps(raw))
+        rc, out, err = run(capsys, "compare", "--spec", str(path), "--t-list", "5")
+        assert rc == 3 and not out
+        assert "--directions" in err
 
     def test_space_separated_negative_index(self, capsys):
         rc, out, _ = run(capsys, "oracle", "--preset", "aztec", "--at", "-1,1,5")

@@ -8,7 +8,7 @@ import pytest
 from conepoint.localgeo import DirectionTag, classify_direction, quadratic_point_data
 from conepoint.critpoints import find_singular_points
 from conepoint.oracle import expand
-from conepoint.asympt import total_asymptotics
+from conepoint.asympt import prepare, total_asymptotics
 from conepoint.presets import (PRESET_NAMES, aztec_creation_check, grove_relation_check,
                                preset, qrw_simulate, superballot_number)
 from conepoint import specio
@@ -41,6 +41,7 @@ class TestReferenceAgreement:
     def test_reference_matches_engine_on_random_interior(self, name):
         pr = preset(name)
         rng = random.Random(hash(name) % 10 ** 6)
+        points = prepare(pr.spec, pr.known_points)
         checked = 0
         while checked < 20:
             t = rng.randint(20, 60)
@@ -51,11 +52,11 @@ class TestReferenceAgreement:
             ref = pr.reference_formula(r)
             if ref is None or pr.validity_region(r) is not DirectionTag.InteriorEllipticCone:
                 continue
-            cls = classify_direction(quadratic_point_data(pr.spec, pr.known_points[0]), r)
+            cls = classify_direction(points[0].data, r)
             if cls.tag is not DirectionTag.InteriorEllipticCone or abs(cls.margin) < 1e-3:
                 continue
             checked += 1
-            est = total_asymptotics(pr.spec, r, points=list(pr.known_points))
+            est = total_asymptotics(pr.spec, r, points=points)
             if ref == 0.0:
                 assert est.value == 0.0
             else:
@@ -73,11 +74,12 @@ class TestReferenceAgreement:
         import statistics
         from conepoint.oracle import coefficient_at
         pr = preset(name)
+        points = prepare(pr.spec, pr.known_points)
         errs = []
         for t in ts:
             r = tuple(t * x for x in direction)
             o = float(coefficient_at(pr.spec, r))
-            est = total_asymptotics(pr.spec, r, points=list(pr.known_points))
+            est = total_asymptotics(pr.spec, r, points=points)
             errs.append(abs(est.value - o) / abs(o))
         half = len(errs) // 2
         assert statistics.median(errs[half:]) <= statistics.median(errs[:half])
