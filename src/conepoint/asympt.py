@@ -34,21 +34,14 @@ import numpy as np
 from .polyseries import MultiPoly, TruncatedSeries, binomials
 from .oracle import QuasiRationalSpec, _as_int
 from .localgeo import (DegenerateError, DirectionTag, GeometryError, Matrix,
-                       QuadraticPointData, _bilinear, classify_direction, homogeneous_part,
-                       log_compose_taylor, quadratic_point_data, vanishing_degree)
+                       QuadraticPointData, RefusalError, _bilinear, classify_direction,
+                       homogeneous_part, log_compose_taylor, quadratic_point_data,
+                       vanishing_degree)
 from . import critpoints as _crit
 
 
 class GammaPoleError(ValueError):
     """The power s hits a pole of the explicit constant."""
-
-
-class RefusalError(RuntimeError):
-    """Raised when asymptotics are declined (obstructed or unsupported)."""
-
-    def __init__(self, message: str, diagnostics: Optional[dict] = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
 
 
 def gamma_strict(x: float) -> float:
@@ -381,7 +374,7 @@ def cone_plane_asymptotics(data: QuadraticPointData, r: Sequence[int],
         raise GeometryError("dual pairing of the smooth factor must be negative "
                             "(real distinct intersections)")
     cls = classify_direction(data, r, tol)
-    res2 = oriented_double_residue(data)
+    res2 = data.residue
     zr = z_power_neg(data.point_Z, r)
     pz = data.numerator_value
     if cls.tag is DirectionTag.InteriorEllipticCone:
@@ -572,14 +565,19 @@ def total_asymptotics(spec: QuasiRationalSpec, r: Sequence[int],
     for pt in points:
         data = pt.data
         if data.k == 0:
-            cls = classify_direction(data, r, tol)
-            val = 0
-            if cls.tag is not DirectionTag.OutsideNormalCone:
+            # quadratic_asymptotics classifies r; outside the normal cone its
+            # refusal means an exponentially small contribution
+            try:
                 val = quadratic_asymptotics(data, pt.table, r)
+            except RefusalError as e:
+                if e.diagnostics.get("class") != DirectionTag.OutsideNormalCone.value:
+                    raise
+                val, tag = 0, e.diagnostics["class"]
+            else:
+                tag = DirectionTag.InteriorEllipticCone.value
                 any_interior = True
                 total = total + val
-            contribs.append(PointContribution(pt.Z, "quadratic-point-series",
-                                              cls.tag.value, val))
+            contribs.append(PointContribution(pt.Z, "quadratic-point-series", tag, val))
         elif data.k == 1:
             val, cls = cone_plane_asymptotics(data, r, tol)
             tag = ("cone-plane-arctan" if cls.tag is DirectionTag.InteriorEllipticCone

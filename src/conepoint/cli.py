@@ -7,10 +7,12 @@ Subcommands:
   compare   oracle vs prediction over a direction grid, CSV + summary
   classify  direction classification report at the singular points
 
-Exit codes: 0 success, 2 refusal (obstructed or outside the normal cone),
-3 spec or argument error, 4 numeric failure.  With a fixed seed, outputs are
-byte-identical between runs.  `compare` prepares each singular point once
-and then evaluates every grid direction against the prepared points.
+Exit codes: 0 success, 2 refusal (obstructed, outside the normal cone, or
+a point outside the contour formulas), 3 spec or argument error, 4 numeric
+failure.  With a fixed seed, outputs are byte-identical between runs.
+`asym`, `compare` and `classify` prepare each singular point once (and
+discover the points when the spec gives none); `compare` then evaluates
+every grid direction against the prepared points.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .oracle import (QuasiRationalSpec, SpecError, coefficient_at, expand, expand_box)
-from .localgeo import GeometryError, classify_direction, quadratic_point_data
-from .asympt import (GammaPoleError, PreparedPoint, RefusalError, local_degree, prepare,
+from .localgeo import GeometryError, classify_direction
+from .asympt import (GammaPoleError, PreparedPoint, RefusalError, prepare,
                      total_asymptotics)
 from .presets import PRESET_NAMES, preset
 from . import specio
@@ -181,19 +183,16 @@ def _cmd_asym(args) -> int:
 def _cmd_classify(args) -> int:
     spec, points, _ = _load(args)
     r = _parse_direction(args.r, spec.arity)
-    if points is None:
-        raise specio.SpecFormatError("classify needs known points (preset or spec "
-                                     "with a 'points' field)")
     report = []
-    for Z in points:
-        data = quadratic_point_data(spec, Z)
+    for pt in prepare(spec, points, seed=args.seed):
+        data = pt.data
         cls = classify_direction(data, r)
         entry = specio.point_data_to_json(data)
         entry.update({
             "class": cls.tag.value,
             "margin": cls.margin,
             "dual_rr": specio._num(data.dual_eval(r, r)),
-            "decay_exponent_bound": float(spec.arity) + float(local_degree(spec, Z)),
+            "decay_exponent_bound": float(spec.arity) + float(pt.degree),
         })
         if data.k == 1:
             ell = data.linear_factors[0][0]

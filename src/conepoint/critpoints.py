@@ -7,6 +7,12 @@ residual check; candidates that cluster into a spread-out set rather than
 isolated points are reported as a solution family (positive-dimensional
 strata exist, e.g. binomial factors whose log-gradient is constant).
 
+Each search builds its system once as two arrays: E, the integer exponent
+rows of the union of the supports, and C, one complex coefficient row per
+polynomial.  A Gauss-Newton step then costs a few array operations:
+mono = exp(E x + i E theta), the residual is C @ mono and, because
+d/dtheta_j Z^e = i e_j Z^e, the Jacobian is i (C * mono) @ E.
+
 Roots whose coordinates round to small rationals are confirmed exactly in
 rational arithmetic, replacing the numeric residual with zero.
 """
@@ -73,23 +79,6 @@ def _gauss_newton(fun_jac: Callable, theta0: np.ndarray, max_iter: int = 100,
     return theta if norm < math.sqrt(tol) else None
 
 
-def _real_system(values: List[complex]) -> np.ndarray:
-    out = np.empty(2 * len(values))
-    for i, v in enumerate(values):
-        out[2 * i] = v.real
-        out[2 * i + 1] = v.imag
-    return out
-
-
-def _real_jacobian(rows: List[List[complex]]) -> np.ndarray:
-    out = np.empty((2 * len(rows), len(rows[0])))
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            out[2 * i][j] = v.real
-            out[2 * i + 1][j] = v.imag
-    return out
-
-
 def _try_exact_rational(Z: Sequence[complex], max_den: int = 16) -> Optional[List[Fraction]]:
     out = []
     for z in Z:
@@ -136,20 +125,7 @@ def find_singular_points(Q: MultiPoly, x: Sequence[float], starts: int = 200,
     """
     d = Q.arity
     logQ = [MultiPoly.variable(d, i) * Q.diff(i) for i in range(d)]
-    polys = [Q] + logQ
-    grads = [[MultiPoly.variable(d, j) * p.diff(j) for j in range(d)] for p in polys]
-
-    def fun_jac(theta):
-        Z = _torus_points(x, theta)
-        vals = [p.eval(Z) for p in polys]
-        rows = [[1j * g.eval(Z) for g in grow] for grow in grads]
-        return _real_system([complex(v) for v in vals]), _real_jacobian(rows)
-
-    def residual_exact(fr):
-        return all(p.eval(fr) == 0 for p in polys)
-
-    return _multistart(fun_jac, polys, d, x, starts, seed, "QuadraticSingular",
-                       residual_exact)
+    return _multistart([Q] + logQ, x, starts, seed, "QuadraticSingular")
 
 
 def find_smooth_critical(H: MultiPoly, r: Sequence[float], x: Sequence[float],
@@ -168,20 +144,7 @@ def find_smooth_critical(H: MultiPoly, r: Sequence[float], x: Sequence[float],
     # cross_i = g_i * r_piv - g_piv * r_i  for i != piv
     cross = [logH[i].scale(rs[piv]) - logH[piv].scale(rs[i])
              for i in range(d) if i != piv]
-    polys = [H] + cross
-    grads = [[MultiPoly.variable(d, j) * p.diff(j) for j in range(d)] for p in polys]
-
-    def fun_jac(theta):
-        Z = _torus_points(x, theta)
-        vals = [p.eval(Z) for p in polys]
-        rows = [[1j * g.eval(Z) for g in grow] for grow in grads]
-        return _real_system([complex(v) for v in vals]), _real_jacobian(rows)
-
-    def residual_exact(fr):
-        return all(p.eval(fr) == 0 for p in polys)
-
-    return _multistart(fun_jac, polys, d, x, starts, seed, "SmoothOnFactor",
-                       residual_exact)
+    return _multistart([H] + cross, x, starts, seed, "SmoothOnFactor")
 
 
 def _polish(fun_jac, theta: np.ndarray, iters: int = 2) -> np.ndarray:
@@ -199,11 +162,29 @@ def _polish(fun_jac, theta: np.ndarray, iters: int = 2) -> np.ndarray:
     return theta
 
 
-def _multistart(fun_jac, polys, d, x, starts, seed, stratum, residual_exact) -> SearchReport:
+def _system(polys: Sequence[MultiPoly], x: Sequence[float]) -> Callable:
+    """fun_jac(theta) for the real-and-imaginary system of polys on the torus."""
+    support = sorted({m for p in polys for m in p.terms})
+    E = np.array(support, dtype=float)
+    C = np.array([[complex(p.terms.get(m, 0)) for m in support] for p in polys])
+    Ex = E @ np.asarray(x, dtype=float)
+
+    def fun_jac(theta):
+        mono = np.exp(Ex + 1j * (E @ theta))
+        f = C @ mono
+        Jt = 1j * (E.T @ (C * mono).T)  # J = i (C * mono) @ E, transposed
+        # float views split each complex entry into (re, im): rows alternate re, im
+        return f.view(float), Jt.view(float).T
+
+    return fun_jac
+
+
+def _multistart(polys, x, starts, seed, stratum) -> SearchReport:
+    fun_jac = _system(polys, x)
     rng = np.random.default_rng(seed)
     cands = []
     for _ in range(starts):
-        theta0 = rng.uniform(0.0, 2.0 * math.pi, size=d)
+        theta0 = rng.uniform(0.0, 2.0 * math.pi, size=polys[0].arity)
         theta = _gauss_newton(fun_jac, theta0)
         if theta is None:
             continue
@@ -220,7 +201,7 @@ def _multistart(fun_jac, polys, d, x, starts, seed, stratum, residual_exact) -> 
     if not family:
         for Z, res in reps:
             fr = _try_exact_rational(Z)
-            if fr is not None and residual_exact(fr):
+            if fr is not None and all(p.eval(fr) == 0 for p in polys):
                 # keep the exact rational coordinates: downstream local analysis
                 # then runs in exact arithmetic
                 points.append(CriticalPoint(tuple(fr), stratum, 0.0, True))

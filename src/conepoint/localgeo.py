@@ -22,7 +22,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +42,14 @@ class DegenerateError(GeometryError):
 
 class SignatureError(GeometryError):
     pass
+
+
+class RefusalError(RuntimeError):
+    """Raised when asymptotics are declined (obstructed or unsupported)."""
+
+    def __init__(self, message: str, diagnostics: Optional[dict] = None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
 
 
 # -- series probes -----------------------------------------------------------
@@ -230,6 +239,13 @@ class QuadraticPointData:
     def dual_eval(self, a: Sequence, b: Sequence):
         return _bilinear(self.dual_matrix, a, b)
 
+    @cached_property
+    def residue(self):
+        """The oriented iterated residue Res2 of a point with one linear factor,
+        computed on first use and kept, since it does not depend on the direction."""
+        from .asympt import oriented_double_residue  # asympt imports this module
+        return oriented_double_residue(self)
+
 
 def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence, order: int = 6,
                          tol: float = 1e-9) -> QuadraticPointData:
@@ -257,7 +273,8 @@ def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence, order: int = 6,
         elif v == 1:
             n = _as_int(power)
             if n is None or n < 1:
-                raise GeometryError("linear factors must carry positive integer powers")
+                raise RefusalError(f"linear factor with power {power}: the contour formulas "
+                                   "need a positive integer power", {"power": str(power)})
             ell = _linear_covector(homogeneous_part(series), u, tol)
             linear.append((ell, n))
             h_series.append(series)

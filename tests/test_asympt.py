@@ -7,6 +7,7 @@ import pytest
 from conepoint.polyseries import MultiPoly, TruncatedSeries
 from conepoint.localgeo import DirectionTag, quadratic_point_data
 from conepoint.critpoints import find_smooth_critical
+from conepoint import asympt
 from conepoint.asympt import (GammaPoleError, RefusalError, cone_constant,
                               cone_plane_asymptotics, decay_exponent, double_residue,
                               dual_power_derivative, expansion_coefficients,
@@ -273,10 +274,13 @@ class TestTotals:
         assert est.formula_tag == "exponential-decay"
 
     def test_quadratic_requires_interior(self, superballot_core):
-        with pytest.raises(RefusalError):
-            data = quadratic_point_data(superballot_core.spec, (1, 1, 1))
-            table = expansion_coefficients(data.p_series, data.q_series, (), data.s, (), 1)
+        data = quadratic_point_data(superballot_core.spec, (1, 1, 1))
+        table = expansion_coefficients(data.p_series, data.q_series, (), data.s, (), 1)
+        with pytest.raises(RefusalError) as err:
             quadratic_asymptotics(data, table, (1, 0, 0))
+        assert str(err.value) == "direction (1, 0, 0) is OutsideNormalCone"
+        assert err.value.diagnostics["class"] == "OutsideNormalCone"
+        assert err.value.diagnostics["margin"] < 0
 
     def test_superballot_prediction(self, superballot_core):
         est = total_asymptotics(superballot_core.spec, (10, 20, 30), points=[(1, 1, 1)])
@@ -300,5 +304,14 @@ class TestTotals:
 
         for fn in ("quadratic_point_data", "local_degree", "expansion_coefficients"):
             monkeypatch.setattr(f"conepoint.asympt.{fn}", per_point_work)
+        calls = {"classify_direction": 0, "oriented_double_residue": 0}
+        for fn in calls:
+            def counted(*args, _fn=fn, _real=getattr(asympt, fn), **kwargs):
+                calls[_fn] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(asympt, fn, counted)
         assert [total_asymptotics(pr.spec, r, points=prepared)
                 for r in directions] == raw
+        # one classification per (point, direction), one residue per cone-plane point
+        assert calls == {"classify_direction": len(prepared) * len(directions),
+                         "oriented_double_residue": sum(p.data.k == 1 for p in prepared)}

@@ -97,6 +97,32 @@ class TestClassify:
         assert report["points"][0]["class"] == "OutsideNormalCone"
         assert report["points"][0]["dual_rr"] == "-1"
 
+    def test_spec_without_points_discovers_them(self, capsys, tmp_path):
+        raw = json.loads((SPEC_DIR / "fls.json").read_text())
+        raw.pop("points")
+        path = tmp_path / "fls.json"
+        path.write_text(json.dumps(raw))
+        rc, out, _ = run(capsys, "classify", "--spec", str(SPEC_DIR / "fls.json"),
+                         "--r", "8,12,10")
+        rc_found, out_found, _ = run(capsys, "classify", "--spec", str(path),
+                                     "--r", "8,12,10")
+        assert rc == rc_found == 0
+        assert out_found == out and json.loads(out)["points"]
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("argv", [
+        ("asym", "--r", "10,20,30"),
+        ("classify", "--r", "10,20,30"),
+        ("compare", "--directions", "10,20,30"),
+        ("compare", "--t-list", "9"),
+    ], ids=" ".join)
+    def test_superballot_linear_square_root_factor(self, capsys, argv):
+        rc, out, err = run(capsys, argv[0], "--preset", "superballot", *argv[1:])
+        assert rc == 2 and not out
+        assert err.startswith("refused: linear factor with power 1/2:")
+        assert json.loads(err.splitlines()[1]) == {"power": "1/2"}
+
 
 class TestCompare:
     def test_small_grid_summary(self, capsys, tmp_path):
@@ -285,8 +311,9 @@ GOLDEN_STDOUT = {
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("asym", "--preset", "fls", "--r", "10,10,10"):
         (0, "d5c125066c0f57c324308382ad5ff6f99fa854fa4d903693bf9d5d36b2b4f860"),
+    # refused: the square-root factor vanishes linearly at (1/2,1/2,1/2)
     ("asym", "--preset", "superballot", "--r", "10,20,30"):
-        (4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("asym", "--preset", "superballot-core", "--r", "10,20,30"):
         (0, "8cb2c0e8c0375c2a18cb0f6465fae8164f879d906a2fb85397b91d873d56d4a6"),
     ("classify", "--preset", "aztec", "--r", "1,0,1"):

@@ -1,6 +1,12 @@
+import cmath
 import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
 
 from conepoint.polyseries import MultiPoly
+from conepoint.presets import PRESET_NAMES, preset
 from conepoint.critpoints import (find_singular_points, find_smooth_critical,
                                   verify_transverse)
 
@@ -77,3 +83,104 @@ class TestTransverse:
 
     def test_plane_membership(self):
         assert verify_transverse((1, 3, 0), [(1, 0, 0), (0, 1, 0)])
+
+
+def _reference_fun_jac(polys, x, theta):
+    """The system evaluated term by term with MultiPoly.eval: f_p = p(Z) and
+    df_p/dtheta_j = i Z_j dp/dZ_j(Z), real and imaginary parts interleaved."""
+    d = polys[0].arity
+    Z = [cmath.exp(complex(xi, ti)) for xi, ti in zip(x, theta)]
+    f, J = [], []
+    for p in polys:
+        v = complex(p.eval(Z))
+        row = [1j * complex((MultiPoly.variable(d, j) * p.diff(j)).eval(Z))
+               for j in range(d)]
+        f += [v.real, v.imag]
+        J += [[g.real for g in row], [g.imag for g in row]]
+    return np.array(f), np.array(J)
+
+
+def _log_gradient_system(Q):
+    return [Q] + [MultiPoly.variable(Q.arity, i) * Q.diff(i) for i in range(Q.arity)]
+
+
+def _compiled_systems():
+    for name in PRESET_NAMES:
+        for i, (poly, _) in enumerate(preset(name).spec.factors):
+            yield f"{name}-{i}", _log_gradient_system(poly)
+    laurent = mp(2, (3, (-2, 1)), (Fraction(-1, 2), (1, -3)), (1, (0, 0)), (2, (1, 1)))
+    yield "laurent", _log_gradient_system(laurent)
+    yield "real-coefficients", _log_gradient_system(mp(2, (0.25, (0, 0)), (-1.5, (2, 1)),
+                                                       (0.75, (0, 2))))
+    yield "complex-coefficients", _log_gradient_system(mp(3, (1 + 2j, (1, 0, 0)),
+                                                          (-0.5j, (0, 1, 2)), (3, (0, 0, 0))))
+    # find_smooth_critical's system: H and the cross conditions against r = (2, 3, 5)
+    H = preset("superballot-core").spec.factors[0][0]
+    g = _log_gradient_system(H)[1:]
+    yield "smooth-cross", [H, g[0].scale(5) - g[2].scale(2), g[1].scale(5) - g[2].scale(3)]
+
+
+COMPILED_SYSTEMS = list(_compiled_systems())
+
+
+@pytest.mark.parametrize("name,polys", COMPILED_SYSTEMS,
+                         ids=[name for name, _ in COMPILED_SYSTEMS])
+def test_compiled_system_matches_term_by_term_evaluation(name, polys):
+    from conepoint.critpoints import _system
+
+    rng = np.random.default_rng(11)
+    d = polys[0].arity
+    for _ in range(5):
+        x = rng.uniform(-0.7, 0.7, size=d)
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=d)
+        fun_jac = _system(polys, x)
+        f, J = fun_jac(theta)
+        f_ref, J_ref = _reference_fun_jac(polys, x, theta)
+        assert f.shape == f_ref.shape and J.shape == J_ref.shape
+        assert np.max(np.abs(f - f_ref)) <= 1e-12 * max(1.0, np.max(np.abs(f_ref)))
+        assert np.max(np.abs(J - J_ref)) <= 1e-12 * max(1.0, np.max(np.abs(J_ref)))
+
+
+# (preset, factor index, seed): (n_converged, family_detected, points as
+# (Z joined by commas, exact, residual)), searched on the torus through the
+# preset's first known point with the default 200 starts.  Recorded from the
+# term-by-term MultiPoly.eval system; factors that repeat an earlier one
+# (qrw2d's first two are aztec's) are left out.
+GOLDEN_SEARCH = {
+    ("aztec", 0, 0): (161, False, (("-1,-1,-1", True, 0.0), ("1,1,1", True, 0.0))),
+    ("aztec", 0, 3): (161, False, (("-1,-1,-1", True, 0.0), ("1,1,1", True, 0.0))),
+    ("aztec", 0, 5): (167, False, (("-1,-1,-1", True, 0.0), ("1,1,1", True, 0.0))),
+    ("aztec", 1, 0): (0, False, ()),
+    ("aztec", 1, 3): (0, False, ()),
+    ("aztec", 1, 5): (0, False, ()),
+    ("cube_grove", 0, 0): (0, False, ()),
+    ("cube_grove", 0, 3): (0, False, ()),
+    ("cube_grove", 0, 5): (0, False, ()),
+    ("cube_grove", 1, 0): (200, False, (("1,1,1", True, 0.0),)),
+    ("cube_grove", 1, 3): (200, False, (("1,1,1", True, 0.0),)),
+    ("cube_grove", 1, 5): (200, False, (("1,1,1", True, 0.0),)),
+    ("qrw2d", 2, 0): (0, False, ()),
+    ("qrw2d", 2, 3): (0, False, ()),
+    ("qrw2d", 2, 5): (0, False, ()),
+    ("fls", 0, 0): (200, False, (("1,1,1", True, 0.0),)),
+    ("fls", 0, 3): (200, False, (("1,1,1", True, 0.0),)),
+    ("fls", 0, 5): (200, False, (("1,1,1", True, 0.0),)),
+    ("superballot", 0, 0): (0, False, ()),
+    ("superballot", 0, 3): (0, False, ()),
+    ("superballot", 0, 5): (0, False, ()),
+    ("superballot", 1, 0): (199, False, (("1/2,1/2,1/2", True, 0.0),)),
+    ("superballot", 1, 3): (200, False, (("1/2,1/2,1/2", True, 0.0),)),
+    ("superballot", 1, 5): (199, False, (("1/2,1/2,1/2", True, 0.0),)),
+    ("superballot-core", 0, 0): (199, False, (("1,1,1", True, 0.0),)),
+    ("superballot-core", 0, 3): (200, False, (("1,1,1", True, 0.0),)),
+    ("superballot-core", 0, 5): (199, False, (("1,1,1", True, 0.0),)),
+}
+
+
+@pytest.mark.parametrize("name,factor,seed", sorted(GOLDEN_SEARCH))
+def test_search_report_golden(name, factor, seed):
+    pr = preset(name)
+    x = [math.log(abs(complex(z))) for z in pr.known_points[0]]
+    rep = find_singular_points(pr.spec.factors[factor][0], x, seed=seed)
+    points = tuple((",".join(map(str, p.Z)), p.exact, p.residual) for p in rep.points)
+    assert (rep.n_converged, rep.family_detected, points) == GOLDEN_SEARCH[name, factor, seed]
