@@ -1,8 +1,7 @@
 """Coefficient asymptotics at quadratic cone points, with an exact series oracle."""
 
 from .polyseries import (FIELD_COMPLEX, FIELD_RATIONAL, FIELD_REAL, DomainError,
-                         MultiPoly, NonUnitError, TruncatedSeries, exp_series,
-                         log_compose_taylor)
+                         MultiPoly, NonUnitError, TruncatedSeries, log_compose_taylor)
 from .oracle import (CoeffTable, NotNormalizedError, QuasiRationalSpec, SpecError,
                      coefficient_at, empirical_decay, expand, expand_box,
                      naive_series, normalize_laurent)

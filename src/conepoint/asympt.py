@@ -31,12 +31,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .polyseries import MultiPoly, TruncatedSeries, binomials
+from .polyseries import MultiPoly, TruncatedSeries, _rational_root, binomials
 from .oracle import QuasiRationalSpec, _as_int
 from .localgeo import (DegenerateError, DirectionTag, GeometryError, Matrix,
                        QuadraticPointData, RefusalError, _bilinear, classify_direction,
-                       homogeneous_part, log_compose_taylor, quadratic_point_data,
-                       vanishing_degree)
+                       homogeneous_part, quadratic_point_data)
+from .localgeo import log_compose_taylor  # noqa: F401  (perfbench traces it under this name)
 from . import critpoints as _crit
 
 
@@ -304,7 +304,8 @@ def intersection_lines(data: QuadraticPointData) -> List[Tuple[object, ...]]:
         disc = b * b - 4 * a * c
         if float(disc) <= 0:
             raise GeometryError("intersection lines are not real and distinct")
-        root = _sqrt_maybe_exact(disc)
+        root = _rational_root(disc, 2) if isinstance(disc, Fraction) else None
+        root = math.sqrt(float(disc)) if root is None else root
         pairs = [((-b + root) / (2 * a) if not isinstance(root, float)
                   else (float(-b) + root) / float(2 * a), 1),
                  ((-b - root) / (2 * a) if not isinstance(root, float)
@@ -317,14 +318,6 @@ def intersection_lines(data: QuadraticPointData) -> List[Tuple[object, ...]]:
             raise DegenerateError("degenerate intersection representative")
         out.append(pt)
     return out
-
-
-def _sqrt_maybe_exact(x):
-    if isinstance(x, Fraction):
-        rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
-        if rn * rn == x.numerator and rd * rd == x.denominator:
-            return Fraction(rn, rd)
-    return math.sqrt(float(x))
 
 
 def oriented_double_residue(data: QuadraticPointData, tol: float = 1e-12):
@@ -463,16 +456,10 @@ def _bilinear_tangent_frame(g: np.ndarray) -> List[np.ndarray]:
 # -- decay exponents -------------------------------------------------------------------
 
 
-def local_degree(spec: QuasiRationalSpec, Z: Sequence, order: int = 6) -> int:
-    """Homogeneous degree of the function at Z: numerator valuation minus
-    power-weighted factor valuations."""
-    pv = log_compose_taylor(spec.numerator, Z, order)
-    deg = order + 1 if pv.is_zero() else vanishing_degree(pv)
-    for poly, power in spec.factors:
-        series = log_compose_taylor(poly, Z, order)
-        v = 0 if series.is_zero() else vanishing_degree(series)
-        deg -= float(power) * v if isinstance(power, float) else Fraction(power) * v
-    return deg
+def local_degree(spec: QuasiRationalSpec, Z: Sequence, order: int = 6):
+    """Homogeneous degree of the function at the quadratic point Z (see
+    QuadraticPointData.degree)."""
+    return quadratic_point_data(spec, Z, order).degree
 
 
 def decay_exponent(spec: QuasiRationalSpec, points: Sequence[Tuple[Sequence, object]]) -> float:
@@ -510,7 +497,7 @@ class PreparedPoint:
 
     Z: Tuple[object, ...]
     data: QuadraticPointData
-    degree: object                   # local_degree(spec, Z)
+    degree: object                   # QuadraticPointData.degree
     table: Optional[ExpansionTable]  # bare quadratic points (k = 0) only
 
 
@@ -536,7 +523,7 @@ def prepare(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None
         data = quadratic_point_data(spec, Z, order=series_order, tol=tol)
         table = (expansion_coefficients(data.p_series, data.q_series, (), data.s, (),
                                         order_terms) if data.k == 0 else None)
-        out.append(PreparedPoint(tuple(Z), data, local_degree(spec, Z), table))
+        out.append(PreparedPoint(tuple(Z), data, data.degree, table))
     return tuple(out)
 
 

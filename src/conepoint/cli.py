@@ -191,12 +191,12 @@ def _cmd_classify(args) -> int:
         entry.update({
             "class": cls.tag.value,
             "margin": cls.margin,
-            "dual_rr": specio._num(data.dual_eval(r, r)),
+            "dual_rr": specio.scalar_to_json(data.dual_eval(r, r)),
             "decay_exponent_bound": float(spec.arity) + float(pt.degree),
         })
         if data.k == 1:
             ell = data.linear_factors[0][0]
-            entry["dual_rl"] = specio._num(data.dual_eval(r, ell))
+            entry["dual_rl"] = specio.scalar_to_json(data.dual_eval(r, ell))
         report.append(entry)
     _emit(specio.canonical_json({"direction": list(r), "points": report}), args.out)
     return EXIT_OK

@@ -123,6 +123,9 @@ def find_singular_points(Q: MultiPoly, x: Sequence[float], starts: int = 200,
     Returns isolated singular points with residuals <= 1e-10 (exactly
     verified where coordinates round to small rationals).
     """
+    if 0 < len(Q.terms) < 3:
+        # Q = aZ^m + bZ^n = 0 forces Z_i dQ/dZ_i = a (m_i - n_i) Z^m != 0 for some i
+        return SearchReport([], False, 0, 0.0)
     d = Q.arity
     logQ = [MultiPoly.variable(d, i) * Q.diff(i) for i in range(d)]
     return _multistart([Q] + logQ, x, starts, seed, "QuadraticSingular")

@@ -16,7 +16,6 @@ point and coefficients are rational.
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .polyseries import (FIELD_RATIONAL, MultiPoly, TruncatedSeries,
+from .polyseries import (FIELD_RATIONAL, MultiPoly, TruncatedSeries, _rational_root,
                          log_compose_taylor)
 from .oracle import QuasiRationalSpec, _as_int
 
@@ -72,54 +71,35 @@ def homogeneous_part(s: TruncatedSeries) -> MultiPoly:
 Matrix = Tuple[Tuple[object, ...], ...]
 
 
-def _mat_is_exact(M: Matrix) -> bool:
-    return all(isinstance(x, (int, Fraction)) for row in M for x in row)
-
-
-def mat_det(M: Matrix):
+def _gauss_jordan(M: Matrix) -> Tuple[Matrix, object]:
+    """Inverse and determinant of M from one Gauss-Jordan elimination (exact
+    for Fractions); the determinant is the signed product of the pivots."""
     n = len(M)
-    A = [[Fraction(x) if not isinstance(x, (float, complex)) else x for x in row] for row in M]
-    det = Fraction(1) if _mat_is_exact(M) else 1.0
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if A[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return det * 0
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            det = -det
-        det = det * A[col][col]
-        inv = 1 / A[col][col] if not isinstance(A[col][col], Fraction) \
-            else Fraction(1) / A[col][col]
-        for r in range(col + 1, n):
-            f = A[r][col] * inv
-            if f:
-                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
-    return det
-
-
-def mat_inverse(M: Matrix) -> Matrix:
-    """Exact Gauss-Jordan inverse (Fractions in, Fractions out)."""
-    n = len(M)
-    exact = _mat_is_exact(M)
+    exact = all(isinstance(x, (int, Fraction)) for row in M for x in row)
     A = [[Fraction(x) if exact else float(x) for x in row] + [
         (Fraction(1) if exact else 1.0) if i == j else (Fraction(0) if exact else 0.0)
         for j in range(n)] for i, row in enumerate(M)]
+    det = Fraction(1) if exact else 1.0
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(A[r][col]))
         if A[piv][col] == 0:
             raise DegenerateError("singular quadratic form")
-        A[col], A[piv] = A[piv], A[col]
+        if piv != col:
+            A[col], A[piv] = A[piv], A[col]
+            det = -det
         pivval = A[col][col]
+        det = det * pivval
         A[col] = [x / pivval for x in A[col]]
         for r in range(n):
             if r != col and A[r][col]:
                 f = A[r][col]
                 A[r] = [a - f * b for a, b in zip(A[r], A[col])]
-    return tuple(tuple(row[n:]) for row in A)
+    return tuple(tuple(row[n:]) for row in A), det
+
+
+def mat_inverse(M: Matrix) -> Matrix:
+    """Exact Gauss-Jordan inverse (Fractions in, Fractions out)."""
+    return _gauss_jordan(M)[0]
 
 
 # -- quadratic classification -------------------------------------------------
@@ -179,16 +159,15 @@ def dual_quadratic(q_matrix: Matrix) -> Matrix:
 
 def normalizer_absdet(q_matrix: Matrix):
     """|det q|^(-1/2); exact when 1/|det| is a perfect rational square."""
-    det = mat_det(q_matrix)
-    if det == 0:
-        raise DegenerateError("singular quadratic form")
-    if isinstance(det, Fraction):
-        x = 1 / abs(det)
-        rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
-        if rn * rn == x.numerator and rd * rd == x.denominator:
-            return Fraction(rn, rd)
-        return math.sqrt(float(x))
-    return 1.0 / math.sqrt(abs(det))
+    return _normalizer(_gauss_jordan(q_matrix)[1])
+
+
+def _normalizer(det):
+    if not isinstance(det, Fraction):
+        return 1.0 / math.sqrt(abs(det))
+    x = 1 / abs(det)
+    root = _rational_root(x, 2)
+    return root if root is not None else math.sqrt(float(x))
 
 
 def _bilinear(M: Matrix, a: Sequence, b: Sequence):
@@ -218,7 +197,6 @@ class QuadraticPointData:
 
     arity: int
     point_Z: Tuple[object, ...]
-    log_point: Tuple[complex, ...]
     s: object                      # power of the quadratic factor
     q_matrix: Matrix
     dual_matrix: Matrix
@@ -235,6 +213,12 @@ class QuadraticPointData:
     @property
     def k(self) -> int:
         return len(self.linear_factors)
+
+    @property
+    def degree(self):
+        """Homogeneous degree of the function at the point: the numerator's
+        valuation minus the power-weighted valuations of the vanishing factors."""
+        return self.numerator_valuation - 2 * self.s - sum(n for _, n in self.linear_factors)
 
     def dual_eval(self, a: Sequence, b: Sequence):
         return _bilinear(self.dual_matrix, a, b)
@@ -289,16 +273,14 @@ def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence, order: int = 6,
     if q_series is None:
         raise GeometryError("no quadratic factor vanishes at the point")
     q_matrix, flipped = classify_quadratic(homogeneous_part(q_series), u, tol)
-    dual = dual_quadratic(q_matrix)
-    log_pt = tuple(cmath.log(complex(z)) for z in Z)
+    dual, det = _gauss_jordan(q_matrix)
     return QuadraticPointData(
         arity=spec.arity,
         point_Z=tuple(Z),
-        log_point=log_pt,
         s=s_quad,
         q_matrix=q_matrix,
         dual_matrix=dual,
-        normalizer_absdet=normalizer_absdet(q_matrix),
+        normalizer_absdet=_normalizer(det),
         numerator_value=p_series.constant_term(),
         linear_factors=tuple(linear),
         cone_direction_u=tuple(u),
@@ -306,8 +288,7 @@ def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence, order: int = 6,
         p_series=p_series,
         q_series=q_series,
         h_series=tuple(h_series),
-        numerator_valuation=(0 if not p_series.is_zero() and p_series.constant_term() != 0
-                             else (vanishing_degree(p_series) if not p_series.is_zero() else order + 1)),
+        numerator_valuation=order + 1 if p_series.is_zero() else vanishing_degree(p_series),
     )
 
 

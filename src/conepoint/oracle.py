@@ -161,7 +161,7 @@ class CoeffTable:
     values holds exact rationals (or floats when the sweep ran in float
     mode); scale is the only possibly irrational part, coming from
     fractional powers of non-unit constant terms.  A table is complete for
-    every index r with 0 <= grade(r) <= max_level that lies inside `box`
+    every index r with 0 <= grading_w . r <= max_level that lies inside `box`
     (no box means the whole graded slab).
     """
 
@@ -172,22 +172,6 @@ class CoeffTable:
     scale: object = Fraction(1)
     field_tag: str = FIELD_RATIONAL
     box: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
-
-    def grade(self, r: Sequence[int]) -> int:
-        return sum(w * e for w, e in zip(self.grading_w, r))
-
-    def covered(self, r: Sequence[int]) -> bool:
-        r = tuple(r)
-        g = self.grade(r)
-        if g < 0 or g > self.max_level:
-            return False
-        if self.box is not None:
-            lo, hi = self.box
-            return all(a <= e <= b for a, e, b in zip(lo, r, hi))
-        return True
-
-    def raw_at(self, r: Sequence[int]):
-        return self.values.get(tuple(r), Fraction(0))
 
     def value_at(self, r: Sequence[int]):
         v = self.values.get(tuple(r))

@@ -14,8 +14,10 @@ arithmetic truncates to the minimum order of the operands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Dict, Iterable, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
@@ -134,12 +136,6 @@ class MultiPoly:
         if not self.terms:
             return 0
         return max(sum(m) for m in self.terms)
-
-    def valuation(self) -> int:
-        """Minimal total degree over the support; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return min(sum(m) for m in self.terms)
 
     def to_field(self, tag: str) -> "MultiPoly":
         if tag == self.field_tag:
@@ -421,12 +417,12 @@ def _int_nth_root(n: int, q: int) -> int:
     """Floor of the q-th root of a nonnegative integer."""
     if n < 2:
         return n
-    x = int(round(n ** (1.0 / q)))
-    while x ** q > n:
-        x -= 1
-    while (x + 1) ** q <= n:
-        x += 1
-    return x
+    x = 1 << -(-n.bit_length() // q)  # above the root; Newton descends to its floor
+    while True:
+        y = ((q - 1) * x + n // x ** (q - 1)) // q
+        if y >= x:
+            return x
+        x = y
 
 
 def _rational_root(x: Fraction, q: int):
@@ -440,27 +436,20 @@ def _rational_root(x: Fraction, q: int):
     return None
 
 
-def exp_series(linear: MultiPoly, order: int) -> TruncatedSeries:
-    """exp of a polynomial with zero constant term, truncated at `order`."""
-    if not linear.is_zero() and linear.valuation() < 1:
-        raise ValueError("exp series needs vanishing constant term")
-    base = TruncatedSeries.from_poly(linear, order)
-    result = TruncatedSeries.const(linear.arity, 1, order, linear.field_tag)
-    term = TruncatedSeries.const(linear.arity, 1, order, linear.field_tag)
-    for k in range(1, order + 1):
-        term = (term * base).scale(Fraction(1, k))
-        if term.is_zero():
-            break
-        result = result + term
-    return result
+def _graded_exponents(n: int, order: int) -> list:
+    """Exponents in n variables of total degree <= order, by degree and within
+    a degree in descending lexicographic order (this fixes the order of a
+    series' terms, and so of float sums taken over them downstream)."""
+    return sorted((ks for ks in product(range(order + 1), repeat=n) if sum(ks) <= order),
+                  key=lambda ks: (sum(ks), [-k for k in ks]))
 
 
 def log_compose_taylor(p: MultiPoly, center: Sequence, order: int) -> TruncatedSeries:
     """Taylor series of y -> p(Z_1 e^{y_1}, ..., Z_d e^{y_d}) around y = 0.
 
     Exact (rational field) when p and the center Z are rational.  Each
-    monomial Z^m e^{m.y} contributes its value at Z times the exponential
-    series of the linear form m.y.
+    monomial c X^m contributes c Z^m e^{m.y}, whose coefficient of y^a is
+    written down in closed form: c Z^m prod_i m_i^a_i / a_i!.
     """
     Z = list(center)
     if len(Z) != p.arity:
@@ -472,14 +461,21 @@ def log_compose_taylor(p: MultiPoly, center: Sequence, order: int) -> TruncatedS
     if not exact:
         tag = join_fields(tag, FIELD_COMPLEX if any(isinstance(v, complex) for v in Z)
                           else FIELD_REAL)
-    total = TruncatedSeries(p.arity, order, {}, tag)
+    terms: Dict[Exponent, object] = {}
     for m, c in p.terms.items():
         zm = c
         for e, v in zip(m, Z):
             if e == 0:
                 continue
             zm = zm * (Fraction(v) ** e if exact else v ** e)
-        lin = MultiPoly(p.arity, {tuple(int(i == j) for i in range(p.arity)): m[j]
-                                  for j in range(p.arity) if m[j] != 0}, tag)
-        total = total + exp_series(lin, order).scale(zm)
-    return total
+        active = [j for j in range(p.arity) if m[j] != 0]
+        for ks in _graded_exponents(len(active), order):
+            a = [0] * p.arity
+            num = den = 1
+            for j, k in zip(active, ks):
+                a[j] = k
+                num *= m[j] ** k
+                den *= math.factorial(k)
+            a = tuple(a)
+            terms[a] = terms.get(a, 0) + zm * Fraction(num, den)
+    return TruncatedSeries(p.arity, order, terms, tag)

@@ -133,11 +133,18 @@ def _aztec() -> Preset:
 # -- cube groves ----------------------------------------------------------------
 
 
-def _grove_reference(r: Sequence[int]):
+def _grove_dual(r: Sequence) -> float:
+    """2(ab+ac+bc) - (a^2+b^2+c^2): the dual form shared by the cube grove, the
+    graph-polynomial family and the superballot core."""
     a, b, c = (float(x) for x in r)
-    q = 2 * (a * b + a * c + b * c) - (a * a + b * b + c * c)
+    return 2 * (a * b + a * c + b * c) - (a * a + b * b + c * c)
+
+
+def _grove_reference(r: Sequence[int]):
+    q = _grove_dual(r)
     if q <= 0:
         return None
+    a, b, c = (float(x) for x in r)
     return math.atan2(math.sqrt(q), a + b - c) / math.pi
 
 
@@ -146,10 +153,7 @@ def _cube_grove() -> Preset:
                              (-1, -1, -1), name="cube_grove")
     creation = QuasiRationalSpec(3, _mp(3, (3, (0, 0, 1))), ((_Q_GROVE, 1),),
                                  (-1, -1, -1), name="cube_grove-creation")
-    region = _hull_region_factory(
-        lambda v: 2 * (v[0] * v[1] + v[0] * v[2] + v[1] * v[2])
-        - (v[0] ** 2 + v[1] ** 2 + v[2] ** 2),
-        (0.0, 0.0, 1.0), (-1.0, -1.0, -1.0))
+    region = _hull_region_factory(_grove_dual, (0.0, 0.0, 1.0), (-1.0, -1.0, -1.0))
     return Preset("cube_grove", spec, ((1, 1, 1),), _grove_reference, region,
                   {"creation": creation},
                   "horizontal-edge placement probabilities in barycentric indices")
@@ -233,8 +237,7 @@ def _qrw_system() -> Tuple[List[List[MultiPoly]], MultiPoly]:
     return I_minus_M, _det_poly(I_minus_M)
 
 
-def _qrw_numerators() -> List[MultiPoly]:
-    rows, _ = _qrw_system()
+def _qrw_numerators(rows: List[List[MultiPoly]]) -> List[MultiPoly]:
     out = []
     for xi in range(4):
         sub = [r[:xi] + r[xi + 1:] for k, r in enumerate(rows) if k != _QRW_START]
@@ -246,12 +249,12 @@ def _qrw_numerators() -> List[MultiPoly]:
 
 
 def _qrw() -> Preset:
-    _, det = _qrw_system()
+    rows, det = _qrw_system()
     one_minus_z = _mp(3, (1, (0, 0, 0)), (-1, (0, 0, 1)))
     one_plus_z = _mp(3, (1, (0, 0, 0)), (1, (0, 0, 1)))
     if det != _Q_CHECKER * one_minus_z * one_plus_z:
         raise AssertionError("walk determinant does not factor as (1-Z^2) Q")
-    numerators = _qrw_numerators()
+    numerators = _qrw_numerators(rows)
     specs = {ch: QuasiRationalSpec(3, numerators[i],
                                    ((_Q_CHECKER, 1), (one_minus_z, 1), (one_plus_z, 1)),
                                    (0, 0, -1), name=f"qrw2d-{ch}")
@@ -298,8 +301,7 @@ def _fls_reference_factory(beta):
     const = 4.0 ** (1.0 - bf) / (math.sqrt(math.pi) * math.gamma(bf) * math.gamma(bf - 0.5))
 
     def ref(r: Sequence[int]):
-        a, b, c = (float(x) for x in r)
-        q = 2 * (a * b + a * c + b * c) - (a * a + b * b + c * c)
+        q = _grove_dual(r)
         if q <= 0:
             return None
         return const * q ** (bf - 1.5)
@@ -321,10 +323,7 @@ def _fls(beta=Fraction(3, 4)) -> Preset:
         raise ValueError("the graph-polynomial preset needs beta > 1/2")
     spec = QuasiRationalSpec(3, MultiPoly.const(3, 1), ((_Q_FLS, beta),),
                              (-1, -1, -1), name="fls")
-    region = _hull_region_factory(
-        lambda v: 2 * (v[0] * v[1] + v[0] * v[2] + v[1] * v[2])
-        - (v[0] ** 2 + v[1] ** 2 + v[2] ** 2),
-        (0.0, 0.0, 1.0), (-1.0, -1.0, -1.0))
+    region = _hull_region_factory(_grove_dual, (0.0, 0.0, 1.0), (-1.0, -1.0, -1.0))
     return Preset("fls", spec, ((1, 1, 1),), _fls_reference_factory(beta),
                   _k0_region_factory(region), notes=f"fractional power beta = {beta}")
 
@@ -344,8 +343,7 @@ def superballot_number(n: int, k: int, r: int) -> int:
 
 
 def _superballot_core_reference(r: Sequence[int]):
-    a, b, c = (float(x) for x in r)
-    q = 2 * (a * b + a * c + b * c) - (a * a + b * b + c * c)
+    q = _grove_dual(r)
     if q <= 0:
         return None
     return (2.0 / math.pi) * q ** -0.5
@@ -357,10 +355,7 @@ def _superballot(core: bool) -> Preset:
                              name="superballot")
     core_spec = QuasiRationalSpec(3, MultiPoly.const(3, 2), ((_Q_SUPER_CORE, 1),),
                                   (-1, -1, -1), name="superballot-core")
-    region = _hull_region_factory(
-        lambda v: 2 * (v[0] * v[1] + v[0] * v[2] + v[1] * v[2])
-        - (v[0] ** 2 + v[1] ** 2 + v[2] ** 2),
-        (0.0, 0.0, 1.0), (-1.0, -1.0, -1.0))
+    region = _hull_region_factory(_grove_dual, (0.0, 0.0, 1.0), (-1.0, -1.0, -1.0))
     notes = ("core coefficients of 2/(2-X-Y-Z+XYZ) are 2^-(a+b+c) times the "
              "multiset-permutation counts N(a,b,c); the square-root spec is "
              "oracle-only (its algebraic factor is outside the contour formulas)")

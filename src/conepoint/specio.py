@@ -69,27 +69,21 @@ def poly_from_json(arity: int, items, where: str = "poly") -> MultiPoly:
     return MultiPoly.from_terms(arity, terms)
 
 
-def _power_to_json(p):
-    return scalar_to_json(Fraction(p) if not isinstance(p, float) else p)
-
-
 def spec_to_json(spec: QuasiRationalSpec, points: Optional[Sequence] = None) -> dict:
     d = spec.arity
     names = ["X", "Y", "Z"][:d] if d <= 3 else [f"X{i+1}" for i in range(d)]
     out = {
         "variables": names,
         "numerator": poly_to_json(spec.numerator),
-        "factors": [{"poly": poly_to_json(poly), "power": _power_to_json(power)}
+        "factors": [{"poly": poly_to_json(poly), "power": scalar_to_json(power)}
                     for poly, power in spec.factors],
-        "cone_direction_u": [scalar_to_json(Fraction(x)) if not isinstance(x, float)
-                             else float(x) for x in spec.cone_direction_u],
+        "cone_direction_u": [scalar_to_json(x) for x in spec.cone_direction_u],
         "laurent_shift": list(spec.laurent_shift),
     }
     if spec.name:
         out["name"] = spec.name
     if points is not None:
-        out["points"] = [[scalar_to_json(Fraction(z) if not isinstance(z, (float, complex))
-                                         else z) for z in Z] for Z in points]
+        out["points"] = [[scalar_to_json(z) for z in Z] for Z in points]
     return out
 
 
@@ -167,14 +161,6 @@ def table_to_json(table: CoeffTable, float_digits: Optional[int] = None) -> dict
     }
 
 
-def _num(v):
-    if isinstance(v, (int, Fraction)):
-        return scalar_to_json(Fraction(v))
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    return float(v)
-
-
 def estimate_to_json(est) -> dict:
     def num(v):
         if isinstance(v, complex):
@@ -188,7 +174,7 @@ def estimate_to_json(est) -> dict:
         "formula": est.formula_tag,
         "notes": list(est.notes),
         "per_point": [
-            {"point": [_num(z) for z in c.Z],
+            {"point": [scalar_to_json(z) for z in c.Z],
              "formula": c.formula,
              "direction_class": c.direction_class,
              "value": num(c.value)} for c in est.per_point],
@@ -200,12 +186,12 @@ def point_data_to_json(data) -> dict:
         return [[scalar_to_json(x) for x in row] for row in M]
 
     return {
-        "point": [_num(z) for z in data.point_Z],
-        "power": _num(data.s),
+        "point": [scalar_to_json(z) for z in data.point_Z],
+        "power": scalar_to_json(data.s),
         "q_matrix": mat(data.q_matrix),
         "dual_matrix": mat(data.dual_matrix),
-        "normalizer_absdet": _num(data.normalizer_absdet),
-        "numerator_value": _num(data.numerator_value),
+        "normalizer_absdet": scalar_to_json(data.normalizer_absdet),
+        "numerator_value": scalar_to_json(data.numerator_value),
         "linear_factors": [{"covector": [scalar_to_json(x) for x in ell], "power": n}
                            for ell, n in data.linear_factors],
         "sign_flipped": data.sign_flipped,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from conepoint.polyseries import MultiPoly, TruncatedSeries
 from conepoint.localgeo import DirectionTag, quadratic_point_data
 from conepoint.critpoints import find_smooth_critical
-from conepoint import asympt
+from conepoint import asympt, localgeo, polyseries
 from conepoint.asympt import (GammaPoleError, RefusalError, cone_constant,
                               cone_plane_asymptotics, decay_exponent, double_residue,
                               dual_power_derivative, expansion_coefficients,
@@ -189,13 +190,12 @@ class TestConePlane:
         # arctan argument and the residue-numerator combination unchanged
         data = quadratic_point_data(cube_grove.spec, (1, 1, 1))
         lam = Fraction(5, 2)
-        scaled = type(data)(**{**data.__dict__,
-                               "q_matrix": tuple(tuple(lam * x for x in row)
-                                                 for row in data.q_matrix),
-                               "dual_matrix": tuple(tuple(x / lam for x in row)
-                                                    for row in data.dual_matrix),
-                               "numerator_value": data.numerator_value * lam})
         v1, _ = cone_plane_asymptotics(data, (3, 4, 5))
+        # data.residue is cached by now; the copy must recompute it
+        scaled = dataclasses.replace(
+            data, q_matrix=tuple(tuple(lam * x for x in row) for row in data.q_matrix),
+            dual_matrix=tuple(tuple(x / lam for x in row) for row in data.dual_matrix),
+            numerator_value=data.numerator_value * lam)
         v2, _ = cone_plane_asymptotics(scaled, (3, 4, 5))
         assert abs(v1 - v2) < 1e-13 * abs(v1)
 
@@ -251,6 +251,37 @@ class TestDecay:
         deg = local_degree(fls.spec, (1, 1, 1))
         assert deg == Fraction(-3, 2)
         assert decay_exponent(fls.spec, [((1, 1, 1), deg)]) == 1.5
+
+    # local degrees recorded with the per-factor expansions that local_degree
+    # computed before it read them from the point data
+    @pytest.mark.parametrize("name,companion,degree", [
+        ("aztec", None, -3), ("aztec", "creation", -2),
+        ("cube_grove", None, -3), ("cube_grove", "creation", -2),
+        ("qrw2d", "E", -1), ("qrw2d", "N", -1), ("qrw2d", "S", -1), ("qrw2d", "W", -1),
+        ("fls", None, Fraction(-3, 2)), ("superballot-core", None, -2),
+    ])
+    def test_prepared_degree_on_preset_points(self, name, companion, degree):
+        pr = preset(name)
+        spec = pr.companions[companion] if companion else pr.spec
+        for pt in prepare(spec, pr.known_points):
+            assert pt.degree == pt.data.degree == degree
+            assert local_degree(spec, pt.Z) == degree
+
+    @pytest.mark.parametrize("name", ["aztec", "cube_grove", "qrw2d", "fls"])
+    def test_prepare_log_composes_each_factor_once(self, monkeypatch, name):
+        pr = preset(name)
+        calls = []
+        real = polyseries.log_compose_taylor
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for mod in (polyseries, localgeo, asympt):
+            if hasattr(mod, "log_compose_taylor"):
+                monkeypatch.setattr(mod, "log_compose_taylor", counted)
+        prepare(pr.spec, pr.known_points)
+        assert len(calls) == len(pr.known_points) * (1 + len(pr.spec.factors))
 
 
 class TestTotals:

@@ -45,6 +45,19 @@ class TestSingularPoints:
         rep = find_singular_points(h, [0.0, 0.0], starts=60, seed=0)
         assert rep.points == [] and not rep.family_detected
 
+    @pytest.mark.parametrize("poly", [
+        mp(3, (1, (0, 0, 0)), (-1, (0, 1, 1))),                # aztec's 1 - YZ
+        mp(2, (3, (2, -1)), (Fraction(1, 2), (-1, 4))),        # Laurent binomial
+        mp(2, (5, (1, 1))),                                    # monomial
+    ])
+    def test_binomials_have_none_without_a_search(self, monkeypatch, poly):
+        def no_search(*args, **kwargs):
+            raise AssertionError("multistart run for a polynomial with < 3 terms")
+
+        monkeypatch.setattr("conepoint.critpoints._multistart", no_search)
+        rep = find_singular_points(poly, [0.0] * poly.arity, seed=0)
+        assert (rep.points, rep.family_detected, rep.n_converged) == ([], False, 0)
+
     def test_stable_under_doubling_starts(self, aztec):
         a = sorted_real_points(find_singular_points(aztec.spec.factors[0][0], [0.0] * 3,
                                                     starts=100, seed=3))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -192,8 +193,7 @@ class TestClassifyDirection:
 
     def test_two_linear_factors_unsupported(self, aztec):
         data = quadratic_point_data(aztec.spec, (1, 1, 1))
-        bad = type(data)(**{**data.__dict__,
-                            "linear_factors": (((0, 1, 1), 1), ((1, 0, 1), 1))})
+        bad = dataclasses.replace(data, linear_factors=(((0, 1, 1), 1), ((1, 0, 1), 1)))
         with pytest.raises(GeometryError):
             classify_direction(bad, (0, 0, 1))
 

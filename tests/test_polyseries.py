@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conepoint.polyseries import (DomainError, MultiPoly, NonUnitError, TruncatedSeries,
+from conepoint.polyseries import (FIELD_RATIONAL, FIELD_REAL, DomainError, MultiPoly,
+                                  NonUnitError, TruncatedSeries, _rational_root,
                                   log_compose_taylor)
 
 
@@ -115,6 +116,14 @@ class TestSeries:
             back = s.pow_real(alpha).pow_real(Fraction(1, alpha))
             assert back.terms == s.terms
 
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_rational_root_exact_at_any_size(self, q):
+        # roots too large for a float estimate to land within a few steps of them
+        root = Fraction(3 ** 250 + 1, 7 ** 90)
+        assert _rational_root(root ** q, q) == root
+        assert _rational_root(root ** q + 1, q) is None
+        assert _rational_root(Fraction(-8), 3) is None
+
     def test_pow_real_roundtrip_float(self):
         s = TruncatedSeries(1, 5, {(0,): 2.0, (1,): 0.5, (2,): -0.25}, "real-float")
         back = s.pow_real(0.37).pow_real(1 / 0.37)
@@ -122,7 +131,47 @@ class TestSeries:
             assert abs(back.coeff(m) - c) < 1e-12 * (1 + abs(c))
 
 
+def naive_log_compose(p, center, order):
+    """Sum of c Z^m exp(m.y) over the monomials of p, each exponential built
+    from its power series by repeated truncated products."""
+    total = TruncatedSeries(p.arity, order)
+    for m, c in p.terms.items():
+        zm = c
+        for e, v in zip(m, center):
+            zm = zm * (Fraction(v) ** e if isinstance(v, (int, Fraction)) else v ** e)
+        lin = TruncatedSeries(p.arity, order, {tuple(int(i == j) for i in range(p.arity)): m[j]
+                                               for j in range(p.arity)})
+        term = exp = TruncatedSeries.const(p.arity, 1, order)
+        for k in range(1, order + 1):
+            term = (term * lin).scale(Fraction(1, k))
+            exp = exp + term
+        total = total + exp.scale(zm)
+    return total
+
+
 class TestLogCompose:
+    def test_closed_form_matches_exp_series_exactly(self):
+        rng = random.Random(11)
+        for trial in range(40):
+            arity = 2 + trial % 2
+            p = random_poly(rng, arity, 3, laurent=True)
+            Z = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5))
+                 for _ in range(arity)]
+            order = trial % 7
+            s = log_compose_taylor(p, Z, order)
+            assert s.field_tag == FIELD_RATIONAL
+            assert s == naive_log_compose(p, Z, order)
+
+    def test_closed_form_matches_exp_series_at_a_float_center(self):
+        p = random_poly(random.Random(3), 3, 3, laurent=True)
+        Z = (0.7, -1.3, 2.1)
+        s, ref = log_compose_taylor(p, Z, 6), naive_log_compose(p, Z, 6)
+        assert s.field_tag == ref.field_tag == FIELD_REAL
+        assert set(s.terms) == set(ref.terms)
+        scale = max(abs(c) for c in ref.terms.values())
+        for m, c in ref.terms.items():
+            assert abs(s.terms[m] - c) <= 1e-12 * scale
+
     def test_aztec_quadratic_part(self):
         s = log_compose_taylor(Q_AZTEC, (1, 1, 1), 2)
         assert s.terms == {(0, 0, 2): 1, (2, 0, 0): -HALF, (0, 2, 0): -HALF}
