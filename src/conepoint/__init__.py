@@ -8,10 +8,9 @@ from .oracle import (CoeffTable, NotNormalizedError, QuasiRationalSpec, SpecErro
 from .localgeo import (DegenerateError, DirectionClass, DirectionTag, GeometryError,
                        QuadraticPointData, SignatureError, classify_direction,
                        classify_quadratic, dual_quadratic, homogeneous_part,
-                       hyperbolicity_check, normalizer_absdet, quadratic_point_data,
-                       vanishing_degree)
+                       normalizer_absdet, quadratic_point_data, vanishing_degree)
 from .critpoints import (CriticalPoint, SearchReport, find_singular_points,
-                         find_smooth_critical, verify_transverse)
+                         find_smooth_critical)
 from .asympt import (AsymptoticEstimate, ExpansionTable, GammaPoleError, PreparedPoint,
                      RefusalError, cone_constant, cone_plane_asymptotics, decay_exponent,
                      double_residue, dual_power_derivative, expansion_coefficients,

@@ -90,41 +90,29 @@ def z_power_neg(Z: Sequence, r: Sequence[int]):
 
 @dataclass
 class ExpansionTable:
-    """Coefficients c(m, l, n) of the falling-power re-expansion
+    """Coefficients c(m, l) of the falling-power re-expansion
 
-        p * q^(-s) * prod_j h_j^(-n_j)
-          = sum c(m,l,n) y^m qtilde(y)^(-s-l) prod_j htilde_j(y)^(-n_j-n).
+        p * q^(-s) = sum c(m,l) y^m qtilde(y)^(-s-l).
 
-    c(m,l,n) vanishes unless |m| >= 3l + (k+1)n; the table is complete for
-    all |m| - 2l - kn < max_order.
+    c(m,l) vanishes unless |m| >= 3l; the table is complete for all
+    |m| - 2l < max_order.
     """
 
-    entries: Dict[Tuple[Tuple[int, ...], int, int], object]
+    entries: Dict[Tuple[Tuple[int, ...], int], object]
     max_order: int
-    k: int
 
     def items(self):
         return self.entries.items()
 
 
-def expansion_coefficients(p_series: TruncatedSeries, q_series: TruncatedSeries,
-                           h_series_list: Sequence[TruncatedSeries], s,
-                           n_list: Sequence[int], N: int) -> ExpansionTable:
-    """Build the c(m,l,n) table by binomial re-expansion of the remainders."""
-    k = len(h_series_list)
-    if k > 1:
-        raise GeometryError("expansion supports at most one linear factor")
+def expansion_coefficients(p_series: TruncatedSeries, q_series: TruncatedSeries, s,
+                           N: int) -> ExpansionTable:
+    """Build the c(m,l) table by binomial re-expansion of the remainder of q."""
     qt = homogeneous_part(q_series)
     if qt.total_degree() != 2:
         raise GeometryError("quadratic factor must vanish to order exactly 2")
     Rq = q_series - TruncatedSeries.from_poly(qt, q_series.order)
-    if k == 1:
-        ht = homogeneous_part(h_series_list[0])
-        if ht.total_degree() != 1:
-            raise GeometryError("smooth factor must vanish to order exactly 1")
-        Rh = h_series_list[0] - TruncatedSeries.from_poly(ht, h_series_list[0].order)
-        c_h = binomials(-Fraction(n_list[0]), N)
-    entries: Dict[Tuple[Tuple[int, ...], int, int], object] = {}
+    entries: Dict[Tuple[Tuple[int, ...], int], object] = {}
     # truncated products are exact within their order, so entries beyond the
     # available local order are simply absent rather than wrong
     rq_pow = TruncatedSeries.const(p_series.arity, 1, p_series.order)
@@ -134,26 +122,10 @@ def expansion_coefficients(p_series: TruncatedSeries, q_series: TruncatedSeries,
             rq_pow = rq_pow * Rq
             if rq_pow.is_zero():
                 break
-        c_ell = c_q[ell]
-        inner = rq_pow * p_series
-        if k == 0:
-            _collect(entries, inner, ell, 0, c_ell, N, k)
-        else:
-            rh_pow = TruncatedSeries.const(p_series.arity, 1, p_series.order)
-            for n in range(0, N):
-                if n > 0:
-                    rh_pow = rh_pow * Rh
-                    if rh_pow.is_zero():
-                        break
-                _collect(entries, inner * rh_pow, ell, n, c_ell * c_h[n], N, k)
-    return ExpansionTable(entries, N, k)
-
-
-def _collect(entries, series: TruncatedSeries, ell: int, n: int, coeff, N: int, k: int):
-    for m, c in series.terms.items():
-        if sum(m) - 2 * ell - k * n < N:
-            key = (m, ell, n)
-            entries[key] = entries.get(key, 0) + coeff * c
+        for m, c in (rq_pow * p_series).terms.items():
+            if sum(m) - 2 * ell < N:
+                entries[(m, ell)] = c_q[ell] * c
+    return ExpansionTable(entries, N)
 
 
 # -- derivatives of dual-form powers ----------------------------------------------
@@ -228,8 +200,8 @@ def quadratic_asymptotics(data: QuadraticPointData, table: ExpansionTable,
     s = data.s
     C = cone_constant(s, d, data.normalizer_absdet)
     acc = 0.0
-    for (m, ell, n), c in table.items():
-        if n != 0 or sum(m) - 2 * ell >= N:
+    for (m, ell), c in table.items():
+        if sum(m) - 2 * ell >= N:
             continue
         alpha = (Fraction(s) if not isinstance(s, float) else s) + ell - Fraction(d, 2)
         deriv = dual_power_derivative(data.dual_matrix, alpha, m, r)
@@ -349,8 +321,7 @@ def oriented_double_residue(data: QuadraticPointData, tol: float = 1e-12):
     return pos[0]
 
 
-def cone_plane_asymptotics(data: QuadraticPointData, r: Sequence[int],
-                           tol: float = 1e-9):
+def cone_plane_asymptotics(data: QuadraticPointData, r: Sequence[int]):
     """Leading contribution with one quadratic and one smooth factor (d=3, s=1)."""
     if data.arity != 3:
         raise GeometryError("cone-plane formula is three-dimensional")
@@ -366,7 +337,7 @@ def cone_plane_asymptotics(data: QuadraticPointData, r: Sequence[int],
     if float(qll) >= 0:
         raise GeometryError("dual pairing of the smooth factor must be negative "
                             "(real distinct intersections)")
-    cls = classify_direction(data, r, tol)
+    cls = classify_direction(data, r)
     res2 = data.residue
     zr = z_power_neg(data.point_Z, r)
     pz = data.numerator_value
@@ -495,15 +466,12 @@ class AsymptoticEstimate:
 class PreparedPoint:
     """What total_asymptotics needs at one point, whatever the direction."""
 
-    Z: Tuple[object, ...]
     data: QuadraticPointData
-    degree: object                   # QuadraticPointData.degree
     table: Optional[ExpansionTable]  # bare quadratic points (k = 0) only
 
 
 def prepare(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None, *,
             order_terms: int = 1, x: Optional[Sequence[float]] = None,
-            series_order: int = 8, tol: float = 1e-9,
             seed: int = 0) -> Tuple[PreparedPoint, ...]:
     """Do the work of total_asymptotics that does not depend on the direction.
 
@@ -520,31 +488,29 @@ def prepare(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None
             raise RefusalError("no quadratic points found on the torus", {"x": list(x)})
     out = []
     for Z in points:
-        data = quadratic_point_data(spec, Z, order=series_order, tol=tol)
-        table = (expansion_coefficients(data.p_series, data.q_series, (), data.s, (),
-                                        order_terms) if data.k == 0 else None)
-        out.append(PreparedPoint(tuple(Z), data, data.degree, table))
+        data = quadratic_point_data(spec, Z, order=8)
+        table = (expansion_coefficients(data.p_series, data.q_series, data.s, order_terms)
+                 if data.k == 0 else None)
+        out.append(PreparedPoint(data, table))
     return tuple(out)
 
 
 def total_asymptotics(spec: QuasiRationalSpec, r: Sequence[int],
                       points: Optional[Sequence] = None,
                       order_terms: int = 1, x: Optional[Sequence[float]] = None,
-                      series_order: int = 8, tol: float = 1e-9,
                       seed: int = 0) -> AsymptoticEstimate:
     """Sum the quadratic-point contributions over the critical set.
 
     points are raw points, None (discover them, see prepare) or the result
-    of prepare, in which case order_terms, x, series_order and seed are the
-    ones given to prepare and only the per-direction work is done here.
+    of prepare, in which case order_terms, x and seed are the ones given to
+    prepare and only the per-direction work is done here.
     Directions outside the normal cone at every point yield a zero estimate
     flagged as exponentially small; obstructed directions raise
     RefusalError.
     """
     r = tuple(int(e) for e in r)
     if points is None or not all(isinstance(p, PreparedPoint) for p in points):
-        points = prepare(spec, points, order_terms=order_terms, x=x,
-                         series_order=series_order, tol=tol, seed=seed)
+        points = prepare(spec, points, order_terms=order_terms, x=x, seed=seed)
     contribs: List[PointContribution] = []
     notes: List[str] = []
     total = 0
@@ -564,13 +530,14 @@ def total_asymptotics(spec: QuasiRationalSpec, r: Sequence[int],
                 tag = DirectionTag.InteriorEllipticCone.value
                 any_interior = True
                 total = total + val
-            contribs.append(PointContribution(pt.Z, "quadratic-point-series", tag, val))
+            contribs.append(PointContribution(data.point_Z, "quadratic-point-series", tag,
+                                              val))
         elif data.k == 1:
-            val, cls = cone_plane_asymptotics(data, r, tol)
+            val, cls = cone_plane_asymptotics(data, r)
             tag = ("cone-plane-arctan" if cls.tag is DirectionTag.InteriorEllipticCone
                    else "cone-plane-flange" if cls.tag is DirectionTag.InteriorE
                    else "outside")
-            contribs.append(PointContribution(pt.Z, tag, cls.tag.value, val))
+            contribs.append(PointContribution(data.point_Z, tag, cls.tag.value, val))
             if cls.tag is not DirectionTag.OutsideNormalCone:
                 any_interior = True
                 total = total + val
@@ -584,8 +551,8 @@ def total_asymptotics(spec: QuasiRationalSpec, r: Sequence[int],
     else:
         tag = contribs[0].formula if len({c.formula for c in contribs if c.value != 0}) <= 1 \
             else "mixed"
-    alpha = decay_exponent(spec, [(pt.Z, pt.degree) for pt in points]) if points \
-        else float(spec.arity)
+    alpha = (decay_exponent(spec, [(pt.data.point_Z, pt.data.degree) for pt in points])
+             if points else float(spec.arity))
     if isinstance(total, complex) and abs(total.imag) < 1e-12 * (1 + abs(total)):
         total = total.real
     return AsymptoticEstimate(r, total, alpha, tuple(contribs), tag, tuple(notes))

@@ -39,10 +39,25 @@ EXIT_SPEC = 3
 EXIT_NUMERIC = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise SpecFormatError, so they exit 3 like every other
+    argument error (argparse's own code, 2, means refusal here)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise specio.SpecFormatError(message)
+
+
+def _digits(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"needs a digit count of at least 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="conepoint",
-                                description="coefficient asymptotics at quadratic cone "
-                                            "points, with an exact series oracle")
+    p = _Parser(prog="conepoint",
+                description="coefficient asymptotics at quadratic cone points, with an "
+                            "exact series oracle")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_source(sp):
@@ -54,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         sp.add_argument("--float", dest="float_digits", nargs="?", const=17, default=None,
-                        type=int, help="print values as floats (optional digit count)")
+                        type=_digits, help="print values as floats (optional digit count)")
 
     po = sub.add_parser("oracle", help="exact series coefficients")
     add_source(po)
@@ -122,10 +137,13 @@ def _parse_direction(text: str, arity: int) -> Tuple[int, ...]:
 def _parse_beta(text):
     if text is None:
         return None
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(text) if "." not in text else float(text)
+    try:
+        if "/" in text:
+            num, den = text.split("/")
+            return Fraction(int(num), int(den))
+        return Fraction(text) if "." not in text else float(text)
+    except (ValueError, ZeroDivisionError):
+        raise specio.SpecFormatError(f"--beta {text!r} is not a number like 3/4") from None
 
 
 def _load(args) -> Tuple[QuasiRationalSpec, Optional[list], object]:
@@ -192,7 +210,7 @@ def _cmd_classify(args) -> int:
             "class": cls.tag.value,
             "margin": cls.margin,
             "dual_rr": specio.scalar_to_json(data.dual_eval(r, r)),
-            "decay_exponent_bound": float(spec.arity) + float(pt.degree),
+            "decay_exponent_bound": float(spec.arity) + float(data.degree),
         })
         if data.k == 1:
             ell = data.linear_factors[0][0]
@@ -277,17 +295,17 @@ def _cmd_compare(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser().parse_args(_attach_negative_vectors(argv))
     handlers = {"oracle": _cmd_oracle, "asym": _cmd_asym,
                 "compare": _cmd_compare, "classify": _cmd_classify}
     try:
+        args = _build_parser().parse_args(_attach_negative_vectors(argv))
         return handlers[args.command](args)
     except RefusalError as e:
         sys.stderr.write(f"refused: {e}\n")
         if e.diagnostics:
             sys.stderr.write(specio.canonical_json(e.diagnostics))
         return EXIT_REFUSAL
-    except (specio.SpecFormatError, SpecError, FileNotFoundError, KeyError) as e:
+    except (specio.SpecFormatError, SpecError, OSError, KeyError) as e:
         sys.stderr.write(f"spec error: {e}\n")
         return EXIT_SPEC
     except (GeometryError, GammaPoleError, ArithmeticError, ValueError) as e:

@@ -212,12 +212,3 @@ def _multistart(polys, x, starts, seed, stratum) -> SearchReport:
                 points.append(CriticalPoint(Z, stratum, res, False))
     return SearchReport(points=points, family_detected=family,
                         n_converged=len(cands), cluster_diameter=diam)
-
-
-def verify_transverse(r: Sequence[float], log_gradients: Sequence[Sequence[complex]],
-                      tol: float = 1e-9) -> bool:
-    """True iff r lies in the linear span of the given log-gradients."""
-    G = np.array([[complex(v) for v in g] for g in log_gradients])
-    rank = np.linalg.matrix_rank(G, tol=tol)
-    aug = np.vstack([G, np.array([complex(v) for v in r])])
-    return np.linalg.matrix_rank(aug, tol=tol) == rank

@@ -17,7 +17,6 @@ point and coefficients are rational.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -207,7 +206,6 @@ class QuadraticPointData:
     sign_flipped: bool
     p_series: TruncatedSeries
     q_series: TruncatedSeries
-    h_series: Tuple[TruncatedSeries, ...]
     numerator_valuation: int
 
     @property
@@ -245,7 +243,6 @@ def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence, order: int = 6,
     q_series = None
     s_quad = None
     linear: List[Tuple[Tuple[object, ...], int]] = []
-    h_series = []
     for poly, power in spec.factors:
         series = log_compose_taylor(poly, Z, order)
         if series.is_zero():
@@ -261,7 +258,6 @@ def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence, order: int = 6,
                                    "need a positive integer power", {"power": str(power)})
             ell = _linear_covector(homogeneous_part(series), u, tol)
             linear.append((ell, n))
-            h_series.append(series)
         elif v == 2:
             if q_series is not None:
                 raise GeometryError("more than one quadratic factor vanishes at the point")
@@ -287,7 +283,6 @@ def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence, order: int = 6,
         sign_flipped=flipped,
         p_series=p_series,
         q_series=q_series,
-        h_series=tuple(h_series),
         numerator_valuation=order + 1 if p_series.is_zero() else vanishing_degree(p_series),
     )
 
@@ -387,51 +382,3 @@ def classify_direction(data: QuadraticPointData, r: Sequence, tol: float = 1e-9)
     if width > -tol * math.sqrt(rn2 / ln2):
         return DirectionClass(DirectionTag.Indeterminate, width)
     return DirectionClass(DirectionTag.OutsideNormalCone, width)
-
-
-# -- sampling hyperbolicity check ------------------------------------------------
-
-
-def hyperbolicity_check(h: MultiPoly, v: Sequence, samples: int = 64,
-                        seed: int = 0, tol: float = 1e-8) -> bool:
-    """Sampled root-reality test: h(x + t v) has only real roots in t.
-
-    This is the definition of hyperbolicity in direction v, checked on
-    `samples` random real base points.
-    """
-    val = h.eval(list(v))
-    if val == 0:
-        raise GeometryError("h(v) = 0: not a valid hyperbolicity direction")
-    deg = h.total_degree()
-    rng = random.Random(seed)
-    d = h.arity
-    for _ in range(samples):
-        x = [rng.gauss(0.0, 1.0) for _ in range(d)]
-        coeffs = _line_restriction(h, x, v, deg)
-        roots = np.roots(coeffs[::-1])
-        for z in roots:
-            if abs(z.imag) > tol * (1.0 + abs(z)):
-                return False
-    return True
-
-
-def _line_restriction(h: MultiPoly, x: Sequence[float], v: Sequence[float],
-                      deg: int) -> List[float]:
-    """Coefficients (ascending) of t -> h(x + t v)."""
-    out = [0.0] * (deg + 1)
-    for m, c in h.terms.items():
-        poly = [float(c)]
-        for i, e in enumerate(m):
-            for _ in range(e):
-                poly = _mul_linear(poly, float(x[i]), float(v[i]))
-        for k, a in enumerate(poly):
-            out[k] += a
-    return out
-
-
-def _mul_linear(poly: List[float], a: float, b: float) -> List[float]:
-    out = [0.0] * (len(poly) + 1)
-    for i, c in enumerate(poly):
-        out[i] += c * a
-        out[i + 1] += c * b
-    return out

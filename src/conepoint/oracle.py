@@ -161,8 +161,8 @@ class CoeffTable:
     values holds exact rationals (or floats when the sweep ran in float
     mode); scale is the only possibly irrational part, coming from
     fractional powers of non-unit constant terms.  A table is complete for
-    every index r with 0 <= grading_w . r <= max_level that lies inside `box`
-    (no box means the whole graded slab).
+    every index r with 0 <= grading_w . r <= max_level (for expand_box, every
+    such index inside the box).
     """
 
     arity: int
@@ -170,8 +170,6 @@ class CoeffTable:
     grading_w: Tuple[int, ...]
     max_level: int
     scale: object = Fraction(1)
-    field_tag: str = FIELD_RATIONAL
-    box: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
 
     def value_at(self, r: Sequence[int]):
         v = self.values.get(tuple(r))
@@ -218,7 +216,7 @@ def _check_graded_unit(D: MultiPoly, w: Tuple[int, ...]):
 class _BoxClip:
     """Per-level dependency-closure clip around a target box."""
 
-    def __init__(self, lo, hi, generators, max_level, w):
+    def __init__(self, lo, hi, generators, max_level):
         self.lo, self.hi = tuple(lo), tuple(hi)
         d = len(lo)
         self.up = [0] * d
@@ -228,7 +226,6 @@ class _BoxClip:
                 self.up[i] = max(self.up[i], u[i])
                 self.down[i] = max(self.down[i], -u[i])
         self.max_level = max_level
-        self.w = w
 
     def keep(self, m: Exponent, level: int) -> bool:
         slack = self.max_level - level
@@ -502,7 +499,7 @@ def _run(spec: QuasiRationalSpec, max_level: int,
         clip = None
         if box is not None:
             gens = [m for m in D.terms if any(m)] + list(numer.terms)
-            clip = _BoxClip(box[0], box[1], gens, max_level, w)
+            clip = _BoxClip(box[0], box[1], gens, max_level)
         values = _sweep_integer(numer, D, w, max_level, clip)
         scale = Fraction(1) if not float_mode else 1.0
     else:
@@ -514,13 +511,11 @@ def _run(spec: QuasiRationalSpec, max_level: int,
             # the plain-series table must reach box minus the numerator support
             hi = tuple(b - l for b, l in zip(box[1], numer_lo))
             lo = tuple(0 for _ in range(spec.arity))
-            hclip = _BoxClip(lo, hi, list(D.terms), max_level, w)
-            clip = _BoxClip(box[0], box[1], [], max_level, w)
+            hclip = _BoxClip(lo, hi, list(D.terms), max_level)
+            clip = _BoxClip(box[0], box[1], [], max_level)
         values = _multiply_numerator(_sweep_real(D, A, w, max_level, hclip, C),
                                      numer, w, max_level, clip, C)
-    tbl_box = None if box is None else (tuple(box[0]), tuple(box[1]))
-    return CoeffTable(spec.arity, values, w, max_level, scale,
-                      FIELD_REAL if float_mode else FIELD_RATIONAL, tbl_box)
+    return CoeffTable(spec.arity, values, w, max_level, scale)
 
 
 def expand(spec: QuasiRationalSpec, order: int, float_mode: bool = False,
@@ -547,14 +542,6 @@ def expand_box(spec: QuasiRationalSpec, lo: Sequence[int], hi: Sequence[int],
         corners.append(tuple(hi[i] if mask >> i & 1 else lo[i] for i in range(spec.arity)))
     max_level = max(_grade_of(c, w) for c in corners)
     return _run(spec, max(0, max_level), (lo, hi), float_mode)
-
-
-def in_support(spec: QuasiRationalSpec, r: Sequence[int]) -> bool:
-    """Cheap necessary condition for a nonzero coefficient at r."""
-    w = grading_vector(spec.cone_direction_u, spec.arity)
-    if _grade_of(tuple(r), w) < min(_grade_of(m, w) for m in spec.numerator.terms or {(0,) * spec.arity: 1}):
-        return False
-    return True
 
 
 def coefficient_at(spec: QuasiRationalSpec, r: Sequence[int], float_mode: bool = False):

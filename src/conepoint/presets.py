@@ -1,12 +1,12 @@
 """The five shipped applications as ready-made quasirational specs.
 
 Each preset bundles the spec, its known quadratic points on the unit
-torus, a closed-form reference evaluator for the final asymptotic answer
-(implemented directly from the constants here, independently of the
-formula engine), and an independent membership test for the validity
-region.  Cross-model identities (creation rates, step-simulation of the
-quantum walk, superballot closed forms) live here too, as the honest
-checks that the machinery reproduces known combinatorics.
+torus and a closed-form reference evaluator for the final asymptotic
+answer (implemented directly from the constants here, independently of
+the formula engine).  Cross-model identities (creation rates,
+step-simulation of the quantum walk, superballot closed forms) live here
+too, as the honest checks that the machinery reproduces known
+combinatorics.
 
 Conventions fixed by simulation:
 
@@ -26,8 +26,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .polyseries import MultiPoly
-from .oracle import CoeffTable, QuasiRationalSpec, expand
-from .localgeo import DirectionTag
+from .oracle import CoeffTable, QuasiRationalSpec, SpecError, expand
 
 
 def _mp(arity, *terms) -> MultiPoly:
@@ -64,40 +63,8 @@ class Preset:
     spec: QuasiRationalSpec
     known_points: Tuple[Tuple[object, ...], ...]
     reference_formula: Optional[Callable[[Sequence[int]], object]]
-    validity_region: Optional[Callable[[Sequence], DirectionTag]]
     companions: Dict[str, QuasiRationalSpec] = field(default_factory=dict)
     notes: str = ""
-
-
-def _hull_region_factory(qdual: Callable[[Sequence[float]], float],
-                         ell: Tuple[float, ...], u: Tuple[float, ...],
-                         tol: float = 1e-9) -> Callable[[Sequence], DirectionTag]:
-    """Membership in the hull of the elliptic cone and the covector ray,
-    decided by dense sampling of the decomposition parameter (an
-    implementation independent of the closed-form classifier)."""
-
-    def region(r: Sequence) -> DirectionTag:
-        rf = [float(x) for x in r]
-        rn2 = sum(x * x for x in rf)
-        ru = sum(a * b for a, b in zip(rf, u))
-        q = qdual(rf)
-        if q > tol * rn2 and ru < 0:
-            return DirectionTag.InteriorEllipticCone
-        if abs(q) <= tol * rn2:
-            qrl_proxy = qdual([a + 1e-7 * b for a, b in zip(rf, ell)]) - q
-            return (DirectionTag.ObstructedBoundary if qrl_proxy < 0
-                    else DirectionTag.Indeterminate)
-        lam_hi = 4.0 * math.sqrt(rn2) / math.sqrt(sum(x * x for x in ell))
-        lu = sum(a * b for a, b in zip(ell, u))
-        for k in range(1, 4001):
-            lam = lam_hi * k / 4000.0
-            w = [a - lam * b for a, b in zip(rf, ell)]
-            if qdual(w) > tol * rn2 and sum(a * b for a, b in zip(w, u)) < 0 \
-                    and ru - lam * lu < 0:
-                return DirectionTag.InteriorE
-        return DirectionTag.OutsideNormalCone
-
-    return region
 
 
 # -- Aztec diamond --------------------------------------------------------------
@@ -122,9 +89,7 @@ def _aztec() -> Preset:
     # generating function is Z/Q rather than (Z/2)/Q
     creation = QuasiRationalSpec(3, _mp(3, (1, (0, 0, 1))), ((_Q_CHECKER, 1),),
                                  (0, 0, -1), name="aztec-creation")
-    region = _hull_region_factory(lambda v: v[2] ** 2 - 2 * v[0] ** 2 - 2 * v[1] ** 2,
-                                  (0.0, 1.0, 1.0), (0.0, 0.0, -1.0))
-    return Preset("aztec", spec, ((1, 1, 1), (-1, -1, -1)), _aztec_reference, region,
+    return Preset("aztec", spec, ((1, 1, 1), (-1, -1, -1)), _aztec_reference,
                   {"creation": creation},
                   "northgoing domino placement probabilities; indices (i,j,n), "
                   "support -n < i,j <= n with i+j+n odd")
@@ -153,8 +118,7 @@ def _cube_grove() -> Preset:
                              (-1, -1, -1), name="cube_grove")
     creation = QuasiRationalSpec(3, _mp(3, (3, (0, 0, 1))), ((_Q_GROVE, 1),),
                                  (-1, -1, -1), name="cube_grove-creation")
-    region = _hull_region_factory(_grove_dual, (0.0, 0.0, 1.0), (-1.0, -1.0, -1.0))
-    return Preset("cube_grove", spec, ((1, 1, 1),), _grove_reference, region,
+    return Preset("cube_grove", spec, ((1, 1, 1),), _grove_reference,
                   {"creation": creation},
                   "horizontal-edge placement probabilities in barycentric indices")
 
@@ -259,9 +223,7 @@ def _qrw() -> Preset:
                                    ((_Q_CHECKER, 1), (one_minus_z, 1), (one_plus_z, 1)),
                                    (0, 0, -1), name=f"qrw2d-{ch}")
              for i, ch in enumerate(_QRW_STATES)}
-    region = _hull_region_factory(lambda v: v[2] ** 2 - 2 * v[0] ** 2 - 2 * v[1] ** 2,
-                                  (0.0, 0.0, 1.0), (0.0, 0.0, -1.0))
-    return Preset("qrw2d", specs["N"], ((1, 1, 1), (-1, -1, -1)), None, region,
+    return Preset("qrw2d", specs["N"], ((1, 1, 1), (-1, -1, -1)), None,
                   dict(specs),
                   "amplitude generating functions per ending chirality, start ((0,0),N); "
                   "probabilities are the summed squared amplitudes")
@@ -309,23 +271,14 @@ def _fls_reference_factory(beta):
     return ref
 
 
-def _k0_region_factory(region):
-    def k0_region(r):
-        tag = region(r)
-        return tag if tag in (DirectionTag.InteriorEllipticCone,
-                              DirectionTag.Indeterminate) else DirectionTag.OutsideNormalCone
-    return k0_region
-
-
 def _fls(beta=Fraction(3, 4)) -> Preset:
     beta = Fraction(beta) if not isinstance(beta, float) else beta
     if not float(beta) > 0.5:
-        raise ValueError("the graph-polynomial preset needs beta > 1/2")
+        raise SpecError("the graph-polynomial preset needs beta > 1/2")
     spec = QuasiRationalSpec(3, MultiPoly.const(3, 1), ((_Q_FLS, beta),),
                              (-1, -1, -1), name="fls")
-    region = _hull_region_factory(_grove_dual, (0.0, 0.0, 1.0), (-1.0, -1.0, -1.0))
     return Preset("fls", spec, ((1, 1, 1),), _fls_reference_factory(beta),
-                  _k0_region_factory(region), notes=f"fractional power beta = {beta}")
+                  notes=f"fractional power beta = {beta}")
 
 
 # -- superballot numbers --------------------------------------------------------------
@@ -355,15 +308,13 @@ def _superballot(core: bool) -> Preset:
                              name="superballot")
     core_spec = QuasiRationalSpec(3, MultiPoly.const(3, 2), ((_Q_SUPER_CORE, 1),),
                                   (-1, -1, -1), name="superballot-core")
-    region = _hull_region_factory(_grove_dual, (0.0, 0.0, 1.0), (-1.0, -1.0, -1.0))
     notes = ("core coefficients of 2/(2-X-Y-Z+XYZ) are 2^-(a+b+c) times the "
              "multiset-permutation counts N(a,b,c); the square-root spec is "
              "oracle-only (its algebraic factor is outside the contour formulas)")
     if core:
         return Preset("superballot-core", core_spec, ((1, 1, 1),),
-                      _superballot_core_reference, _k0_region_factory(region),
-                      {"full": full}, notes)
-    return Preset("superballot", full, ((Fraction(1, 2),) * 3,), None, None,
+                      _superballot_core_reference, {"full": full}, notes)
+    return Preset("superballot", full, ((Fraction(1, 2),) * 3,), None,
                   {"core": core_spec}, notes)
 
 

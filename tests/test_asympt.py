@@ -43,25 +43,24 @@ class TestExpansionCoefficients:
     def test_pure_quadratic_no_corrections(self):
         q = TruncatedSeries(3, 5, {(2, 0, 0): 1, (0, 2, 0): -1, (0, 0, 2): -1})
         p = TruncatedSeries(3, 5, {(0, 0, 0): 1})
-        table = expansion_coefficients(p, q, (), 1, (), 3)
-        assert table.entries == {((0, 0, 0), 0, 0): 1}
+        table = expansion_coefficients(p, q, 1, 3)
+        assert table.entries == {((0, 0, 0), 0): 1}
 
     def test_aztec_leading_coefficient(self, aztec):
         data = quadratic_point_data(aztec.spec, (1, 1, 1))
-        table = expansion_coefficients(data.p_series, data.q_series, data.h_series,
-                                       data.s, (1,), 1)
-        assert table.entries[((0, 0, 0), 0, 0)] == HALF
+        table = expansion_coefficients(data.p_series, data.q_series, data.s, 1)
+        assert table.entries[((0, 0, 0), 0)] == HALF
 
     def test_fls_first_correction_is_minus_beta_remainder(self, fls):
         data = quadratic_point_data(fls.spec, (1, 1, 1))
-        table = expansion_coefficients(data.p_series, data.q_series, (), data.s, (), 2)
+        table = expansion_coefficients(data.p_series, data.q_series, data.s, 2)
         beta = Fraction(3, 4)
         q3 = {m: c for m, c in data.q_series.terms.items() if sum(m) == 3}
         for m, c in q3.items():
-            # scaled by the unit normalization of the quadratic: c(m,1,0) = -beta R_m
-            assert table.entries[(m, 1, 0)] == -beta * c
+            # scaled by the unit normalization of the quadratic: c(m,1) = -beta R_m
+            assert table.entries[(m, 1)] == -beta * c
         # support condition |m| >= 3 l
-        assert all(sum(m) >= 3 * ell + 2 * n for (m, ell, n) in table.entries)
+        assert all(sum(m) >= 3 * ell for (m, ell) in table.entries)
 
 
 class TestDualPowerDerivative:
@@ -264,8 +263,8 @@ class TestDecay:
         pr = preset(name)
         spec = pr.companions[companion] if companion else pr.spec
         for pt in prepare(spec, pr.known_points):
-            assert pt.degree == pt.data.degree == degree
-            assert local_degree(spec, pt.Z) == degree
+            assert pt.data.degree == degree
+            assert local_degree(spec, pt.data.point_Z) == degree
 
     @pytest.mark.parametrize("name", ["aztec", "cube_grove", "qrw2d", "fls"])
     def test_prepare_log_composes_each_factor_once(self, monkeypatch, name):
@@ -306,7 +305,7 @@ class TestTotals:
 
     def test_quadratic_requires_interior(self, superballot_core):
         data = quadratic_point_data(superballot_core.spec, (1, 1, 1))
-        table = expansion_coefficients(data.p_series, data.q_series, (), data.s, (), 1)
+        table = expansion_coefficients(data.p_series, data.q_series, data.s, 1)
         with pytest.raises(RefusalError) as err:
             quadratic_asymptotics(data, table, (1, 0, 0))
         assert str(err.value) == "direction (1, 0, 0) is OutsideNormalCone"
@@ -328,7 +327,7 @@ class TestTotals:
         raw = [total_asymptotics(pr.spec, r, points=list(pr.known_points), order_terms=2)
                for r in directions]
         prepared = prepare(pr.spec, pr.known_points, order_terms=2)
-        assert [p.Z for p in prepared] == [tuple(Z) for Z in pr.known_points]
+        assert [p.data.point_Z for p in prepared] == [tuple(Z) for Z in pr.known_points]
 
         def per_point_work(*args, **kwargs):
             raise AssertionError("per-point work repeated for a prepared point")

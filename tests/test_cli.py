@@ -209,8 +209,10 @@ class TestDeterminismAndErrors:
         assert "spec error" in err
 
     def test_missing_file_exit_3(self, capsys):
-        rc, _, _ = run(capsys, "oracle", "--spec", "/nonexistent.json", "--order", "2")
-        assert rc == 3
+        for path in ("/nonexistent.json", str(SPEC_DIR)):
+            rc, _, err = run(capsys, "oracle", "--spec", path, "--order", "2")
+            assert rc == 3, path
+            assert err.startswith("spec error:"), path
 
     def test_gamma_pole_exit_4(self, tmp_path, capsys):
         spec = {
@@ -247,9 +249,29 @@ class TestDeterminismAndErrors:
 
 class TestInputErrors:
     def test_negative_order_exit_3(self, capsys):
-        rc, out, err = run(capsys, "oracle", "--preset", "aztec", "--order", "-1")
+        for flag, argv in (("--order", ("--order", "-1")),
+                           ("--float", ("--order", "2", "--float", "-3")),
+                           ("--float", ("--order", "2", "--float", "0"))):
+            rc, out, err = run(capsys, "oracle", "--preset", "aztec", *argv)
+            assert rc == 3 and not out, argv
+            assert flag in err, argv
+
+    @pytest.mark.parametrize("beta", ["1/2", "1/0", "abc"])
+    def test_bad_beta_exit_3(self, capsys, beta):
+        rc, out, err = run(capsys, "oracle", "--preset", "fls", "--beta", beta, "--at", "1,1,1")
         assert rc == 3 and not out
-        assert "--order" in err
+        assert err.startswith("spec error:") and "beta" in err
+
+    def test_usage_errors_exit_3(self, capsys):
+        # argparse exits 2 on its own, which is the refusal code here
+        for argv in (("oracle", "--preset", "aztec", "--bogus"), ("oracle", "--order", "2"), ()):
+            rc, out, err = run(capsys, *argv)
+            assert rc == 3 and not out, argv
+            assert err.startswith("usage: conepoint") and "spec error:" in err, argv
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: conepoint oracle")
 
     def test_zero_direction_exit_3(self, capsys):
         for argv in (("asym", "--preset", "aztec", "--r", "0,0,0"),

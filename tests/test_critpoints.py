@@ -7,8 +7,7 @@ import pytest
 
 from conepoint.polyseries import MultiPoly
 from conepoint.presets import PRESET_NAMES, preset
-from conepoint.critpoints import (find_singular_points, find_smooth_critical,
-                                  verify_transverse)
+from conepoint.critpoints import find_singular_points, find_smooth_critical
 
 
 def mp(arity, *terms):
@@ -85,17 +84,6 @@ class TestSmoothCritical:
         h = mp(3, (1, (0, 0, 0)), (-1, (0, 1, 1)))
         rep = find_smooth_critical(h, (1, 1, 1), [0.0] * 3, starts=60, seed=0)
         assert rep.points == [] and not rep.family_detected
-
-
-class TestTransverse:
-    def test_own_span(self):
-        assert verify_transverse((0, 1, 1), [(0, 1, 1)])
-
-    def test_rank_defect_detected(self):
-        assert not verify_transverse((1, 1, 1), [(0, 1, 1), (-0.5, 0.5, 1)])
-
-    def test_plane_membership(self):
-        assert verify_transverse((1, 3, 0), [(1, 0, 0), (0, 1, 0)])
 
 
 def _reference_fun_jac(polys, x, theta):

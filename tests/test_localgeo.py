@@ -8,8 +8,8 @@ import pytest
 from conepoint.polyseries import MultiPoly, TruncatedSeries, log_compose_taylor
 from conepoint.localgeo import (DirectionTag, GeometryError, SignatureError,
                                 classify_direction, classify_quadratic, dual_quadratic,
-                                homogeneous_part, hyperbolicity_check, mat_inverse,
-                                normalizer_absdet, quadratic_point_data, vanishing_degree)
+                                homogeneous_part, mat_inverse, normalizer_absdet,
+                                quadratic_point_data, vanishing_degree)
 
 
 def mp(arity, *terms):
@@ -196,22 +196,3 @@ class TestClassifyDirection:
         bad = dataclasses.replace(data, linear_factors=(((0, 1, 1), 1), ((1, 0, 1), 1)))
         with pytest.raises(GeometryError):
             classify_direction(bad, (0, 0, 1))
-
-
-class TestHyperbolicity:
-    def test_lorentz_cone(self):
-        h = mp(3, (1, (2, 0, 0)), (-1, (0, 2, 0)), (-1, (0, 0, 2)))
-        assert hyperbolicity_check(h, (1, 0, 0), samples=32)
-
-    def test_definite_not_hyperbolic(self):
-        h = mp(3, (1, (2, 0, 0)), (1, (0, 2, 0)), (1, (0, 0, 2)))
-        assert not hyperbolicity_check(h, (1, 0, 0), samples=32)
-
-    def test_grove_quadratic_hyperbolic(self):
-        h = mp(3, (1, (1, 1, 0)), (1, (1, 0, 1)), (1, (0, 1, 1)))
-        assert hyperbolicity_check(h, (1, 1, 1), samples=32)
-
-    def test_vanishing_direction_rejected(self):
-        h = mp(3, (1, (1, 1, 0)), (1, (1, 0, 1)), (1, (0, 1, 1)))
-        with pytest.raises(GeometryError):
-            hyperbolicity_check(h, (1, 0, 0), samples=4)

@@ -85,9 +85,7 @@ class TestCoefficientAt:
         assert coefficient_at(aztec.spec, (0, 1, 1)) == 0
 
     def test_support_flag(self, aztec):
-        from conepoint.oracle import in_support
-        assert not in_support(aztec.spec, (0, 0, 0))   # below the numerator grade
-        assert in_support(aztec.spec, (0, 0, 1))
+        # below the numerator grade
         assert coefficient_at(aztec.spec, (0, 0, 0)) == 0
 
     def test_negative_index_outside_support(self, cube_grove):

@@ -12,6 +12,7 @@ from conepoint.asympt import prepare, total_asymptotics
 from conepoint.presets import (PRESET_NAMES, aztec_creation_check, grove_relation_check,
                                preset, qrw_simulate, superballot_number)
 from conepoint import specio
+from reference_regions import VALIDITY_REGION
 
 SPEC_DIR = Path(__file__).resolve().parents[1] / "specs"
 
@@ -50,7 +51,7 @@ class TestReferenceAgreement:
             else:
                 r = (rng.randint(1, 2 * t), rng.randint(1, 2 * t), t)
             ref = pr.reference_formula(r)
-            if ref is None or pr.validity_region(r) is not DirectionTag.InteriorEllipticCone:
+            if ref is None or VALIDITY_REGION[name](r) is not DirectionTag.InteriorEllipticCone:
                 continue
             cls = classify_direction(points[0].data, r)
             if cls.tag is not DirectionTag.InteriorEllipticCone or abs(cls.margin) < 1e-3:
@@ -85,18 +86,19 @@ class TestReferenceAgreement:
         assert statistics.median(errs[half:]) <= statistics.median(errs[:half])
         assert max(errs[half:]) < 0.10
 
-    def test_region_classifiers_agree(self, aztec):
-        data = quadratic_point_data(aztec.spec, (1, 1, 1))
-        rng = random.Random(77)
-        for _ in range(200):
-            r = (rng.randint(-30, 30), rng.randint(-30, 30), rng.randint(1, 30))
-            mine = classify_direction(data, r)
-            if abs(mine.margin) < 1e-2:
-                continue  # reference sampler is not reliable near boundaries
-            ref = aztec.validity_region(r)
-            if mine.tag in (DirectionTag.Indeterminate, DirectionTag.ObstructedBoundary):
-                continue
-            assert mine.tag is ref, r
+    def test_region_classifiers_agree(self):
+        for name in ("aztec", "cube_grove"):
+            data = quadratic_point_data(preset(name).spec, (1, 1, 1))
+            rng = random.Random(77)
+            for _ in range(200):
+                r = (rng.randint(-30, 30), rng.randint(-30, 30), rng.randint(1, 30))
+                mine = classify_direction(data, r)
+                if abs(mine.margin) < 1e-2:
+                    continue  # reference sampler is not reliable near boundaries
+                ref = VALIDITY_REGION[name](r)
+                if mine.tag in (DirectionTag.Indeterminate, DirectionTag.ObstructedBoundary):
+                    continue
+                assert mine.tag is ref, (name, r)
 
 
 class TestQRW:
