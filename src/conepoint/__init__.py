@@ -9,8 +9,6 @@ from .localgeo import (DegenerateError, DirectionClass, DirectionTag, GeometryEr
                        QuadraticPointData, SignatureError, classify_direction,
                        classify_quadratic, dual_quadratic, homogeneous_part,
                        normalizer_absdet, quadratic_point_data, vanishing_degree)
-from .critpoints import (CriticalPoint, SearchReport, find_singular_points,
-                         find_smooth_critical)
 from .asympt import (AsymptoticEstimate, ExpansionTable, GammaPoleError, PreparedPoint,
                      RefusalError, cone_constant, cone_plane_asymptotics, decay_exponent,
                      double_residue, dual_power_derivative, expansion_coefficients,

@@ -27,9 +27,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .polyseries import MultiPoly, TruncatedSeries, _rational_root, binomials
 from .oracle import QuasiRationalSpec, _as_int
@@ -37,7 +35,10 @@ from .localgeo import (DegenerateError, DirectionTag, GeometryError, Matrix,
                        QuadraticPointData, RefusalError, _bilinear, classify_direction,
                        homogeneous_part, quadratic_point_data)
 from .localgeo import log_compose_taylor  # noqa: F401  (perfbench traces it under this name)
-from . import critpoints as _crit
+
+if TYPE_CHECKING:  # both load only in the functions that run them, never for `oracle`
+    import numpy as np
+    from .critpoints import CriticalPoint
 
 
 class GammaPoleError(ValueError):
@@ -357,7 +358,7 @@ def cone_plane_asymptotics(data: QuadraticPointData, r: Sequence[int]):
 # -- smooth (simple-pole) contributions ----------------------------------------------
 
 
-def smooth_asymptotics(P: MultiPoly, H: MultiPoly, cp: _crit.CriticalPoint,
+def smooth_asymptotics(P: MultiPoly, H: MultiPoly, cp: CriticalPoint,
                        r: Sequence[int], cone_direction_u: Optional[Sequence] = None,
                        nonvanishing_value=1, tol: float = 1e-9):
     """Leading smooth-point contribution via the log-variety curvature.
@@ -368,6 +369,7 @@ def smooth_asymptotics(P: MultiPoly, H: MultiPoly, cp: _crit.CriticalPoint,
     tangent frame, with principal square roots.  Honest only up to phase
     at non-real points.
     """
+    import numpy as np
     d = H.arity
     Z = cp.Z
     z = [cmath.log(complex(v)) for v in Z]
@@ -409,6 +411,7 @@ def smooth_asymptotics(P: MultiPoly, H: MultiPoly, cp: _crit.CriticalPoint,
 
 def _bilinear_tangent_frame(g: np.ndarray) -> List[np.ndarray]:
     """Vectors spanning {v : g.v = 0}, orthonormal for the bilinear form."""
+    import numpy as np
     d = len(g)
     _, _, vh = np.linalg.svd(g.reshape(1, d))
     cand = [vh[i].conj() for i in range(1, d)]
@@ -481,9 +484,10 @@ def prepare(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None
     for any number of directions.
     """
     if points is None:
+        from .critpoints import find_singular_points
         x = x or [0.0] * spec.arity
         points = [p.Z for poly, _ in spec.factors
-                  for p in _crit.find_singular_points(poly, x, seed=seed).points]
+                  for p in find_singular_points(poly, x, seed=seed).points]
         if not points:
             raise RefusalError("no quadratic points found on the torus", {"x": list(x)})
     out = []

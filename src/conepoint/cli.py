@@ -27,9 +27,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .oracle import (QuasiRationalSpec, SpecError, coefficient_at, expand, expand_box)
-from .localgeo import GeometryError, classify_direction
-from .asympt import (GammaPoleError, PreparedPoint, RefusalError, prepare,
-                     total_asymptotics)
+from .localgeo import classify_direction
+from .asympt import PreparedPoint, RefusalError, prepare, total_asymptotics
 from .presets import PRESET_NAMES, preset
 from . import specio
 
@@ -68,11 +67,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="power for the fls preset (rational like 3/4)")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--float", dest="float_digits", nargs="?", const=17, default=None,
-                        type=_digits, help="print values as floats (optional digit count)")
 
     po = sub.add_parser("oracle", help="exact series coefficients")
     add_source(po)
+    po.add_argument("--float", dest="float_digits", nargs="?", const=17, default=None,
+                    type=_digits, help="print values as floats (optional digit count)")
     po.add_argument("--order", type=int, default=None)
     po.add_argument("--at", default=None, help="single index, e.g. 50,50,50")
     po.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -148,6 +147,8 @@ def _parse_beta(text):
 
 def _load(args) -> Tuple[QuasiRationalSpec, Optional[list], object]:
     """Returns (spec, known_points, preset_or_None)."""
+    if args.beta is not None and args.preset != "fls":
+        raise specio.SpecFormatError("--beta applies only to --preset fls")
     if args.preset:
         pr = preset(args.preset, beta=_parse_beta(args.beta))
         return pr.spec, list(pr.known_points), pr
@@ -308,7 +309,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (specio.SpecFormatError, SpecError, OSError, KeyError) as e:
         sys.stderr.write(f"spec error: {e}\n")
         return EXIT_SPEC
-    except (GeometryError, GammaPoleError, ArithmeticError, ValueError) as e:
+    except (ArithmeticError, ValueError) as e:
         sys.stderr.write(f"numeric failure: {e}\n")
         return EXIT_NUMERIC
 

@@ -23,8 +23,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .polyseries import (FIELD_RATIONAL, MultiPoly, TruncatedSeries, _rational_root,
                          log_compose_taylor)
 from .oracle import QuasiRationalSpec, _as_int
@@ -141,6 +139,7 @@ def classify_quadratic(h: MultiPoly, u: Sequence, tol: float = 1e-9) -> Tuple[Ma
         flipped = True
     elif qu == 0:
         raise GeometryError("reference direction lies on the quadratic's null cone")
+    import numpy as np  # here, so that the oracle commands never load numpy
     eig = np.linalg.eigvalsh(np.array(M, dtype=float))
     emax = max(abs(e) for e in eig)
     if any(abs(e) <= 1e-12 * emax for e in eig):

@@ -177,7 +177,7 @@ def aztec_creation_check(n_max: int, p_table: Optional[CoeffTable] = None,
 
 _QRW_STATES = "ENWS"
 _QRW_DISP = ((1, 0), (0, 1), (-1, 0), (0, -1))
-_QRW_COIN = tuple(tuple(_HALF if i == j else -_HALF for j in range(4)) for i in range(4))
+_QRW_SIGN = tuple(tuple(1 if i == j else -1 for j in range(4)) for i in range(4))  # 2 * coin
 _QRW_START = 1  # chirality N
 
 
@@ -196,7 +196,7 @@ def _det_poly(rows: List[List[MultiPoly]]) -> MultiPoly:
 def _qrw_system() -> Tuple[List[List[MultiPoly]], MultiPoly]:
     monos = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
     I_minus_M = [[MultiPoly.const(3, 1 if i == j else 0)
-                  - _mp(3, (_QRW_COIN[i][j], monos[i])) for j in range(4)]
+                  - _mp(3, (_HALF * _QRW_SIGN[i][j], monos[i])) for j in range(4)]
                  for i in range(4)]
     return I_minus_M, _det_poly(I_minus_M)
 
@@ -234,25 +234,20 @@ def qrw_simulate(t: int) -> Dict[Tuple[int, int, int], Fraction]:
 
     Keys are (x, y, chirality index in ENWS); values are rational
     amplitudes.  This is the independent oracle the generating functions
-    are checked against.
+    are checked against.  The coin is _QRW_SIGN / 2, so the walk carries
+    2^step * amplitude as Python ints (past int64 for large t).
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    state: Dict[Tuple[int, int, int], Fraction] = {(0, 0, _QRW_START): Fraction(1)}
+    state: Dict[Tuple[int, int, int], int] = {(0, 0, _QRW_START): 1}
     for _ in range(t):
-        new: Dict[Tuple[int, int, int], Fraction] = {}
+        new: Dict[Tuple[int, int, int], int] = {}
         for (x, y, eta), amp in state.items():
-            for xi in range(4):
-                c = _QRW_COIN[xi][eta] * amp
-                if c:
-                    key = (x + _QRW_DISP[xi][0], y + _QRW_DISP[xi][1], xi)
-                    val = new.get(key, Fraction(0)) + c
-                    if val:
-                        new[key] = val
-                    elif key in new:
-                        del new[key]
-        state = new
-    return state
+            for xi, (dx, dy) in enumerate(_QRW_DISP):
+                key = (x + dx, y + dy, xi)
+                new[key] = new.get(key, 0) + _QRW_SIGN[xi][eta] * amp
+        state = {key: amp for key, amp in new.items() if amp}
+    return {key: Fraction(amp, 2 ** t) for key, amp in state.items()}
 
 
 # -- graph-polynomial fractional powers --------------------------------------------

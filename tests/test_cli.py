@@ -273,6 +273,20 @@ class TestInputErrors:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: conepoint oracle")
 
+    def test_float_outside_oracle_exit_3(self, capsys):
+        # only oracle formats values; elsewhere --float is an unknown option
+        rc, out, err = run(capsys, "asym", "--preset", "aztec", "--r", "0,0,9", "--float", "3")
+        assert rc == 3 and not out
+        assert err.startswith("usage: conepoint") and "--float" in err
+
+    @pytest.mark.parametrize("source", [("--preset", "aztec"),
+                                        ("--spec", str(SPEC_DIR / "fls.json"))],
+                             ids=["preset", "spec"])
+    def test_beta_outside_fls_exit_3(self, capsys, source):
+        rc, out, err = run(capsys, "oracle", *source, "--beta", "5/4", "--at", "1,1,2")
+        assert rc == 3 and not out
+        assert err.startswith("spec error:") and "--beta" in err
+
     def test_zero_direction_exit_3(self, capsys):
         for argv in (("asym", "--preset", "aztec", "--r", "0,0,0"),
                      ("compare", "--preset", "aztec", "--directions", "1,2,9;0,0,0")):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -101,7 +102,18 @@ class TestReferenceAgreement:
                 assert mine.tag is ref, (name, r)
 
 
+# SHA-256 of the sorted states of qrw_simulate at these times, recorded from
+# the Fraction-based walk; the scaled-integer walk must reproduce it
+QRW_GOLDEN_TIMES = (0, 1, 16, 32, 64)
+QRW_GOLDEN = "badba29aaa881179e865863e9fa9b871530ea802d421533740d8387d538a7eaf"
+
+
 class TestQRW:
+    def test_simulation_golden_digest(self):
+        text = "".join(f"{t} {x} {y} {i} {v}\n" for t in QRW_GOLDEN_TIMES
+                       for (x, y, i), v in sorted(qrw_simulate(t).items()))
+        assert hashlib.sha256(text.encode()).hexdigest() == QRW_GOLDEN
+
     def test_time_zero_and_one(self):
         s0 = qrw_simulate(0)
         assert s0 == {(0, 0, 1): Fraction(1)}
