@@ -9,8 +9,15 @@ dynamic program:
   D = prod Q_j^(s_j), solved level by level in the grading w = -u;
 * any real power: the logarithmic-derivative recurrence
   D * d_i(g) = -A_i * g,   A_i = sum_j s_j (d_i Q_j) prod_{k != j} Q_k,
-  for g = prod Q_j^(-s_j), solved coefficient by coefficient in graded
-  order, then multiplied by the numerator.
+  for g = prod Q_j^(-s_j), solved level by level in the total degree,
+  then multiplied by the numerator.
+
+Each level of a sweep is a slab: one flat Python list over every
+coordinate but one, which the level implies, laid out in a box that all
+levels share and padded by the largest generator reach.  A generator is
+then a constant index offset, and it updates a row of a level with one
+list comprehension over a shifted slice of a lower level.  Only the levels
+a generator reaches back to stay alive.
 
 Both recurrences are exact over the rationals, but the sweeps never build
 a Fraction: denominators are cleared once and every coefficient is carried
@@ -28,8 +35,10 @@ Factors with non-unit constant terms and fractional powers contribute an
 overall scalar prod c_j^(-s_j) which is kept separate from the rational
 table (it is the only possibly irrational quantity in the computation).
 
-Tables may be restricted to a box of target indices; the sweep then clips
-each graded level to the dependency closure of the box, which is what
+Tables may be restricted to a box of target indices.  Each level then
+keeps one rectangle, the dependency closure of the box (the box widened by
+the remaining levels times the generators' reach) cut to the bounding box
+of the cells that level can reach; its other cells stay 0.  This is what
 makes single-coefficient queries at large total degree cheap.
 """
 
@@ -38,8 +47,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import add, sub
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import combinations, product
+from operator import add, le, mul
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .polyseries import FIELD_RATIONAL, FIELD_REAL, MultiPoly, TruncatedSeries
 
@@ -175,7 +185,7 @@ class CoeffTable:
         v = self.values.get(tuple(r))
         if v is None:
             return Fraction(0) if isinstance(self.scale, Fraction) else 0.0
-        return self.scale * v
+        return v if self.scale == 1 else self.scale * v
 
     def bounds(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         if not self.values:
@@ -193,13 +203,6 @@ def _grade_of(m: Exponent, w: Tuple[int, ...]) -> int:
     return sum(a * b for a, b in zip(m, w))
 
 
-def _split_by_grade(p: MultiPoly, w: Tuple[int, ...]) -> Dict[int, Dict[Exponent, object]]:
-    out: Dict[int, Dict[Exponent, object]] = {}
-    for m, c in p.terms.items():
-        out.setdefault(_grade_of(m, w), {})[m] = c
-    return out
-
-
 def _check_graded_unit(D: MultiPoly, w: Tuple[int, ...]):
     zero = (0,) * D.arity
     for m in D.terms:
@@ -213,28 +216,121 @@ def _check_graded_unit(D: MultiPoly, w: Tuple[int, ...]):
         raise NotNormalizedError("factor product has zero constant term")
 
 
-class _BoxClip:
-    """Per-level dependency-closure clip around a target box."""
+def _narrow(a: int, b: int, c: int, base: int, lo: int, hi: int) -> Tuple[int, int]:
+    """The integers t in [a, b] with lo <= base + c*t <= hi, as (a', b')."""
+    if c < 0:
+        c, base, lo, hi = -c, -base, -hi, -lo
+    if c == 0:
+        return (a, b) if lo <= base <= hi else (1, 0)
+    return max(a, -((base - lo) // c)), min(b, (hi - base) // c)
 
-    def __init__(self, lo, hi, generators, max_level):
-        self.lo, self.hi = tuple(lo), tuple(hi)
-        d = len(lo)
-        self.up = [0] * d
-        self.down = [0] * d
-        for u in generators:
-            for i in range(d):
-                self.up[i] = max(self.up[i], u[i])
-                self.down[i] = max(self.down[i], -u[i])
-        self.max_level = max_level
 
-    def keep(self, m: Exponent, level: int) -> bool:
-        slack = self.max_level - level
-        for i, e in enumerate(m):
-            if e < self.lo[i] - slack * self.up[i]:
-                return False
-            if e > self.hi[i] + slack * self.down[i]:
-                return False
-        return True
+class _Slabs:
+    """The flat layout that all graded levels of one sweep share.
+
+    Level l holds the cells m with v . m = l.  The level implies the last
+    sweep axis, so a level is one flat list over the other axes, padded by
+    the largest shift a cell reads at: m - u sits at index(m) - off(u).
+    Sweeps fill the rows of each level's clip rectangle, cut by a cap
+    (w, lo, hi) to lo <= w . m <= hi, and leave every other entry 0.  The
+    sweep axes move the last coordinate of least positive weight last;
+    arity 1 gets a leading zero axis.
+    """
+
+    def __init__(self, v: Sequence[int], boxes, shifts):
+        d = len(v)
+        k = max((i for i in range(d) if v[i] > 0), key=lambda i: (-v[i], i))
+        self.axes = (None,) * (d == 1) + tuple(i for i in range(d) if i != k) + (k,)
+        self.pos = [self.axes.index(i) for i in range(d)]
+        self.moved = self.axes != tuple(range(d))
+        self.v = self.sweep(v)
+        boxes = [(self.sweep(lo), self.sweep(hi)) for lo, hi in boxes]
+        shifts = [self.sweep(u) for u in shifts] + [self.sweep((0,) * d)]
+        origin = [min(b[0][s] for b in boxes) - max(u[s] for u in shifts)
+                  for s in range(len(self.axes) - 1)]
+        width = [max(b[1][s] for b in boxes) - min(u[s] for u in shifts) - o + 1
+                 for s, o in enumerate(origin)]
+        self.stride = [math.prod(width[s + 1:]) for s in range(len(width))]
+        self.size = math.prod(width)
+        self.base = sum(map(mul, origin, self.stride))
+
+    def sweep(self, m: Sequence[int]) -> Exponent:
+        return tuple(0 if a is None else m[a] for a in self.axes)
+
+    def index(self, m: Sequence[int], swept: bool = False) -> int:
+        return sum(map(mul, m if swept else self.sweep(m), self.stride)) - self.base
+
+    def off(self, u: Sequence[int]) -> int:
+        return self.index(u) + self.base
+
+    def rows(self, level: int, lo, hi, cap=None):
+        """(start, a, b, outer, rem) for each row of the level's rectangle
+        [lo, hi]: the cells (*outer, t, (rem - v_j t) / v_k), t = a..b, sit
+        at start + t - a."""
+        lo, hi = self.sweep(lo), self.sweep(hi)
+        *vo, vj, vk = self.v
+        if cap:
+            *co, cj, ck = self.sweep(cap[0])
+        for outer in product(*map(range, lo[:-2], [h + 1 for h in hi[:-2]])):
+            rem = level - sum(map(mul, vo, outer))
+            a, b = _narrow(lo[-2], hi[-2], -vj, rem, vk * lo[-1], vk * hi[-1])
+            if cap:   # vk * (w . m) along the row
+                base = vk * sum(map(mul, co, outer)) + ck * rem
+                a, b = _narrow(a, b, vk * cj - ck * vj, base, vk * cap[1], vk * cap[2])
+            if a <= b:
+                yield self.index((*outer, a), True), a, b, outer, rem
+
+    def cells(self, row: List[object], a: int, outer, rem: int):
+        """(spec index, value) of each nonzero cell of a row from t = a."""
+        vj, vk = self.v[-2:]
+        out = [((*outer, t, (rem - vj * t) // vk), x) for t, x in enumerate(row, a) if x]
+        if self.moved:
+            out = [(tuple(m[p] for p in self.pos), x) for m, x in out]
+        return out
+
+
+def _hulls(levels: Sequence[int], seeds, steps, source=None, clip=None):
+    """The bounding box of each level's cells, built in level order: the
+    cells seeds[l] and source[l - k] + u for each step (u, k), source being
+    the boxes built so far unless given.  A clip (lo, hi, up, down, top)
+    cuts level l to lo - s*up .. hi + s*down, s = top - l."""
+    rects = {}
+    for l in levels:
+        boxes = [(m, m) for m in seeds.get(l, ())]
+        boxes += [(tuple(map(add, r[0], u)), tuple(map(add, r[1], u)))
+                  for u, k in steps for r in [(rects if source is None else source).get(l - k)]
+                  if r]
+        if boxes:
+            lo = [min(x) for x in zip(*(b[0] for b in boxes))]
+            hi = [max(x) for x in zip(*(b[1] for b in boxes))]
+            if clip:
+                clo, chi, up, down, top = clip
+                lo = [max(x, c - (top - l) * e) for x, c, e in zip(lo, clo, up)]
+                hi = [min(x, c + (top - l) * e) for x, c, e in zip(hi, chi, down)]
+            if all(map(le, lo, hi)):
+                rects[l] = (lo, hi)
+    return rects
+
+
+def _pivot_runs(lines: List[Tuple[int, int]], a: int, b: int) -> List[List[int]]:
+    """Split t = a..b into runs [i, s, e] on which i, the first coordinate of
+    the largest alpha + beta*t over lines (alpha, beta), is constant: the
+    order changes only where two lines cross, so cut at floor(x) and x+1."""
+    cuts = {a, b + 1}
+    for (a1, b1), (a2, b2) in combinations(lines, 2):
+        if b1 != b2:
+            x = (a2 - a1) // (b1 - b2)
+            cuts.update((x, x + 1))
+    cuts = sorted(c for c in cuts if a <= c <= b + 1)
+    runs = []
+    for s, e in zip(cuts, cuts[1:]):
+        vals = [al + be * s for al, be in lines]
+        i = vals.index(max(vals))
+        if runs and runs[-1][0] == i:
+            runs[-1][2] = e - 1
+        else:
+            runs.append([i, s, e - 1])
+    return runs
 
 
 def _denominator_lcm(*polys: MultiPoly) -> int:
@@ -252,18 +348,23 @@ def _lifted(c, L: int, k: int, C: Optional[int], top: int) -> List[object]:
 
 
 def _sweep_integer(numer: MultiPoly, D: MultiPoly, w: Tuple[int, ...], max_level: int,
-                   clip: Optional[_BoxClip]) -> Dict[Exponent, object]:
+                   box: Optional[Tuple[Sequence[int], Sequence[int]]]) -> Dict[Exponent, object]:
     """Solve D * f = numer level by level in the grading w.
 
     Exact inputs run on ints: with L clearing the denominators of D and
     numer and d0 = L*D[0], the sweep carries G_m = d0^(g+1) f_m (g the grade
     of m) through G_m = d0^g L P_m - sum_u L c_u d0^(grade(u)-1) G_{m-u}.
+    With a box, level g keeps lo - s*up .. hi + s*down, s = max_level - g,
+    up/down being the largest reach of a generator or numerator term along
+    each axis: the dependency closure of the box.
     """
     _check_graded_unit(D, w)
     zero = (0,) * D.arity
     d0 = D.terms[zero]
     gens = [(m, c) for m, c in D.terms.items() if m != zero]
-    p_levels = _split_by_grade(numer, w)
+    p_levels: Dict[int, Dict[Exponent, object]] = {}
+    for m, c in numer.terms.items():
+        p_levels.setdefault(_grade_of(m, w), {})[m] = c
     if any(g < 0 for g in p_levels):
         raise SpecError("numerator has negative grade in the chosen direction")
     exact = D.field_tag == numer.field_tag == FIELD_RATIONAL
@@ -273,159 +374,150 @@ def _sweep_integer(numer: MultiPoly, D: MultiPoly, w: Tuple[int, ...], max_level
         d0 = int(d0 * L)
         # generators may sit above max_level; the table needs d0^(grade(u)-1)
         top = max([max_level + 1] + [_grade_of(u, w) for u, _ in gens])
-        d0_pow = [1]
-        for _ in range(top):
-            d0_pow.append(d0_pow[-1] * d0)
+        d0_pow = [d0 ** g for g in range(top + 1)]
         gens = [(u, int(c * L) * d0_pow[_grade_of(u, w) - 1]) for u, c in gens]
         p_levels = {g: {m: int(c * L) * d0_pow[g] for m, c in terms.items()}
                     for g, terms in p_levels.items() if g <= max_level}
-
+    steps = [(u, _grade_of(u, w)) for u, _ in gens]
+    clip = None
+    if box is not None:
+        shifts = [u for u, _ in gens] + list(numer.terms)
+        up = [max([0] + [u[i] for u in shifts]) for i in range(D.arity)]
+        down = [max([0] + [-u[i] for u in shifts]) for i in range(D.arity)]
+        clip = (box[0], box[1], up, down, max_level)
+    rects = _hulls(range(max_level + 1), p_levels, steps, clip=clip)
+    if not rects:
+        return {}
+    lay = _Slabs(w, rects.values(), [u for u, _ in gens])
+    terms = [(lay.off(u), c, k) for (u, c), (_, k) in zip(gens, steps)]
+    reach = max([k for _, k in steps], default=0)
     table: Dict[Exponent, object] = {}
-    support: List[List[Exponent]] = [[] for _ in range(max_level + 1)]
-    for level in range(max_level + 1):
-        cand = set(p_levels.get(level, ()))
-        for u, _ in gens:
-            gl = level - _grade_of(u, w)
-            if gl >= 0:
-                for m in support[gl]:
-                    cand.add(tuple(map(add, m, u)))
-        plevel = p_levels.get(level, {})
-        for m in cand:
-            if clip is not None and not clip.keep(m, level):
-                continue
-            val = plevel.get(m, 0)
-            for u, cu in gens:
-                prev = table.get(tuple(map(sub, m, u)))
-                if prev is not None:
-                    val = val - cu * prev
-            if val:
-                if div is not None:
-                    val = val / div
-                table[m] = val
-                support[level].append(m)
-    if exact:
-        for m, val in table.items():
-            table[m] = Fraction(val, d0_pow[_grade_of(m, w) + 1])
+    slabs: Dict[int, List[object]] = {}
+    for g, (lo, hi) in rects.items():
+        slabs = {l: s for l, s in slabs.items() if l >= g - reach}
+        cur = [0] * lay.size
+        for m, c in p_levels.get(g, {}).items():
+            if all(map(le, lo, m)) and all(map(le, m, hi)):
+                cur[lay.index(m)] = c
+        deps = [(off, c, slabs[g - k]) for off, c, k in terms if g - k in slabs]
+        for i0, a, b, outer, rem in lay.rows(g, lo, hi):
+            i1 = i0 + b - a + 1
+            row = cur[i0:i1]
+            for off, c, prev in deps:
+                row = [x - c * y if y else x for x, y in zip(row, prev[i0 - off:i1 - off])]
+            if div is not None:
+                row = [x / div for x in row]
+            cur[i0:i1] = row
+            cells = lay.cells(row, a, outer, rem)
+            table.update([(m, Fraction(x, d0_pow[g + 1])) for m, x in cells] if exact else cells)
+        slabs[g] = cur
     return table
 
 
-def _sweep_real(D: MultiPoly, A: List[MultiPoly], w: Tuple[int, ...], max_level: int,
-                clip: Optional[_BoxClip], C: Optional[int]) -> Dict[Exponent, object]:
-    """Solve D * d_i(g) = -A_i * g for g with g(0) = 1, graded by w.
+def _sweep_real(D: MultiPoly, A: List[MultiPoly], lay: _Slabs, rects, cap,
+                C: Optional[int]) -> Iterator[Tuple[int, List[object]]]:
+    """Solve D * x_i d_i(g) = -A_i * g for g with g(0) = 1 by the total
+    degree n = |m|, yielding (n, level) for n = 0 .. max(rects).
 
-    Requires strictly positive w and orthant-supported D, A_i (arranged by
-    the caller); then every dependency of a grade-l coefficient lies at a
-    strictly smaller grade.  With an integer C the result holds the ints
-    N_m = n! C^n g_m, n = |m|: with L clearing the denominators of D and
-    the A_i, m_i L N_m is an integer combination of lower N's, each lifted
-    by n!/n'! C^(n-n'), and the division by m_i L must be exact.  With C
-    None the coefficients are used as given (float mode).
+    A_i is x_i times the logarithmic-derivative polynomial; D and the A_i
+    are orthant-supported (arranged by the caller), so a cell depends on
+    strictly smaller n only.  The cell m is solved through i, the first
+    coordinate of its largest exponent.  With an integer C the levels hold
+    N_m = n! C^n g_m: with L clearing the denominators of D and the A_i,
+    m_i L N_m is an integer combination of lower N's, each lifted by
+    n!/n'! C^(n-n'), and the division by m_i L must be exact.  With C None
+    the coefficients are used as given (float mode).
     """
-    arity = D.arity
-    zero = (0,) * arity
+    zero = (0,) * D.arity
     if D.terms.get(zero) != 1:
         raise NotNormalizedError("real-power recurrence needs unit constant terms")
-    if any(wi < 1 for wi in w):
-        raise SpecError("real powers need a strictly negative cone direction "
-                        "(every variable graded)")
-    gens = set(m for m in D.terms if m != zero)
-    unit = [tuple(int(i == j) for i in range(arity)) for j in range(arity)]
-    for i, Ai in enumerate(A):
-        for m in Ai.terms:
-            gens.add(tuple(a + b for a, b in zip(m, unit[i])))
-    gens.discard(zero)
     L = _denominator_lcm(D, *A) if C is not None else 1
-    # n = |m| <= grade(m) <= max_level because every w_i >= 1
-    d_gens = [(m, _lifted(c, L, sum(m), C, max_level))
-              for m, c in D.terms.items() if m != zero]
-    a_terms = [[(tuple(map(add, u, unit[i])), _lifted(c, L, sum(u) + 1, C, max_level))
-                for u, c in Ai.terms.items()] for i, Ai in enumerate(A)]
-
-    one = 1 if C is not None else (Fraction(1) if D.field_tag == FIELD_RATIONAL else 1.0)
-    table: Dict[Exponent, object] = {zero: one}
-    support: List[List[Exponent]] = [[] for _ in range(max_level + 1)]
-    support[0].append(zero)
-    for level in range(1, max_level + 1):
-        cand = set()
-        for u in gens:
-            gl = level - _grade_of(u, w)
-            if gl >= 0:
-                for m in support[gl]:
-                    cand.add(tuple(map(add, m, u)))
-        for m in cand:
-            if any(e < 0 for e in m):
-                continue
-            if clip is not None and not clip.keep(m, level):
-                continue
-            i = max(range(arity), key=m.__getitem__)
-            mi = m[i]
-            n = sum(m)
-            val = 0
-            for u, cu in a_terms[i]:
-                prev = table.get(tuple(map(sub, m, u)))
-                if prev is not None:
-                    val = val - cu[n] * prev
-            for u, cu in d_gens:
-                prev = table.get(tuple(map(sub, m, u)))
-                if prev is not None:
-                    val = val - cu[n] * (mi - u[i]) * prev
-            if val:
+    top = max(rects)
+    d_gens = [(lay.off(u), sum(u), u, _lifted(c, L, sum(u), C, top))
+              for u, c in D.terms.items() if u != zero]
+    a_terms = [[(lay.off(u), sum(u), _lifted(c, L, sum(u), C, top)) for u, c in Ai.terms.items()]
+               for Ai in A]
+    reach = max(sum(u) for p in (D, *A) for u in p.terms)
+    cur = [0] * lay.size
+    cur[lay.index(zero)] = 1 if C is not None else (
+        Fraction(1) if D.field_tag == FIELD_RATIONAL else 1.0)
+    slabs = {0: cur}
+    yield 0, cur
+    for n in range(1, top + 1):
+        cur = [0] * lay.size
+        adeps = [[(off, cu[n], slabs[n - k]) for off, k, cu in t if n - k in slabs]
+                 for t in a_terms]
+        ddeps = [(off, cu[n], u, slabs[n - k]) for off, k, u, cu in d_gens if n - k in slabs]
+        for i0, a, b, outer, rem in lay.rows(n, *rects[n], cap) if n in rects else ():
+            ab = [(o, 0) for o in outer] + [(0, 1), (rem, -1)]
+            lines = [ab[p] for p in lay.pos]   # each coordinate along the row
+            for i, s, e in _pivot_runs(lines, a, b):
+                p0, p1 = i0 + s - a, i0 + e - a + 1
+                mis = [lines[i][0] + lines[i][1] * t for t in range(s, e + 1)]
+                row = [0] * (p1 - p0)
+                for off, c, prev in adeps[i]:
+                    row = [x - c * y if y else x for x, y in zip(row, prev[p0 - off:p1 - off])]
+                for off, c, u, prev in ddeps:
+                    ui = u[i]
+                    row = [x - c * (mi - ui) * y if y else x
+                           for x, y, mi in zip(row, prev[p0 - off:p1 - off], mis)]
                 if C is None:
-                    val = val / mi
+                    row = [x / mi for x, mi in zip(row, mis)]
                 else:
-                    val, rem = divmod(val, mi * L)
-                    if rem:
-                        raise ArithmeticError(f"scaled coefficient at {m} is not an integer")
-                table[m] = val
-                support[level].append(m)
-    return table
+                    row = [divmod(x, mi * L) for x, mi in zip(row, mis)]
+                    if any(r for _, r in row):
+                        raise ArithmeticError(f"a scaled coefficient of degree {n} "
+                                              "is not an integer")
+                    row = [q for q, _ in row]
+                cur[p0:p1] = row
+        slabs = {k: v for k, v in slabs.items() if k > n - reach}
+        slabs[n] = cur
+        yield n, cur
 
 
-def _multiply_numerator(table: Dict[Exponent, object], numer: MultiPoly,
-                        w: Tuple[int, ...], max_level: int,
-                        clip: Optional[_BoxClip], C: Optional[int]) -> Dict[Exponent, object]:
-    """numer times the plain-series table from _sweep_real (same C); empties
-    `table` once the product is built.
+def _multiply_numerator(levels: Iterator[Tuple[int, List[object]]], numer: MultiPoly,
+                        lay: _Slabs, rects, cap, C: Optional[int]) -> Dict[Exponent, object]:
+    """numer times the plain-series levels from _sweep_real (same C), by the
+    total degree of the product, keeping the levels a numerator term reads.
 
     With an integer C, the product at key is carried at the common scale
     Lp T! C^T, T = |key| - min|p| and Lp clearing the numerator's
     denominators, and converted to a Fraction at the end.
     """
-    pmin = min((sum(p) for p in numer.terms), default=0)
+    pmin, pmax = min(map(sum, numer.terms)), max(map(sum, numer.terms))
     Lp = _denominator_lcm(numer) if C is not None else 1
-    top = max(sum(m) for m in table)
-    out: Dict[Exponent, object] = {}
+    top = max(rects)
+    terms = []
     for p, cp in numer.terms.items():
-        gp = _grade_of(p, w)
         dp = sum(p) - pmin
         # the coefficient of N_m, indexed by |m|: Lp cp (|m|+dp)!/|m|! C^dp
-        lift = _lifted(cp, Lp, dp, C, top + dp)[dp:]
-        for m, cm in table.items():
-            g = gp + _grade_of(m, w)
-            if g > max_level:
-                continue
-            key = tuple(map(add, p, m))
-            if clip is not None and not clip.keep(key, g):
-                continue
-            term = lift[sum(m)] * cm
-            if key in out:
-                out[key] = out[key] + term
-            else:
-                out[key] = term
-    table.clear()
-    for key in [key for key, c in out.items() if not c]:
-        del out[key]
-    if C is not None:
-        dens = [Lp]
-        for T in range(1, max((sum(k) - pmin for k in out), default=0) + 1):
-            dens.append(dens[-1] * T * C)
-        for key, c in out.items():
-            out[key] = Fraction(c, dens[sum(key) - pmin])
+        terms.append((lay.off(p), sum(p), _lifted(cp, Lp, dp, C, top - pmin + dp)[dp:]))
+    out: Dict[Exponent, object] = {}
+    window: Dict[int, List[object]] = {}
+    den = Lp
+    for n in range(pmin, top + 1):
+        window = {k: v for k, v in window.items() if k >= n - pmax}
+        k, slab = next(levels, (None, None))
+        if k is not None:
+            window[k] = slab
+        if n > pmin and C is not None:
+            den *= (n - pmin) * C
+        for i0, a, b, outer, rem in lay.rows(n, *rects[n], cap) if n in rects else ():
+            i1 = i0 + b - a + 1
+            row = [0] * (i1 - i0)
+            for off, deg, lift in terms:
+                if n - deg in window:
+                    c = lift[n - deg]
+                    row = [x + c * y if y else x
+                           for x, y in zip(row, window[n - deg][i0 - off:i1 - off])]
+            cells = lay.cells(row, a, outer, rem)
+            out.update(cells if C is None else [(m, Fraction(x, den)) for m, x in cells])
     return out
 
 
 def _prepare_real(spec: QuasiRationalSpec, float_mode: bool):
-    """Unit-normalize factors; return (D, A_list, scale, C).
+    """Unit-normalize factors; return (D, A_list, scale, C), A_i being x_i
+    times the logarithmic-derivative polynomial sum_j s_j (d_i Q_j) prod_{k != j} Q_k.
 
     C = lcm(power denominators) * lcm(unit-normalized coefficient
     denominators) makes |m|! C^|m| g_m an integer, since the coefficient of
@@ -473,7 +565,7 @@ def _prepare_real(spec: QuasiRationalSpec, float_mode: bool):
                 if k != j:
                     term = term * other
             Ai = Ai + term.scale(powers[j])
-        A.append(Ai)
+        A.append(Ai.shift(tuple(int(k == i) for k in range(arity))))
     total_scale = scale if scale_exact else float(scale) * float_scale
     if float_mode:
         D = D.to_field(FIELD_REAL)
@@ -496,25 +588,34 @@ def _run(spec: QuasiRationalSpec, max_level: int,
             D = D * poly.pow(_as_int(power))
         if float_mode:
             D = D.to_field(FIELD_REAL)
-        clip = None
-        if box is not None:
-            gens = [m for m in D.terms if any(m)] + list(numer.terms)
-            clip = _BoxClip(box[0], box[1], gens, max_level)
-        values = _sweep_integer(numer, D, w, max_level, clip)
+        values = _sweep_integer(numer, D, w, max_level, box)
         scale = Fraction(1) if not float_mode else 1.0
     else:
         D, A, scale, C = _prepare_real(spec, float_mode)
         _check_graded_unit(D, w)
-        numer_lo = numer.min_exponents()
-        clip = hclip = None
+        if any(wi < 1 for wi in w):
+            raise SpecError("real powers need a strictly negative cone direction "
+                            "(every variable graded)")
+        # plain-series level n holds m >= 0 with n <= w . m <= max_level; with
+        # a box, m stays below its top minus the numerator's least exponents
+        zero = (0,) * spec.arity
+        gens = [u for p in (D, *A) for u in p.terms if any(u)]
+        gclip = kclip = None
         if box is not None:
-            # the plain-series table must reach box minus the numerator support
-            hi = tuple(b - l for b, l in zip(box[1], numer_lo))
-            lo = tuple(0 for _ in range(spec.arity))
-            hclip = _BoxClip(lo, hi, list(D.terms), max_level)
-            clip = _BoxClip(box[0], box[1], [], max_level)
-        values = _multiply_numerator(_sweep_real(D, A, w, max_level, hclip, C),
-                                     numer, w, max_level, clip, C)
+            top = [b - e for b, e in zip(box[1], numer.min_exponents())]
+            gclip, kclip = (zero, top, zero, zero, 0), (box[0], box[1], zero, zero, 0)
+        grects = _hulls(range(max_level + 1), {0: [zero]}, [(u, sum(u)) for u in gens],
+                        clip=gclip)
+        degs = [sum(p) for p in numer.terms]
+        orects = _hulls(range(min(degs, default=0), max_level + max(degs, default=0) + 1), {},
+                        [(p, sum(p)) for p in numer.terms], grects, kclip)
+        values = {}
+        if orects:
+            lay = _Slabs((1,) * spec.arity, [*grects.values(), *orects.values()],
+                         gens + list(numer.terms))
+            levels = _sweep_real(D, A, lay, grects, (w, 0, max_level), C)
+            cap = (w, min(_grade_of(p, w) for p in numer.terms), max_level)
+            values = _multiply_numerator(levels, numer, lay, orects, cap, C)
     return CoeffTable(spec.arity, values, w, max_level, scale)
 
 

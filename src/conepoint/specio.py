@@ -137,12 +137,17 @@ def format_value(v, float_digits: Optional[int] = None) -> str:
     return repr(f) if float_digits is None else f"{f:.{float_digits}g}"
 
 
+def _table_items(table: CoeffTable):
+    """(index, coefficient) pairs of a table in index order."""
+    s = table.scale
+    return ((m, v if s == 1 else s * v) for m, v in sorted(table.values.items()))
+
+
 def table_to_csv(table: CoeffTable, float_digits: Optional[int] = None) -> str:
     header = ",".join(f"r{i+1}" for i in range(table.arity)) + ",value"
     lines = [header]
-    for m in sorted(table.values):
-        lines.append(",".join(str(e) for e in m) + "," +
-                     format_value(table.value_at(m), float_digits))
+    for m, v in _table_items(table):
+        lines.append(",".join(str(e) for e in m) + "," + format_value(v, float_digits))
     return "\n".join(lines) + "\n"
 
 
@@ -155,9 +160,8 @@ def table_to_json(table: CoeffTable, float_digits: Optional[int] = None) -> dict
         "bounds": {"min": list(lo), "max": list(hi)},
         "scale": scalar_to_json(table.scale),
         "coefficients": [
-            {"r": list(m), "value": scalar_to_json(table.value_at(m))
-             if float_digits is None else float(table.value_at(m))}
-            for m in sorted(table.values)],
+            {"r": list(m), "value": scalar_to_json(v) if float_digits is None else float(v)}
+            for m, v in _table_items(table)],
     }
 
 

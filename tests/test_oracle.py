@@ -329,6 +329,33 @@ GOLDEN_BOX = {
     "superballot": (((1, 2, 0), (6, 5, 7)),
                     "63da00ba1e2109673f184a8ffb0e4450a57047cdfa9390b8b95d8d07d40926c3"),
 }
+# box-clipped sweeps as `oracle --at` and `compare` run them: the tables keep
+# the slack cells that the clip leaves around the target box
+GOLDEN_CLIP = [
+    ("fls", (14, 14, 14), (14, 14, 14),
+     "6acbf444ba39d51c21a4e37a40f83275dbe1fd1b9551a0f9f50a180a7c241a61"),
+    ("superballot", (6, 30, 7), (6, 30, 7),
+     "9ae080a09ff93af257de1d4b2f3c2a4337097465d2bc55f66d23d97f1d1854dc"),
+    ("superballot-core", (16, 18, 20), (16, 18, 20),
+     "ebcf06794565461b90d9d1432b5594eeeeddd24ea8139935bcfd4ae787585206"),
+    ("cube_grove", (16, 18, 20), (16, 18, 20),
+     "b1150d305ea6b56b73f7a5137395bfc7a7acbe9f3c0d35e6906687c81e637e89"),
+    ("aztec", (3, 1, 39), (3, 1, 39),
+     "f000d88d83cbc8151979b88b839d9555a498770dd140c66556714d278e7b9c72"),
+    ("aztec", (0, -1, 39), (0, -1, 39),
+     "18d2bdafb43ad8ecef2e8af7be11660bd3cca22fcd9a31f7260b6033169600f3"),
+    ("aztec", (-15, -15, 0), (15, 15, 30),
+     "8542cd2debf0748aa0aa896c15d5c7ad3d71ab09ba52bd292496ce957452f710"),
+    ("superballot-core", (0, 0, 0), (24, 24, 24),
+     "7e275b9710e569b98bafe37777d0f289bf25635f04fdfed788d72c62cabf014b"),
+]
+# float-mode box sweeps printed with 17 digits: the real and the integer engine
+GOLDEN_FLOAT_BOX = [
+    ("fls", (3, 0, 2), (9, 8, 10),
+     "48fbba63c980d4a00d09e2150ee8446a4402aeeee8af40a6fc1274338811949a"),
+    ("cube_grove", (2, 1, 3), (9, 8, 7),
+     "4e92b835b8ff93658b60237b3201354e8eaf0beb79f76dcbc2e168fd282d920d"),
+]
 # exact tables printed with 17 digits, then float-mode sweeps printed the same way
 GOLDEN_CSV = {
     "aztec": ("9fac72f47c77cc492e718f9d6a39c6a1ec039baa50af8c7c52cede0ed691fcfd",
@@ -363,3 +390,15 @@ class TestGoldenOutput:
         assert _sha256(table_to_csv(exact, float_digits=17)) == exact_digest
         approx = expand(spec, GOLDEN_ORDERS[name], float_mode=True)
         assert _sha256(table_to_csv(approx, float_digits=17)) == float_digest
+
+    @pytest.mark.parametrize("name,lo,hi,digest", GOLDEN_CLIP)
+    def test_clipped_box_json(self, name, lo, hi, digest):
+        from conepoint.specio import canonical_json, table_to_json
+        table = expand_box(preset(name).spec, lo, hi)
+        assert _sha256(canonical_json(table_to_json(table))) == digest
+
+    @pytest.mark.parametrize("name,lo,hi,digest", GOLDEN_FLOAT_BOX)
+    def test_float_box_csv(self, name, lo, hi, digest):
+        from conepoint.specio import table_to_csv
+        table = expand_box(preset(name).spec, lo, hi, float_mode=True)
+        assert _sha256(table_to_csv(table, float_digits=17)) == digest
