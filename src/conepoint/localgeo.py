@@ -139,8 +139,7 @@ def classify_quadratic(h: MultiPoly, u: Sequence, tol: float = 1e-9) -> Tuple[Ma
         flipped = True
     elif qu == 0:
         raise GeometryError("reference direction lies on the quadratic's null cone")
-    import numpy as np  # here, so that the oracle commands never load numpy
-    eig = np.linalg.eigvalsh(np.array(M, dtype=float))
+    eig = _symmetric_eigenvalues(M)
     emax = max(abs(e) for e in eig)
     if any(abs(e) <= 1e-12 * emax for e in eig):
         raise DegenerateError("quadratic form is singular")
@@ -148,6 +147,37 @@ def classify_quadratic(h: MultiPoly, u: Sequence, tol: float = 1e-9) -> Tuple[Ma
     if npos != 1:
         raise SignatureError(f"signature ({npos},{len(eig) - npos}) is not Lorentzian")
     return M, flipped
+
+
+def _symmetric_eigenvalues(M: Matrix) -> List[float]:
+    """Eigenvalues of a real symmetric matrix, in floats, by cyclic Jacobi
+    rotations; each rotation zeroes one off-diagonal pair.  The matrix is
+    first scaled by a power of two to entries below 1, which is exact."""
+    e = math.frexp(max(abs(float(x)) for row in M for x in row))[1]
+    a = [[math.ldexp(float(x), -e) for x in row] for row in M]
+    n = len(a)
+    total = sum(x * x for row in a for x in row)
+    for _ in range(50):
+        if sum(a[p][q] * a[p][q] for p in range(n) for q in range(p)) <= 1e-34 * total:
+            break
+        for p in range(n):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.hypot(t, 1.0)
+                s = t * c
+                a[p][p] -= t * apq
+                a[q][q] += t * apq
+                a[p][q] = a[q][p] = 0.0
+                for r in range(n):
+                    if r != p and r != q:
+                        arp, arq = a[r][p], a[r][q]
+                        a[r][p] = a[p][r] = c * arp - s * arq
+                        a[r][q] = a[q][r] = s * arp + c * arq
+    return [math.ldexp(a[i][i], e) for i in range(n)]
 
 
 def dual_quadratic(q_matrix: Matrix) -> Matrix:

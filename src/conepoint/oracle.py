@@ -365,8 +365,6 @@ def _sweep_integer(numer: MultiPoly, D: MultiPoly, w: Tuple[int, ...], max_level
     p_levels: Dict[int, Dict[Exponent, object]] = {}
     for m, c in numer.terms.items():
         p_levels.setdefault(_grade_of(m, w), {})[m] = c
-    if any(g < 0 for g in p_levels):
-        raise SpecError("numerator has negative grade in the chosen direction")
     exact = D.field_tag == numer.field_tag == FIELD_RATIONAL
     div = None if exact or d0 == 1 else d0
     if exact:
@@ -579,6 +577,9 @@ def _run(spec: QuasiRationalSpec, max_level: int,
          engine: str = "auto") -> CoeffTable:
     w = grading_vector(spec.cone_direction_u, spec.arity)
     numer = spec.numerator.to_field(FIELD_REAL) if float_mode else spec.numerator
+    # a numerator term of grade g < 0 would need the series up to max_level - g
+    if any(_grade_of(m, w) < 0 for m in numer.terms):
+        raise SpecError("numerator has negative grade in the chosen direction")
     use_integer = spec.all_integer_powers() if engine == "auto" else engine == "integer"
     if use_integer and not spec.all_integer_powers():
         raise SpecError("integer engine requires positive integer powers")

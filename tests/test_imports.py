@@ -1,4 +1,6 @@
-"""The exact oracle half loads neither numpy nor the critical-point search.
+"""Commands load neither numpy nor the critical-point search unless they
+discover points: the exact oracle never does, and `asym`, `classify` and
+`compare` only when the spec or preset gives no points.
 
 Each check runs in a fresh interpreter: this suite's own process has
 imported both long before.
@@ -38,6 +40,17 @@ def test_oracle_commands_load_neither():
         '"--float"]) == 0'])
     assert loaded == []
     assert out[0] == "r1,r2,r3,value" and len(out) > 2
+
+
+def test_prepared_commands_load_neither():
+    spec = str(SPEC_DIR / "fls.json")
+    out, loaded = _modules_after([
+        'assert conepoint.cli.main(["compare", "--preset", "aztec", '
+        '"--directions=2,2,22;-1,3,23"]) == 0',
+        'assert conepoint.cli.main(["classify", "--preset", "fls", "--r", "10,10,10"]) == 0',
+        f'assert conepoint.cli.main(["asym", "--spec", {spec!r}, "--r", "10,10,10"]) == 0'])
+    assert loaded == []
+    assert len(out) >= 3
 
 
 def test_discovery_still_loads_the_search(tmp_path):

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from conepoint.polyseries import MultiPoly, TruncatedSeries, log_compose_taylor
-from conepoint.localgeo import (DirectionTag, GeometryError, SignatureError,
-                                classify_direction, classify_quadratic, dual_quadratic,
-                                homogeneous_part, mat_inverse, normalizer_absdet,
-                                quadratic_point_data, vanishing_degree)
+from conepoint.localgeo import (DegenerateError, DirectionTag, GeometryError, SignatureError,
+                                _symmetric_eigenvalues, classify_direction,
+                                classify_quadratic, dual_quadratic, homogeneous_part,
+                                mat_inverse, normalizer_absdet, quadratic_point_data,
+                                vanishing_degree)
 
 
 def mp(arity, *terms):
@@ -65,6 +66,26 @@ class TestClassifyQuadratic:
         M, flipped = classify_quadratic(h, (0, 0, -1))
         assert flipped
         assert M == quad((-HALF, 0, 0), (0, -HALF, 0), (0, 0, 1))
+
+    def test_singular_form_rejected(self):
+        h = mp(3, (1, (2, 0, 0)), (-1, (0, 2, 0)))
+        with pytest.raises(DegenerateError):
+            classify_quadratic(h, (-1, 0, 0))
+
+    def test_eigenvalues_match_numpy(self):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(5)
+        for trial in range(600):
+            d = 2 + trial % 3
+            scale = 10.0 ** rng.uniform(-3, 3)
+            A = [[0.0] * d for _ in range(d)]
+            for i in range(d):
+                for j in range(i + 1):
+                    A[i][j] = A[j][i] = rng.uniform(-1, 1) * scale
+            want = np.linalg.eigvalsh(np.array(A))
+            got = sorted(_symmetric_eigenvalues(A))
+            tol = 1e-12 * max(abs(want))
+            assert all(abs(g - w) <= tol for g, w in zip(got, want)), (trial, got, want)
 
 
 class TestDuals:

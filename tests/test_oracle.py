@@ -197,6 +197,16 @@ class TestOracleInvariants:
             for m, v in t_int.nonzero_items():
                 assert t_real.value_at(m) == v, f"trial {trial} at {m}"
 
+    @pytest.mark.parametrize("power,engine", [(Fraction(1, 2), "auto"), (1, "integer"),
+                                              (1, "real")])
+    def test_negative_grade_numerator_refused_by_both_engines(self, power, engine):
+        # the real engine used to drop index 3 (35/128 for power 1/2)
+        one_minus_x = MultiPoly(1, {(0,): Fraction(1), (1,): Fraction(-1)})
+        spec = QuasiRationalSpec(1, MultiPoly(1, {(-1,): Fraction(1)}),
+                                 ((one_minus_x, power),), (-1,))
+        with pytest.raises(SpecError, match="negative grade"):
+            expand(spec, 3, engine=engine)
+
     def test_recurrence_residual_vanishes(self, fls):
         # (prod Q) P d_i f - f (d_iP prod Q - P sum s_j d_iQ_j prod_{k!=j} Q_k) = 0
         spec = fls.spec
