@@ -47,10 +47,17 @@ class _Parser(argparse.ArgumentParser):
         raise specio.SpecFormatError(message)
 
 
-def _digits(text: str) -> int:
+def _positive_int(text: str) -> int:
     if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"needs a digit count of at least 1, got {text!r}")
+        raise argparse.ArgumentTypeError(f"needs an integer of at least 1, got {text!r}")
     return int(text)
+
+
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"needs a finite number, got {text!r}")
+    return x
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     po = sub.add_parser("oracle", help="exact series coefficients")
     add_source(po)
     po.add_argument("--float", dest="float_digits", nargs="?", const=17, default=None,
-                    type=_digits, help="print values as floats (optional digit count)")
+                    type=_positive_int, help="print values as floats (optional digit count)")
     po.add_argument("--order", type=int, default=None)
     po.add_argument("--at", default=None, help="single index, e.g. 50,50,50")
     po.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -79,15 +86,15 @@ def _build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("asym", help="asymptotic estimate in one direction")
     add_source(pa)
     pa.add_argument("--r", required=True, help="direction, e.g. 0,0,9")
-    pa.add_argument("--terms", type=int, default=1,
+    pa.add_argument("--terms", type=_positive_int, default=1,
                     help="series depth for bare quadratic points")
 
     pc = sub.add_parser("compare", help="oracle vs prediction over a grid")
     add_source(pc)
     pc.add_argument("--t-list", default="19,29,39")
-    pc.add_argument("--slice-step", type=float, default=0.1)
-    pc.add_argument("--lambda-min", type=float, default=None)
-    pc.add_argument("--lambda-max", type=float, default=None)
+    pc.add_argument("--slice-step", type=_finite, default=0.1)
+    pc.add_argument("--lambda-min", type=_finite, default=None)
+    pc.add_argument("--lambda-max", type=_finite, default=None)
     pc.add_argument("--cone-margin", type=float, default=0.2,
                     help="keep directions with dual form > margin * t^2 on the slice")
     pc.add_argument("--directions", default=None,
@@ -115,12 +122,12 @@ def _attach_negative_vectors(argv: Sequence[str]) -> List[str]:
     return out
 
 
-def _parse_vec(text: str, arity: int) -> Tuple[int, ...]:
+def _parse_vec(text: str, arity: Optional[int]) -> Tuple[int, ...]:
     try:
         r = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise specio.SpecFormatError(f"bad integer vector {text!r}") from None
-    if len(r) != arity:
+    if arity is not None and len(r) != arity:
         raise specio.SpecFormatError(f"{text!r} has {len(r)} entries, the spec has "
                                      f"{arity} variables")
     return r
@@ -235,8 +242,10 @@ def _grid(args, spec, prepared: Sequence[PreparedPoint]) -> List[Tuple[int, ...]
         laurent = any(e < 0 for poly, _ in spec.factors for m in poly.terms for e in m)
         lam_lo = -2.0 if laurent else 0.1
         lam_hi = 2.0
-    ts = [int(t) for t in args.t_list.split(",")]
+    ts = _parse_vec(args.t_list, None)
     step = args.slice_step
+    if step <= 0:
+        raise specio.SpecFormatError(f"--slice-step must be positive, got {step!r}")
     lams = [lam_lo + i * step for i in range(int(round((lam_hi - lam_lo) / step)) + 1)]
     out = []
     for t in ts:

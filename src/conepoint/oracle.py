@@ -7,27 +7,30 @@ dynamic program:
 
 * all powers positive integers: the linear recurrence from D*f = P with
   D = prod Q_j^(s_j), solved level by level in the grading w = -u;
-* any real power: the logarithmic-derivative recurrence
-  D * d_i(g) = -A_i * g,   A_i = sum_j s_j (d_i Q_j) prod_{k != j} Q_k,
-  for g = prod Q_j^(-s_j), solved level by level in the total degree,
-  then multiplied by the numerator.
+* any real power: the Euler-operator recurrence
+  D * E(g) = -A * g,   A = sum_j s_j E(Q_j) prod_{k != j} Q_k,
+  for g = prod Q_j^(-s_j), E = sum_i w_i x_i d_i multiplying a monomial by
+  its grade; solved level by level in the same grading, then multiplied by
+  the numerator.
 
 Each level of a sweep is a slab: one flat Python list over every
 coordinate but one, which the level implies, laid out in a box that all
 levels share and padded by the largest generator reach.  A generator is
-then a constant index offset, and it updates a row of a level with one
-list comprehension over a shifted slice of a lower level.  Only the levels
-a generator reaches back to stay alive.
+then a constant index offset with one coefficient per level, and it
+updates a row of a level with one list comprehension over a shifted slice
+of a lower level (_fill, shared by every sweep).  Only the levels a
+generator reaches back to stay alive.
 
 Both recurrences are exact over the rationals, but the sweeps never build
 a Fraction: denominators are cleared once and every coefficient is carried
 as a scaled Python int (Bareiss's integer-preserving idea applied to the
 graded recurrence).  The integer recurrence carries d0^(grade(m)+1) * f_m,
 d0 being the constant term of D after clearing denominators; the real one
-carries |m|! * C^|m| * g_m, C clearing the power and factor denominators,
-which the binomial expansion of each unit-normalized factor to the power
--s shows to be an integer.  Each step of the real recurrence ends in one
-exact division; a nonzero remainder raises ArithmeticError rather than
+carries n! * C^n * g_m (n the grade of m), C clearing the power and factor
+denominators, which the binomial expansion of each unit-normalized factor
+to the power -s shows to be an integer: a cell of grade n takes at most n
+factors of Q - 1.  Each step of the real recurrence ends in one exact
+division by n * L; a nonzero remainder raises ArithmeticError rather than
 rounding.  Values become canonical Fractions once, when the table is built.
 Float mode runs the same loops on unscaled doubles.
 
@@ -47,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from operator import add, le, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -231,10 +234,9 @@ class _Slabs:
     Level l holds the cells m with v . m = l.  The level implies the last
     sweep axis, so a level is one flat list over the other axes, padded by
     the largest shift a cell reads at: m - u sits at index(m) - off(u).
-    Sweeps fill the rows of each level's clip rectangle, cut by a cap
-    (w, lo, hi) to lo <= w . m <= hi, and leave every other entry 0.  The
-    sweep axes move the last coordinate of least positive weight last;
-    arity 1 gets a leading zero axis.
+    Sweeps fill the rows of each level's clip rectangle and leave every
+    other entry 0.  The sweep axes move the last coordinate of least
+    positive weight last; arity 1 gets a leading zero axis.
     """
 
     def __init__(self, v: Sequence[int], boxes, shifts):
@@ -263,20 +265,15 @@ class _Slabs:
     def off(self, u: Sequence[int]) -> int:
         return self.index(u) + self.base
 
-    def rows(self, level: int, lo, hi, cap=None):
+    def rows(self, level: int, lo, hi):
         """(start, a, b, outer, rem) for each row of the level's rectangle
         [lo, hi]: the cells (*outer, t, (rem - v_j t) / v_k), t = a..b, sit
         at start + t - a."""
         lo, hi = self.sweep(lo), self.sweep(hi)
         *vo, vj, vk = self.v
-        if cap:
-            *co, cj, ck = self.sweep(cap[0])
         for outer in product(*map(range, lo[:-2], [h + 1 for h in hi[:-2]])):
             rem = level - sum(map(mul, vo, outer))
             a, b = _narrow(lo[-2], hi[-2], -vj, rem, vk * lo[-1], vk * hi[-1])
-            if cap:   # vk * (w . m) along the row
-                base = vk * sum(map(mul, co, outer)) + ck * rem
-                a, b = _narrow(a, b, vk * cj - ck * vj, base, vk * cap[1], vk * cap[2])
             if a <= b:
                 yield self.index((*outer, a), True), a, b, outer, rem
 
@@ -312,39 +309,17 @@ def _hulls(levels: Sequence[int], seeds, steps, source=None, clip=None):
     return rects
 
 
-def _pivot_runs(lines: List[Tuple[int, int]], a: int, b: int) -> List[List[int]]:
-    """Split t = a..b into runs [i, s, e] on which i, the first coordinate of
-    the largest alpha + beta*t over lines (alpha, beta), is constant: the
-    order changes only where two lines cross, so cut at floor(x) and x+1."""
-    cuts = {a, b + 1}
-    for (a1, b1), (a2, b2) in combinations(lines, 2):
-        if b1 != b2:
-            x = (a2 - a1) // (b1 - b2)
-            cuts.update((x, x + 1))
-    cuts = sorted(c for c in cuts if a <= c <= b + 1)
-    runs = []
-    for s, e in zip(cuts, cuts[1:]):
-        vals = [al + be * s for al, be in lines]
-        i = vals.index(max(vals))
-        if runs and runs[-1][0] == i:
-            runs[-1][2] = e - 1
-        else:
-            runs.append([i, s, e - 1])
-    return runs
+def _fill(row: List[object], i0: int, deps) -> List[object]:
+    """row, the cells of a level from index i0 on, plus c times the cells
+    that each dependency (off, c, prev) reads: index i reads prev at i - off."""
+    i1 = i0 + len(row)
+    for off, c, prev in deps:
+        row = [x + c * y if y else x for x, y in zip(row, prev[i0 - off:i1 - off])]
+    return row
 
 
 def _denominator_lcm(*polys: MultiPoly) -> int:
     return math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
-
-
-def _lifted(c, L: int, k: int, C: Optional[int], top: int) -> List[object]:
-    """L c n!/(n-k)! C^k for n = 0..top, as ints: the coefficient of a
-    dependency k degrees down in the scaled real recurrence (c itself when
-    C is None)."""
-    if C is None:
-        return [c] * (top + 1)
-    ck = int(c * L) * C ** k
-    return [ck * math.perm(n, k) for n in range(top + 1)]
 
 
 def _sweep_integer(numer: MultiPoly, D: MultiPoly, w: Tuple[int, ...], max_level: int,
@@ -387,7 +362,8 @@ def _sweep_integer(numer: MultiPoly, D: MultiPoly, w: Tuple[int, ...], max_level
     if not rects:
         return {}
     lay = _Slabs(w, rects.values(), [u for u, _ in gens])
-    terms = [(lay.off(u), c, k) for (u, c), (_, k) in zip(gens, steps)]
+    # stored negated for _fill: x + (-c)*y rounds exactly as x - c*y
+    terms = [(lay.off(u), -c, k) for (u, c), (_, k) in zip(gens, steps)]
     reach = max([k for _, k in steps], default=0)
     table: Dict[Exponent, object] = {}
     slabs: Dict[int, List[object]] = {}
@@ -399,128 +375,108 @@ def _sweep_integer(numer: MultiPoly, D: MultiPoly, w: Tuple[int, ...], max_level
                 cur[lay.index(m)] = c
         deps = [(off, c, slabs[g - k]) for off, c, k in terms if g - k in slabs]
         for i0, a, b, outer, rem in lay.rows(g, lo, hi):
-            i1 = i0 + b - a + 1
-            row = cur[i0:i1]
-            for off, c, prev in deps:
-                row = [x - c * y if y else x for x, y in zip(row, prev[i0 - off:i1 - off])]
+            row = _fill(cur[i0:i0 + b - a + 1], i0, deps)
             if div is not None:
                 row = [x / div for x in row]
-            cur[i0:i1] = row
+            cur[i0:i0 + len(row)] = row
             cells = lay.cells(row, a, outer, rem)
             table.update([(m, Fraction(x, d0_pow[g + 1])) for m, x in cells] if exact else cells)
         slabs[g] = cur
     return table
 
 
-def _sweep_real(D: MultiPoly, A: List[MultiPoly], lay: _Slabs, rects, cap,
+def _sweep_real(D: MultiPoly, A: MultiPoly, w: Tuple[int, ...], lay: _Slabs, rects,
                 C: Optional[int]) -> Iterator[Tuple[int, List[object]]]:
-    """Solve D * x_i d_i(g) = -A_i * g for g with g(0) = 1 by the total
-    degree n = |m|, yielding (n, level) for n = 0 .. max(rects).
+    """Solve D * E(g) = -A * g for g with g(0) = 1 level by level in the
+    grading w, yielding (n, level) for n = 0 .. max(rects).
 
-    A_i is x_i times the logarithmic-derivative polynomial; D and the A_i
-    are orthant-supported (arranged by the caller), so a cell depends on
-    strictly smaller n only.  The cell m is solved through i, the first
-    coordinate of its largest exponent.  With an integer C the levels hold
-    N_m = n! C^n g_m: with L clearing the denominators of D and the A_i,
-    m_i L N_m is an integer combination of lower N's, each lifted by
-    n!/n'! C^(n-n'), and the division by m_i L must be exact.  With C None
-    the coefficients are used as given (float mode).
+    E = sum_i w_i x_i d_i multiplies a monomial by its grade, so the cell m
+    of grade n solves n g_m = -sum_u (d_u (n - k_u) + a_u) g_(m-u), k_u the
+    grade of u, over the terms u of D and A: every generator has one
+    coefficient per level.  D has a unit constant and every other term of
+    D and A a positive grade (arranged by the caller).  With an integer C
+    the levels hold N_m = n! C^n g_m: with L clearing the denominators of D
+    and A, n L N_m = -sum_u L (d_u (n - k_u) + a_u) C^k_u n!/(n - k_u)! N_(m-u),
+    and the division by n L must be exact.  With C None the coefficients
+    are used as given (float mode).
     """
     zero = (0,) * D.arity
     if D.terms.get(zero) != 1:
         raise NotNormalizedError("real-power recurrence needs unit constant terms")
-    L = _denominator_lcm(D, *A) if C is not None else 1
-    top = max(rects)
-    d_gens = [(lay.off(u), sum(u), u, _lifted(c, L, sum(u), C, top))
-              for u, c in D.terms.items() if u != zero]
-    a_terms = [[(lay.off(u), sum(u), _lifted(c, L, sum(u), C, top)) for u, c in Ai.terms.items()]
-               for Ai in A]
-    reach = max(sum(u) for p in (D, *A) for u in p.terms)
+    L = _denominator_lcm(D, A) if C is not None else 1
+    gens = [(lay.off(u), _grade_of(u, w), D.terms.get(u, 0), A.terms.get(u, 0))
+            for u in {**D.terms, **A.terms} if u != zero]
+    if C is not None:
+        gens = [(off, k, int(d * L), int(a * L)) for off, k, d, a in gens]
+    reach = max((k for _, k, _, _ in gens), default=0)
     cur = [0] * lay.size
     cur[lay.index(zero)] = 1 if C is not None else (
         Fraction(1) if D.field_tag == FIELD_RATIONAL else 1.0)
     slabs = {0: cur}
     yield 0, cur
-    for n in range(1, top + 1):
+    for n in range(1, max(rects) + 1):
         cur = [0] * lay.size
-        adeps = [[(off, cu[n], slabs[n - k]) for off, k, cu in t if n - k in slabs]
-                 for t in a_terms]
-        ddeps = [(off, cu[n], u, slabs[n - k]) for off, k, u, cu in d_gens if n - k in slabs]
-        for i0, a, b, outer, rem in lay.rows(n, *rects[n], cap) if n in rects else ():
-            ab = [(o, 0) for o in outer] + [(0, 1), (rem, -1)]
-            lines = [ab[p] for p in lay.pos]   # each coordinate along the row
-            for i, s, e in _pivot_runs(lines, a, b):
-                p0, p1 = i0 + s - a, i0 + e - a + 1
-                mis = [lines[i][0] + lines[i][1] * t for t in range(s, e + 1)]
-                row = [0] * (p1 - p0)
-                for off, c, prev in adeps[i]:
-                    row = [x - c * y if y else x for x, y in zip(row, prev[p0 - off:p1 - off])]
-                for off, c, u, prev in ddeps:
-                    ui = u[i]
-                    row = [x - c * (mi - ui) * y if y else x
-                           for x, y, mi in zip(row, prev[p0 - off:p1 - off], mis)]
-                if C is None:
-                    row = [x / mi for x, mi in zip(row, mis)]
-                else:
-                    row = [divmod(x, mi * L) for x, mi in zip(row, mis)]
-                    if any(r for _, r in row):
-                        raise ArithmeticError(f"a scaled coefficient of degree {n} "
-                                              "is not an integer")
-                    row = [q for q, _ in row]
-                cur[p0:p1] = row
+        deps = [(off, -(d * (n - k) + a) * (1 if C is None else C ** k * math.perm(n, k)),
+                 slabs[n - k]) for off, k, d, a in gens if n - k in slabs]
+        for i0, a, b, _, _ in lay.rows(n, *rects[n]) if n in rects else ():
+            row = _fill([0] * (b - a + 1), i0, deps)
+            if C is None:
+                row = [x / n for x in row]
+            else:
+                row = [divmod(x, n * L) for x in row]
+                if any(r for _, r in row):
+                    raise ArithmeticError(f"a scaled coefficient of grade {n} is not an integer")
+                row = [q for q, _ in row]
+            cur[i0:i0 + len(row)] = row
         slabs = {k: v for k, v in slabs.items() if k > n - reach}
         slabs[n] = cur
         yield n, cur
 
 
 def _multiply_numerator(levels: Iterator[Tuple[int, List[object]]], numer: MultiPoly,
-                        lay: _Slabs, rects, cap, C: Optional[int]) -> Dict[Exponent, object]:
-    """numer times the plain-series levels from _sweep_real (same C), by the
-    total degree of the product, keeping the levels a numerator term reads.
+                        w: Tuple[int, ...], lay: _Slabs, rects,
+                        C: Optional[int]) -> Dict[Exponent, object]:
+    """numer times the plain-series levels from _sweep_real (same C), level
+    by level in the grading w, keeping the levels a numerator term reads.
 
-    With an integer C, the product at key is carried at the common scale
-    Lp T! C^T, T = |key| - min|p| and Lp clearing the numerator's
-    denominators, and converted to a Fraction at the end.
+    With an integer C, the product at level G is carried at the common
+    scale Lp T! C^T, T = G - pmin (pmin the least numerator grade, Lp
+    clearing the numerator's denominators), so the term c_p of grade
+    pmin + e lifts the level T - e by Lp c_p C^e T!/(T - e)!; each value
+    becomes a Fraction at the end.
     """
-    pmin, pmax = min(map(sum, numer.terms)), max(map(sum, numer.terms))
+    grades = [_grade_of(p, w) for p in numer.terms]
+    pmin, pmax = min(grades), max(grades)
     Lp = _denominator_lcm(numer) if C is not None else 1
-    top = max(rects)
-    terms = []
-    for p, cp in numer.terms.items():
-        dp = sum(p) - pmin
-        # the coefficient of N_m, indexed by |m|: Lp cp (|m|+dp)!/|m|! C^dp
-        terms.append((lay.off(p), sum(p), _lifted(cp, Lp, dp, C, top - pmin + dp)[dp:]))
+    terms = [(lay.off(p), k, cp if C is None else int(cp * Lp) * C ** (k - pmin))
+             for (p, cp), k in zip(numer.terms.items(), grades)]
     out: Dict[Exponent, object] = {}
     window: Dict[int, List[object]] = {}
     den = Lp
-    for n in range(pmin, top + 1):
-        window = {k: v for k, v in window.items() if k >= n - pmax}
+    for G in range(pmin, max(rects) + 1):
+        window = {k: v for k, v in window.items() if k >= G - pmax}
         k, slab = next(levels, (None, None))
         if k is not None:
             window[k] = slab
-        if n > pmin and C is not None:
-            den *= (n - pmin) * C
-        for i0, a, b, outer, rem in lay.rows(n, *rects[n], cap) if n in rects else ():
-            i1 = i0 + b - a + 1
-            row = [0] * (i1 - i0)
-            for off, deg, lift in terms:
-                if n - deg in window:
-                    c = lift[n - deg]
-                    row = [x + c * y if y else x
-                           for x, y in zip(row, window[n - deg][i0 - off:i1 - off])]
-            cells = lay.cells(row, a, outer, rem)
+        if G > pmin and C is not None:
+            den *= (G - pmin) * C
+        deps = [(off, c if C is None else c * math.perm(G - pmin, k - pmin), window[G - k])
+                for off, k, c in terms if G - k in window]
+        for i0, a, b, outer, rem in lay.rows(G, *rects[G]) if G in rects else ():
+            cells = lay.cells(_fill([0] * (b - a + 1), i0, deps), a, outer, rem)
             out.update(cells if C is None else [(m, Fraction(x, den)) for m, x in cells])
     return out
 
 
-def _prepare_real(spec: QuasiRationalSpec, float_mode: bool):
-    """Unit-normalize factors; return (D, A_list, scale, C), A_i being x_i
-    times the logarithmic-derivative polynomial sum_j s_j (d_i Q_j) prod_{k != j} Q_k.
+def _prepare_real(spec: QuasiRationalSpec, w: Tuple[int, ...], float_mode: bool):
+    """Unit-normalize factors; return (D, A, scale, C), D being the product
+    of the factors and A = sum_j s_j E(Q_j) prod_{k != j} Q_k for the Euler
+    operator E of the grading w.
 
     C = lcm(power denominators) * lcm(unit-normalized coefficient
-    denominators) makes |m|! C^|m| g_m an integer, since the coefficient of
-    R^k in (1 + R)^(-p/q), times k! q^k, is one.  C is None when some
-    coefficient or power is not rational (float mode included).
+    denominators) makes n! C^n g_m an integer (n the grade of m), since the
+    coefficient of R^k in (1 + R)^(-p/q), times k! q^k, is one.  C is None
+    when some coefficient or power is not rational (float mode included).
     """
     arity = spec.arity
     zero = (0,) * arity
@@ -554,20 +510,18 @@ def _prepare_real(spec: QuasiRationalSpec, float_mode: bool):
     D = MultiPoly.const(arity, 1)
     for h in hats:
         D = D * h
-    A = []
-    for i in range(arity):
-        Ai = MultiPoly.zero(arity)
-        for j, h in enumerate(hats):
-            term = h.diff(i)
-            for k, other in enumerate(hats):
-                if k != j:
-                    term = term * other
-            Ai = Ai + term.scale(powers[j])
-        A.append(Ai.shift(tuple(int(k == i) for k in range(arity))))
+    A = MultiPoly.zero(arity)
+    for j, h in enumerate(hats):
+        term = MultiPoly(arity, {m: c * _grade_of(m, w) for m, c in h.terms.items()},
+                         h.field_tag).scale(powers[j])
+        for k, other in enumerate(hats):
+            if k != j:
+                term = term * other
+        A = A + term
     total_scale = scale if scale_exact else float(scale) * float_scale
     if float_mode:
         D = D.to_field(FIELD_REAL)
-        A = [a.to_field(FIELD_REAL) for a in A]
+        A = A.to_field(FIELD_REAL)
         total_scale = float(total_scale)
     return D, A, total_scale, C
 
@@ -592,31 +546,30 @@ def _run(spec: QuasiRationalSpec, max_level: int,
         values = _sweep_integer(numer, D, w, max_level, box)
         scale = Fraction(1) if not float_mode else 1.0
     else:
-        D, A, scale, C = _prepare_real(spec, float_mode)
+        D, A, scale, C = _prepare_real(spec, w, float_mode)
         _check_graded_unit(D, w)
         if any(wi < 1 for wi in w):
             raise SpecError("real powers need a strictly negative cone direction "
                             "(every variable graded)")
-        # plain-series level n holds m >= 0 with n <= w . m <= max_level; with
-        # a box, m stays below its top minus the numerator's least exponents
+        # plain-series level n holds the cells m >= 0 of grade n that the
+        # terms of D and A reach from 0 (a term of A may cancel out of D);
+        # with a box, m stays below its top minus the numerator's least exponents
         zero = (0,) * spec.arity
-        gens = [u for p in (D, *A) for u in p.terms if any(u)]
+        gens = [u for p in (D, A) for u in p.terms if any(u)]
+        pmin = min((_grade_of(p, w) for p in numer.terms), default=0)
         gclip = kclip = None
         if box is not None:
             top = [b - e for b, e in zip(box[1], numer.min_exponents())]
             gclip, kclip = (zero, top, zero, zero, 0), (box[0], box[1], zero, zero, 0)
-        grects = _hulls(range(max_level + 1), {0: [zero]}, [(u, sum(u)) for u in gens],
-                        clip=gclip)
-        degs = [sum(p) for p in numer.terms]
-        orects = _hulls(range(min(degs, default=0), max_level + max(degs, default=0) + 1), {},
-                        [(p, sum(p)) for p in numer.terms], grects, kclip)
+        grects = _hulls(range(max_level - pmin + 1), {0: [zero]},
+                        [(u, _grade_of(u, w)) for u in gens], clip=gclip)
+        orects = _hulls(range(pmin, max_level + 1), {},
+                        [(p, _grade_of(p, w)) for p in numer.terms], grects, kclip)
         values = {}
         if orects:
-            lay = _Slabs((1,) * spec.arity, [*grects.values(), *orects.values()],
-                         gens + list(numer.terms))
-            levels = _sweep_real(D, A, lay, grects, (w, 0, max_level), C)
-            cap = (w, min(_grade_of(p, w) for p in numer.terms), max_level)
-            values = _multiply_numerator(levels, numer, lay, orects, cap, C)
+            lay = _Slabs(w, [*grects.values(), *orects.values()], gens + list(numer.terms))
+            levels = _sweep_real(D, A, w, lay, grects, C)
+            values = _multiply_numerator(levels, numer, w, lay, orects, C)
     return CoeffTable(spec.arity, values, w, max_level, scale)
 
 
@@ -626,7 +579,7 @@ def expand(spec: QuasiRationalSpec, order: int, float_mode: bool = False,
     ordinary power series).
 
     engine: "auto" picks the linear recurrence for all-integer powers and
-    the logarithmic-derivative recurrence otherwise; "integer" / "real"
+    the Euler-operator recurrence otherwise; "integer" / "real"
     force one (the two must agree exactly where both apply).
     """
     if order < 0:

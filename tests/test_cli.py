@@ -311,6 +311,22 @@ class TestInputErrors:
         assert rc == 3 and not out
         assert "--directions" in err
 
+    @pytest.mark.parametrize("terms", ["0", "-1"])
+    def test_nonpositive_terms_exit_3(self, capsys, terms):
+        # a zero depth used to print a zero prediction and exit 0
+        rc, out, err = run(capsys, "asym", "--preset", "fls", "--r", "1,1,1", f"--terms={terms}")
+        assert rc == 3 and not out
+        assert "spec error:" in err and "--terms" in err
+
+    @pytest.mark.parametrize("flag,value", [("--t-list", "19,abc"), ("--t-list", "9,"),
+                                            ("--slice-step", "0"), ("--slice-step", "nan"),
+                                            ("--lambda-min", "nan"), ("--lambda-max", "inf")])
+    def test_bad_grid_options_exit_3(self, capsys, flag, value):
+        # these used to exit 4, the numeric-failure code
+        rc, out, err = run(capsys, "compare", "--preset", "aztec", f"{flag}={value}")
+        assert rc == 3 and not out
+        assert "spec error:" in err
+
     def test_space_separated_negative_index(self, capsys):
         rc, out, _ = run(capsys, "oracle", "--preset", "aztec", "--at", "-1,1,5")
         rc_eq, out_eq, _ = run(capsys, "oracle", "--preset", "aztec", "--at=-1,1,5")

@@ -2,11 +2,13 @@
 
 The graded sweeps (integer and real engine, full and box-clipped, exact and
 float) are checked against each other and against naive_series, the
-independent truncated-series inversion.  Gradings include weights of 2 and
-Laurent specs graded by one variable, so the sweeps' implied coordinate and
-padding are exercised beyond the presets' gradings.
+independent truncated-series inversion; the spec JSON format must
+round-trip.  Gradings include weights of 2 and Laurent specs graded by one
+variable, so the sweeps' implied coordinate and padding are exercised
+beyond the presets' gradings.
 """
 
+import json
 import math
 from fractions import Fraction
 from operator import mul
@@ -15,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conepoint.oracle import QuasiRationalSpec, expand, expand_box, naive_series
 from conepoint.polyseries import MultiPoly
+from conepoint.specio import canonical_json, spec_from_json, spec_to_json
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -107,3 +110,13 @@ def test_float_mode_close_to_exact(spec, order):
     for m in set(exact.values) | set(approx.values):
         assert math.isclose(approx.value_at(m), float(exact.value_at(m)),
                             rel_tol=1e-9, abs_tol=1e-9), m
+
+
+@PROPERTY
+@given(st.one_of(specs(), specs(laurent=True)), st.integers(0, 4))
+def test_spec_json_round_trip(spec, order):
+    text = canonical_json(spec_to_json(spec))
+    parsed = spec_from_json(json.loads(text))
+    assert canonical_json(spec_to_json(parsed)) == text
+    table, again = expand(spec, order), expand(parsed, order)
+    assert again.values == table.values and again.scale == table.scale
