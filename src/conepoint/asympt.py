@@ -4,8 +4,8 @@ For a function P/Q^s whose log-composition vanishes quadratically at a
 torus point Z with Lorentzian homogeneous part q, the coefficients along
 interior directions r behave like
 
-    Z^(-r) * |M| / (2^(2s-1) pi^(d/2-1) Gamma(s) Gamma(s+1-d/2))
-           * sum c(m,l) (-1)^|m| d^m/dr^m [ qdual(r)^(s+l-d/2) ],
+    Z^(-r) * sum c(m,l) (-1)^|m| K(s+l) d^m/dr^m [ qdual(r)^(s+l-d/2) ],
+    K(a) = |M| / (2^(2a-1) pi^(d/2-1) Gamma(a) Gamma(a+1-d/2)),
 
 where qdual is the inverse-matrix dual form, |M| = |det q|^(-1/2), and the
 c(m,l) come from re-expanding the local series in falling powers of q.
@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .polyseries import MultiPoly, TruncatedSeries, _rational_root, binomials
 from .oracle import QuasiRationalSpec, _as_int
-from .localgeo import (DegenerateError, DirectionTag, GeometryError, Matrix,
+from .localgeo import (TOL, DegenerateError, DirectionTag, GeometryError, Matrix,
                        QuadraticPointData, RefusalError, _bilinear, classify_direction,
                        homogeneous_part, quadratic_point_data)
 from .localgeo import log_compose_taylor  # noqa: F401  (perfbench traces it under this name)
@@ -39,6 +39,9 @@ from .localgeo import log_compose_taylor  # noqa: F401  (perfbench traces it und
 if TYPE_CHECKING:  # both load only in the functions that run them, never for `oracle`
     import numpy as np
     from .critpoints import CriticalPoint
+
+
+RESIDUE_TOL = 1e-12  # relative margin of the residue's zero-line and degeneracy tests
 
 
 class GammaPoleError(ValueError):
@@ -200,20 +203,25 @@ def quadratic_asymptotics(data: QuadraticPointData, table: ExpansionTable,
     d = data.arity
     s = data.s
     C = cone_constant(s, d, data.normalizer_absdet)
-    acc = 0.0
+    acc: Dict[int, float] = {}  # the terms of each l, which share the constant at s + l
     for (m, ell), c in table.items():
         if sum(m) - 2 * ell >= N:
             continue
         alpha = (Fraction(s) if not isinstance(s, float) else s) + ell - Fraction(d, 2)
         deriv = dual_power_derivative(data.dual_matrix, alpha, m, r)
-        acc = acc + float(c) * (-1.0) ** sum(m) * float(deriv)
-    return z_power_neg(data.point_Z, r) * C * acc
+        acc[ell] = acc.get(ell, 0.0) + float(c) * (-1.0) ** sum(m) * float(deriv)
+    zr = z_power_neg(data.point_Z, r)
+    total = zr * C * acc.pop(0, 0.0)
+    # a Gamma pole at s + l would be one at s too, which cone_constant refused
+    for ell, a in acc.items():
+        total = total + zr * cone_constant(s + ell, d, data.normalizer_absdet) * a
+    return total
 
 
 # -- double residue & the cone-plane formula ----------------------------------------
 
 
-def double_residue(qtilde: MultiPoly, ell: Sequence, alpha: Sequence, tol: float = 1e-12):
+def double_residue(qtilde: MultiPoly, ell: Sequence, alpha: Sequence):
     """Iterated residue of the projective form along a common zero line.
 
     Of the three coordinate-pair expressions (all equal where defined,
@@ -227,7 +235,8 @@ def double_residue(qtilde: MultiPoly, ell: Sequence, alpha: Sequence, tol: float
     qa = qtilde.eval(list(alpha))
     la = L.eval(list(alpha))
     size = max(abs(float(x)) for x in alpha)
-    if abs(complex(qa)) > tol * max(1.0, size ** 2) or abs(complex(la)) > tol * max(1.0, size):
+    if (abs(complex(qa)) > RESIDUE_TOL * max(1.0, size ** 2)
+            or abs(complex(la)) > RESIDUE_TOL * max(1.0, size)):
         raise GeometryError("representative point is not on the common zero line")
     A = [qtilde.diff(i).eval(list(alpha)) for i in range(3)]
     Lg = [L.diff(i).eval(list(alpha)) for i in range(3)]
@@ -238,7 +247,7 @@ def double_residue(qtilde: MultiPoly, ell: Sequence, alpha: Sequence, tol: float
         (y, A[2] * Lg[0] - A[0] * Lg[2]),
     ]
     num, den = max(cands, key=lambda t: abs(complex(t[1])))
-    if abs(complex(den)) <= tol * max(1.0, size):
+    if abs(complex(den)) <= RESIDUE_TOL * max(1.0, size):
         raise DegenerateError("all three residue denominators are degenerate")
     if isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
         return Fraction(num, 1) / Fraction(den)
@@ -293,7 +302,7 @@ def intersection_lines(data: QuadraticPointData) -> List[Tuple[object, ...]]:
     return out
 
 
-def oriented_double_residue(data: QuadraticPointData, tol: float = 1e-12):
+def oriented_double_residue(data: QuadraticPointData):
     """Res2 with the orientation fixed to the positive branch.
 
     The two intersection lines carry opposite residue values; the
@@ -313,7 +322,7 @@ def oriented_double_residue(data: QuadraticPointData, tol: float = 1e-12):
                 terms[tuple(m)] = c
     qt = MultiPoly(d, terms)
     ell = data.linear_factors[0][0]
-    vals = [double_residue(qt, ell, alpha, tol) for alpha in intersection_lines(data)]
+    vals = [double_residue(qt, ell, alpha) for alpha in intersection_lines(data)]
     if len(vals) == 2 and abs(float(vals[0]) + float(vals[1])) > 1e-9 * abs(float(vals[0])):
         raise GeometryError("inconsistent residue orientation between the two lines")
     pos = [v for v in vals if float(v) > 0]
@@ -360,7 +369,7 @@ def cone_plane_asymptotics(data: QuadraticPointData, r: Sequence[int]):
 
 def smooth_asymptotics(P: MultiPoly, H: MultiPoly, cp: CriticalPoint,
                        r: Sequence[int], cone_direction_u: Optional[Sequence] = None,
-                       nonvanishing_value=1, tol: float = 1e-9):
+                       nonvanishing_value=1):
     """Leading smooth-point contribution via the log-variety curvature.
 
     The defining factor is sign-normalized to be positive on the
@@ -388,7 +397,7 @@ def smooth_asymptotics(P: MultiPoly, H: MultiPoly, cp: CriticalPoint,
             hess = -hess
     gnorm2 = complex(np.dot(g, g))  # bilinear, not hermitian
     gnorm = cmath.sqrt(gnorm2)
-    if abs(gnorm) < tol:
+    if abs(gnorm) < TOL:
         raise DegenerateError("vanishing log-gradient at the smooth point")
     frame = _bilinear_tangent_frame(g)
     II = np.empty((d - 1, d - 1), dtype=complex)
@@ -397,7 +406,7 @@ def smooth_asymptotics(P: MultiPoly, H: MultiPoly, cp: CriticalPoint,
             II[a][b] = -np.dot(frame[a], hess @ frame[b]) / gnorm
     eig = np.linalg.eigvals(II)
     kappa = np.prod(eig)
-    if abs(kappa) < tol:
+    if abs(kappa) < TOL:
         raise DegenerateError("curvature-degenerate smooth point")
     sqrt_kappa = np.prod([cmath.sqrt(e) for e in eig])
     rnorm = math.sqrt(sum(float(x) ** 2 for x in r))

@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--t-list", default="19,29,39")
     pc.add_argument("--slice-step", type=_finite, default=0.1)
     pc.add_argument("--lambda-min", type=_finite, default=None)
-    pc.add_argument("--lambda-max", type=_finite, default=None)
+    pc.add_argument("--lambda-max", type=_finite, default=2.0)
     pc.add_argument("--cone-margin", type=float, default=0.2,
                     help="keep directions with dual form > margin * t^2 on the slice")
     pc.add_argument("--directions", default=None,
@@ -235,13 +235,11 @@ def _grid(args, spec, prepared: Sequence[PreparedPoint]) -> List[Tuple[int, ...]
     if not prepared:
         raise specio.SpecFormatError("a slice grid needs a point; give --directions")
     data = prepared[0].data
-    lam_lo = args.lambda_min
-    lam_hi = args.lambda_max
-    if lam_lo is None or lam_hi is None:
+    lam_lo, lam_hi = args.lambda_min, args.lambda_max
+    if lam_lo is None:
         # symmetric slice for Laurent supports, positive slice otherwise
         laurent = any(e < 0 for poly, _ in spec.factors for m in poly.terms for e in m)
         lam_lo = -2.0 if laurent else 0.1
-        lam_hi = 2.0
     ts = _parse_vec(args.t_list, None)
     step = args.slice_step
     if step <= 0:

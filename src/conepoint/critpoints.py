@@ -32,6 +32,7 @@ from .polyseries import MultiPoly
 ACCEPT_RESIDUAL = 1e-10
 DEDUP_DISTANCE = 1e-6
 FAMILY_DIAMETER = 1e-3
+NEWTON_TOL = 1e-13  # residual norm at which Gauss-Newton stops early
 
 
 @dataclass(frozen=True)
@@ -54,13 +55,13 @@ def _torus_points(x: Sequence[float], theta: np.ndarray) -> List[complex]:
     return [cmath.exp(complex(xi, ti)) for xi, ti in zip(x, theta)]
 
 
-def _gauss_newton(fun_jac: Callable, theta0: np.ndarray, max_iter: int = 100,
-                  tol: float = 1e-13) -> Optional[np.ndarray]:
+def _gauss_newton(fun_jac: Callable, theta0: np.ndarray,
+                  max_iter: int = 100) -> Optional[np.ndarray]:
     theta = theta0.copy()
     f, J = fun_jac(theta)
     norm = np.linalg.norm(f)
     for _ in range(max_iter):
-        if norm < tol:
+        if norm < NEWTON_TOL:
             return theta
         step, *_ = np.linalg.lstsq(J, -f, rcond=None)
         if not np.all(np.isfinite(step)):
@@ -70,13 +71,13 @@ def _gauss_newton(fun_jac: Callable, theta0: np.ndarray, max_iter: int = 100,
             cand = theta + alpha * step
             fc, Jc = fun_jac(cand)
             nc = np.linalg.norm(fc)
-            if nc < norm * (1.0 - 1e-4 * alpha) or nc < tol:
+            if nc < norm * (1.0 - 1e-4 * alpha) or nc < NEWTON_TOL:
                 theta, f, J, norm = cand, fc, Jc, nc
                 break
             alpha *= 0.5
         else:
-            return theta if norm < math.sqrt(tol) else None
-    return theta if norm < math.sqrt(tol) else None
+            return theta if norm < math.sqrt(NEWTON_TOL) else None
+    return theta if norm < math.sqrt(NEWTON_TOL) else None
 
 
 def _try_exact_rational(Z: Sequence[complex], max_den: int = 16) -> Optional[List[Fraction]]:

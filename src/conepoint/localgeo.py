@@ -28,6 +28,9 @@ from .polyseries import (FIELD_RATIONAL, MultiPoly, TruncatedSeries, _rational_r
 from .oracle import QuasiRationalSpec, _as_int
 
 
+TOL = 1e-9  # relative margin of the decisions here and of smooth-point degeneracy
+
+
 class GeometryError(ValueError):
     """Raised when local data violates the quadratic-point requirements."""
 
@@ -102,12 +105,12 @@ def mat_inverse(M: Matrix) -> Matrix:
 # -- quadratic classification -------------------------------------------------
 
 
-def classify_quadratic(h: MultiPoly, u: Sequence, tol: float = 1e-9) -> Tuple[Matrix, bool]:
+def classify_quadratic(h: MultiPoly, u: Sequence) -> Tuple[Matrix, bool]:
     """Symmetric matrix of a homogeneous quadratic, sign-fixed so q(u) > 0.
 
     Complex coefficients are allowed if they share a global phase (the
     phase of the largest coefficient is removed, residual imaginary parts
-    must stay below tol).  The signature must be Lorentzian: one positive
+    must stay below TOL).  The signature must be Lorentzian: one positive
     and d-1 negative eigenvalues.
     """
     d = h.arity
@@ -119,7 +122,7 @@ def classify_quadratic(h: MultiPoly, u: Sequence, tol: float = 1e-9) -> Tuple[Ma
         phase = cmax / abs(cmax)
         terms = {m: c / phase for m, c in terms.items()}
         scale = max(abs(c) for c in terms.values())
-        if any(abs(c.imag) > tol * scale for c in terms.values()):
+        if any(abs(c.imag) > TOL * scale for c in terms.values()):
             raise GeometryError("quadratic part is not a phase multiple of a real form")
         terms = {m: c.real for m, c in terms.items()}
     M = [[Fraction(0) if h.field_tag == FIELD_RATIONAL else 0.0] * d for _ in range(d)]
@@ -258,8 +261,8 @@ class QuadraticPointData:
         return oriented_double_residue(self)
 
 
-def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence, order: int = 6,
-                         tol: float = 1e-9) -> QuadraticPointData:
+def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence,
+                         order: int = 6) -> QuadraticPointData:
     """Assemble the local data of a quadratic point of the pole variety.
 
     Factors are split by their vanishing degree at Z: nonvanishing factors
@@ -285,7 +288,7 @@ def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence, order: int = 6,
             if n is None or n < 1:
                 raise RefusalError(f"linear factor with power {power}: the contour formulas "
                                    "need a positive integer power", {"power": str(power)})
-            ell = _linear_covector(homogeneous_part(series), u, tol)
+            ell = _linear_covector(homogeneous_part(series), u)
             linear.append((ell, n))
         elif v == 2:
             if q_series is not None:
@@ -297,7 +300,7 @@ def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence, order: int = 6,
                                 "and smooth factors are supported")
     if q_series is None:
         raise GeometryError("no quadratic factor vanishes at the point")
-    q_matrix, flipped = classify_quadratic(homogeneous_part(q_series), u, tol)
+    q_matrix, flipped = classify_quadratic(homogeneous_part(q_series), u)
     dual, det = _gauss_jordan(q_matrix)
     return QuadraticPointData(
         arity=spec.arity,
@@ -316,14 +319,14 @@ def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence, order: int = 6,
     )
 
 
-def _linear_covector(h: MultiPoly, u: Sequence, tol: float) -> Tuple[object, ...]:
+def _linear_covector(h: MultiPoly, u: Sequence) -> Tuple[object, ...]:
     """Covector of a linear homogeneous part, oriented so that ell . u < 0."""
     d = h.arity
     ell = [Fraction(0)] * d
     for m, c in h.terms.items():
         i = next(j for j in range(d) if m[j] == 1)
         if isinstance(c, complex):
-            if abs(c.imag) > tol * abs(c):
+            if abs(c.imag) > TOL * abs(c):
                 raise GeometryError("linear factor covector is not real")
             c = c.real
         ell[i] = c
@@ -338,7 +341,7 @@ def _linear_covector(h: MultiPoly, u: Sequence, tol: float) -> Tuple[object, ...
 # -- direction classification ---------------------------------------------------
 
 
-def classify_direction(data: QuadraticPointData, r: Sequence, tol: float = 1e-9) -> DirectionClass:
+def classify_direction(data: QuadraticPointData, r: Sequence) -> DirectionClass:
     """Place a direction r against the local normal-cone geometry.
 
     With no linear factor the test is membership in the dual elliptic cone
@@ -346,7 +349,7 @@ def classify_direction(data: QuadraticPointData, r: Sequence, tol: float = 1e-9)
     linear factor, directions outside the elliptic cone may still be
     reachable as r = lambda*ell + w with w interior to the cone; whether
     the concave quadratic lambda -> q*(r - lambda*ell) admits such a
-    lambda is decided in closed form.  Within tol of any decision surface
+    lambda is decided in closed form.  Within TOL of any decision surface
     the answer is Indeterminate rather than a guess.
     """
     if data.k > 1:
@@ -359,9 +362,9 @@ def classify_direction(data: QuadraticPointData, r: Sequence, tol: float = 1e-9)
     un = math.sqrt(sum(float(x) * float(x) for x in u))
     qrr = data.dual_eval(r, r)
     ru = sum(float(a) * float(b) for a, b in zip(r, u))
-    axis_ok = ru < -tol * math.sqrt(rn2) * un
-    inside = float(qrr) > tol * rn2 and axis_ok
-    on_boundary = abs(float(qrr)) <= tol * rn2
+    axis_ok = ru < -TOL * math.sqrt(rn2) * un
+    inside = float(qrr) > TOL * rn2 and axis_ok
+    on_boundary = abs(float(qrr)) <= TOL * rn2
 
     if data.k == 0:
         if inside:
@@ -373,14 +376,14 @@ def classify_direction(data: QuadraticPointData, r: Sequence, tol: float = 1e-9)
     ell, _ = data.linear_factors[0]
     ln2 = sum(float(x) * float(x) for x in ell)
     qll = data.dual_eval(ell, ell)
-    if float(qll) >= -tol * ln2:
+    if float(qll) >= -TOL * ln2:
         raise GeometryError("linear factor lies inside the closed dual cone; "
                             "the intersection points are not real and distinct")
     qrl = data.dual_eval(r, ell)
     if inside:
         return DirectionClass(DirectionTag.InteriorEllipticCone, float(qrr) / rn2)
     if on_boundary:
-        if float(qrl) < -tol * math.sqrt(rn2 * ln2):
+        if float(qrl) < -TOL * math.sqrt(rn2 * ln2):
             return DirectionClass(DirectionTag.ObstructedBoundary, float(qrr) / rn2)
         return DirectionClass(DirectionTag.Indeterminate, float(qrr) / rn2)
 
@@ -388,11 +391,11 @@ def classify_direction(data: QuadraticPointData, r: Sequence, tol: float = 1e-9)
     scale2 = rn2 * ln2
     lu = sum(float(a) * float(b) for a, b in zip(ell, u))  # < 0 by orientation
     disc = float(qrl) ** 2 - float(qll) * float(qrr)
-    if abs(disc) <= tol * scale2:
+    if abs(disc) <= TOL * scale2:
         # r sits on a tangent line of the hull; decide by the double root
         lam_star = float(qrl) / float(qll)
-        feasible = lam_star > tol * math.sqrt(rn2 / ln2) and (
-            ru - lam_star * lu < -tol * math.sqrt(rn2) * un)
+        feasible = lam_star > TOL * math.sqrt(rn2 / ln2) and (
+            ru - lam_star * lu < -TOL * math.sqrt(rn2) * un)
         if feasible:
             return DirectionClass(DirectionTag.Indeterminate, disc / scale2)
         return DirectionClass(DirectionTag.OutsideNormalCone, disc / scale2)
@@ -403,11 +406,11 @@ def classify_direction(data: QuadraticPointData, r: Sequence, tol: float = 1e-9)
     lam_hi = (float(qrl) - root) / float(qll)
     # w . u = r.u - lambda * (ell.u) must stay negative
     lam_cap = (ru - 0.0) / lu if lu < 0 else float("inf")
-    lo = max(lam_lo, tol * math.sqrt(rn2 / ln2))
+    lo = max(lam_lo, TOL * math.sqrt(rn2 / ln2))
     hi = min(lam_hi, lam_cap)
     width = hi - lo
-    if width > tol * math.sqrt(rn2 / ln2):
+    if width > TOL * math.sqrt(rn2 / ln2):
         return DirectionClass(DirectionTag.InteriorE, width / math.sqrt(rn2 / ln2))
-    if width > -tol * math.sqrt(rn2 / ln2):
+    if width > -TOL * math.sqrt(rn2 / ln2):
         return DirectionClass(DirectionTag.Indeterminate, width)
     return DirectionClass(DirectionTag.OutsideNormalCone, width)

@@ -32,7 +32,8 @@ to the power -s shows to be an integer: a cell of grade n takes at most n
 factors of Q - 1.  Each step of the real recurrence ends in one exact
 division by n * L; a nonzero remainder raises ArithmeticError rather than
 rounding.  Values become canonical Fractions once, when the table is built.
-Float mode runs the same loops on unscaled doubles.
+Specs with float coefficients or powers run the same loops on unscaled
+doubles.
 
 Factors with non-unit constant terms and fractional powers contribute an
 overall scalar prod c_j^(-s_j) which is kept separate from the rational
@@ -54,7 +55,7 @@ from itertools import product
 from operator import add, le, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .polyseries import FIELD_RATIONAL, FIELD_REAL, MultiPoly, TruncatedSeries
+from .polyseries import FIELD_RATIONAL, MultiPoly, TruncatedSeries
 
 Exponent = Tuple[int, ...]
 
@@ -171,8 +172,8 @@ def normalize_laurent(spec: QuasiRationalSpec) -> QuasiRationalSpec:
 class CoeffTable:
     """Graded coefficient table: values[r] * scale is the series coefficient.
 
-    values holds exact rationals (or floats when the sweep ran in float
-    mode); scale is the only possibly irrational part, coming from
+    values holds exact rationals (floats for specs with float coefficients
+    or powers); scale is the only possibly irrational part, coming from
     fractional powers of non-unit constant terms.  A table is complete for
     every index r with 0 <= grading_w . r <= max_level (for expand_box, every
     such index inside the box).
@@ -397,8 +398,8 @@ def _sweep_real(D: MultiPoly, A: MultiPoly, w: Tuple[int, ...], lay: _Slabs, rec
     D and A a positive grade (arranged by the caller).  With an integer C
     the levels hold N_m = n! C^n g_m: with L clearing the denominators of D
     and A, n L N_m = -sum_u L (d_u (n - k_u) + a_u) C^k_u n!/(n - k_u)! N_(m-u),
-    and the division by n L must be exact.  With C None the coefficients
-    are used as given (float mode).
+    and the division by n L must be exact.  With C None (float
+    coefficients or powers) the coefficients are used as given.
     """
     zero = (0,) * D.arity
     if D.terms.get(zero) != 1:
@@ -468,15 +469,17 @@ def _multiply_numerator(levels: Iterator[Tuple[int, List[object]]], numer: Multi
     return out
 
 
-def _prepare_real(spec: QuasiRationalSpec, w: Tuple[int, ...], float_mode: bool):
+def _prepare_real(spec: QuasiRationalSpec, w: Tuple[int, ...]):
     """Unit-normalize factors; return (D, A, scale, C), D being the product
     of the factors and A = sum_j s_j E(Q_j) prod_{k != j} Q_k for the Euler
     operator E of the grading w.
 
+    Each factor is divided by its constant term c, so a float factor gets
+    the unit constant c/c == 1.0 exactly.  A fractional power needs c > 0.
     C = lcm(power denominators) * lcm(unit-normalized coefficient
     denominators) makes n! C^n g_m an integer (n the grade of m), since the
     coefficient of R^k in (1 + R)^(-p/q), times k! q^k, is one.  C is None
-    when some coefficient or power is not rational (float mode included).
+    when some coefficient or power is not rational.
     """
     arity = spec.arity
     zero = (0,) * arity
@@ -485,7 +488,7 @@ def _prepare_real(spec: QuasiRationalSpec, w: Tuple[int, ...], float_mode: bool)
     scale_exact = True
     hats = []
     powers = []
-    for poly, power in spec.factors:
+    for j, (poly, power) in enumerate(spec.factors):
         if any(e < 0 for m in poly.terms for e in m):
             raise NotNormalizedError("real-power factors must have nonnegative exponents; "
                                      "run normalize_laurent first")
@@ -493,18 +496,21 @@ def _prepare_real(spec: QuasiRationalSpec, w: Tuple[int, ...], float_mode: bool)
         if c is None:
             raise NotNormalizedError("zero constant term in a factor")
         s = Fraction(power) if not isinstance(power, float) else power
+        n = _as_int(power)
+        if n is None and (isinstance(c, complex) or c < 0):
+            raise SpecError(f"factors[{j}]: the fractional power {power} needs a positive "
+                            f"real constant term, got {c}")
         if c != 1:
-            n = _as_int(power)
             if n is not None:
-                scale = scale * Fraction(c) ** (-n)
+                scale = scale * (c if isinstance(c, complex) else Fraction(c)) ** (-n)
             else:
                 scale_exact = False
                 float_scale *= float(c) ** (-float(s))
-            poly = poly.scale(Fraction(1, 1) / Fraction(c))
+            poly = MultiPoly(arity, {m: v / c for m, v in poly.terms.items()}, poly.field_tag)
         hats.append(poly)
         powers.append(s)
     C = None
-    if not float_mode and all(isinstance(s, Fraction) for s in powers) and all(
+    if all(isinstance(s, Fraction) for s in powers) and all(
             p.field_tag == FIELD_RATIONAL for p in (spec.numerator, *hats)):
         C = math.lcm(*(s.denominator for s in powers)) * _denominator_lcm(*hats)
     D = MultiPoly.const(arity, 1)
@@ -518,19 +524,13 @@ def _prepare_real(spec: QuasiRationalSpec, w: Tuple[int, ...], float_mode: bool)
             if k != j:
                 term = term * other
         A = A + term
-    total_scale = scale if scale_exact else float(scale) * float_scale
-    if float_mode:
-        D = D.to_field(FIELD_REAL)
-        A = A.to_field(FIELD_REAL)
-        total_scale = float(total_scale)
-    return D, A, total_scale, C
+    return D, A, scale if scale_exact else scale * float_scale, C
 
 
 def _run(spec: QuasiRationalSpec, max_level: int,
-         box: Optional[Tuple[Sequence[int], Sequence[int]]], float_mode: bool,
-         engine: str = "auto") -> CoeffTable:
+         box: Optional[Tuple[Sequence[int], Sequence[int]]], engine: str = "auto") -> CoeffTable:
     w = grading_vector(spec.cone_direction_u, spec.arity)
-    numer = spec.numerator.to_field(FIELD_REAL) if float_mode else spec.numerator
+    numer = spec.numerator
     # a numerator term of grade g < 0 would need the series up to max_level - g
     if any(_grade_of(m, w) < 0 for m in numer.terms):
         raise SpecError("numerator has negative grade in the chosen direction")
@@ -541,12 +541,10 @@ def _run(spec: QuasiRationalSpec, max_level: int,
         D = MultiPoly.const(spec.arity, 1)
         for poly, power in spec.factors:
             D = D * poly.pow(_as_int(power))
-        if float_mode:
-            D = D.to_field(FIELD_REAL)
         values = _sweep_integer(numer, D, w, max_level, box)
-        scale = Fraction(1) if not float_mode else 1.0
+        scale = Fraction(1)
     else:
-        D, A, scale, C = _prepare_real(spec, w, float_mode)
+        D, A, scale, C = _prepare_real(spec, w)
         _check_graded_unit(D, w)
         if any(wi < 1 for wi in w):
             raise SpecError("real powers need a strictly negative cone direction "
@@ -573,8 +571,7 @@ def _run(spec: QuasiRationalSpec, max_level: int,
     return CoeffTable(spec.arity, values, w, max_level, scale)
 
 
-def expand(spec: QuasiRationalSpec, order: int, float_mode: bool = False,
-           engine: str = "auto") -> CoeffTable:
+def expand(spec: QuasiRationalSpec, order: int, engine: str = "auto") -> CoeffTable:
     """All series coefficients with grade(r) <= order (total degree for
     ordinary power series).
 
@@ -584,33 +581,28 @@ def expand(spec: QuasiRationalSpec, order: int, float_mode: bool = False,
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return _run(spec, order, None, float_mode, engine)
+    return _run(spec, order, None, engine)
 
 
-def expand_box(spec: QuasiRationalSpec, lo: Sequence[int], hi: Sequence[int],
-               float_mode: bool = False) -> CoeffTable:
+def expand_box(spec: QuasiRationalSpec, lo: Sequence[int], hi: Sequence[int]) -> CoeffTable:
     """Coefficients covering the index box [lo, hi], computing only the
     graded slices the box depends on."""
     w = grading_vector(spec.cone_direction_u, spec.arity)
-    corners = []
-    for mask in range(1 << spec.arity):
-        corners.append(tuple(hi[i] if mask >> i & 1 else lo[i] for i in range(spec.arity)))
-    max_level = max(_grade_of(c, w) for c in corners)
-    return _run(spec, max(0, max_level), (lo, hi), float_mode)
+    max_level = max(_grade_of(c, w) for c in product(*zip(lo, hi)))
+    return _run(spec, max(0, max_level), (lo, hi))
 
 
-def coefficient_at(spec: QuasiRationalSpec, r: Sequence[int], float_mode: bool = False):
+def coefficient_at(spec: QuasiRationalSpec, r: Sequence[int]):
     """The single coefficient a_r (0 outside the computed support)."""
     r = tuple(int(e) for e in r)
     w = grading_vector(spec.cone_direction_u, spec.arity)
     if _grade_of(r, w) < 0:
-        return Fraction(0) if not float_mode else 0.0
-    table = expand_box(spec, r, r, float_mode)
-    return table.value_at(r)
+        return Fraction(0)
+    return expand_box(spec, r, r).value_at(r)
 
 
-def empirical_decay(spec: QuasiRationalSpec, direction: Sequence, t_values: Sequence[int],
-                    float_mode: bool = False) -> List[Tuple[int, float]]:
+def empirical_decay(spec: QuasiRationalSpec, direction: Sequence,
+                    t_values: Sequence[int]) -> List[Tuple[int, float]]:
     """Normalized log-magnitudes log|a_{t*direction}| / t along a ray.
 
     Zero coefficients report -inf.  Used to classify exponential decay
@@ -626,7 +618,7 @@ def empirical_decay(spec: QuasiRationalSpec, direction: Sequence, t_values: Sequ
         targets.append(tuple(int(x) for x in rt))
     lo = tuple(min(0, min(tg[i] for tg in targets)) for i in range(spec.arity))
     hi = tuple(max(0, max(tg[i] for tg in targets)) for i in range(spec.arity))
-    table = expand_box(spec, lo, hi, float_mode)
+    table = expand_box(spec, lo, hi)
     out = []
     for t, rt in zip(t_values, targets):
         a = table.value_at(rt)

@@ -2,9 +2,10 @@
 
 Coefficients live in one of three scalar fields: exact rationals
 (`fractions.Fraction`), double-precision reals, or complex doubles.
-Everything defaults to exact rational arithmetic whenever all inputs are
-rational; floats are opt-in.  Values are immutable after construction and
-all operations are pure, so they can be shared freely between threads.
+Arithmetic stays exact while all inputs are rational; a float or complex
+coefficient (as in a spec with float coefficients or powers) moves the
+result to that field.  Values are immutable after construction and all
+operations are pure, so they can be shared freely between threads.
 
 Representation: a polynomial is a map from exponent tuples (negative
 entries allowed) to nonzero coefficients.  A truncated series is the same
@@ -136,11 +137,6 @@ class MultiPoly:
         if not self.terms:
             return 0
         return max(sum(m) for m in self.terms)
-
-    def to_field(self, tag: str) -> "MultiPoly":
-        if tag == self.field_tag:
-            return self
-        return MultiPoly(self.arity, {m: _coerce(c, tag) for m, c in self.terms.items()}, tag)
 
     def coeff(self, m: Sequence[int]):
         return self.terms.get(tuple(m), _coerce(0, self.field_tag))

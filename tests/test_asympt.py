@@ -15,6 +15,7 @@ from conepoint.asympt import (GammaPoleError, RefusalError, cone_constant,
                               local_degree, oriented_double_residue, prepare,
                               quadratic_asymptotics, smooth_asymptotics,
                               total_asymptotics)
+from conepoint.oracle import coefficient_at
 from conepoint.presets import preset
 
 
@@ -315,6 +316,23 @@ class TestTotals:
     def test_superballot_prediction(self, superballot_core):
         est = total_asymptotics(superballot_core.spec, (10, 20, 30), points=[(1, 1, 1)])
         assert abs(est.value * 2 ** 60 - 2.595e16) < 0.001e16
+
+    # t^N err along t(1,1,1) with N series terms: at t = 16..32 it was
+    # 0.19-0.15, 1.03-0.87, 4.3-3.2 (fls) and 0.338-0.336, 0.039-0.038,
+    # 0.013 (superballot-core); the constant of q^(-s) on every term gave
+    # fls 1.5-1.9 and 27-44, superballot-core 5-11 and 7-159 for N = 2, 3
+    @pytest.mark.parametrize("name,bounds", [("fls", (0.3, 1.5, 6.0)),
+                                             ("superballot-core", (0.5, 0.08, 0.03))])
+    def test_each_series_term_gains_an_order(self, name, bounds):
+        pr = preset(name)
+        ts = (16, 24, 32)
+        exact = [float(coefficient_at(pr.spec, (t, t, t))) for t in ts]
+        for N, bound in enumerate(bounds, 1):
+            points = prepare(pr.spec, pr.known_points, order_terms=N)
+            scaled = [t ** N * abs(total_asymptotics(pr.spec, (t, t, t), points=points).value
+                                   - a) / abs(a) for t, a in zip(ts, exact)]
+            assert max(scaled) <= bound, (N, scaled)
+            assert scaled[-1] <= 1.01 * scaled[0], (N, scaled)
 
     @pytest.mark.parametrize("name,directions", [
         ("aztec", [(0, 0, 9), (0, 0, 8), (1, 0, 1), (3, -2, 11), (5, 6, 9)]),

@@ -40,6 +40,15 @@ class TestOracle:
         assert rc == 0
         assert abs(float(out) - 0.000223464) < 5e-9
 
+    def test_decimal_beta_takes_the_float_path(self, capsys):
+        rc, out, _ = run(capsys, "oracle", "--preset", "fls", "--beta", "0.75", "--at", "3,3,3")
+        rc_exact, out_exact, _ = run(capsys, "oracle", "--preset", "fls", "--beta", "3/4",
+                                     "--at", "3,3,3", "--float")
+        assert rc == rc_exact == 0
+        # a float power sweeps in floats: the digits differ from the exact value's
+        assert out != out_exact
+        assert abs(float(out) - float(out_exact)) <= 1e-13 * abs(float(out_exact))
+
     def test_superballot_core_scaled(self, capsys):
         rc, out, _ = run(capsys, "oracle", "--preset", "superballot-core",
                          "--at", "10,20,30")
@@ -169,6 +178,18 @@ class TestCompare:
             [row[:3] + row[6:] for row in rows_scaled]
         for row, row_scaled in zip(rows, rows_scaled):
             assert abs(float(row[5]) - float(row_scaled[5])) <= 1e-12, row
+
+    @pytest.mark.parametrize("lone,both", [
+        (("--lambda-min", "0.5"), ("--lambda-min", "0.5", "--lambda-max", "2")),
+        (("--lambda-max", "0"), ("--lambda-min", "-2", "--lambda-max", "0")),
+    ], ids=["min", "max"])
+    def test_one_slice_bound_defaults_only_the_other(self, capsys, lone, both):
+        # aztec is a Laurent spec: the default slice is -2..2
+        outs = [run(capsys, "compare", "--preset", "aztec", "--t-list", "9", *argv)
+                for argv in ((), lone, both)]
+        assert [rc for rc, _, _ in outs] == [0, 0, 0]
+        default, lone_out, both_out = (out for _, out, _ in outs)
+        assert lone_out == both_out != default
 
     def test_spec_without_points_discovers_them(self, capsys, tmp_path):
         raw = json.loads((SPEC_DIR / "superballot-core.json").read_text())
@@ -326,6 +347,21 @@ class TestInputErrors:
         rc, out, err = run(capsys, "compare", "--preset", "aztec", f"{flag}={value}")
         assert rc == 3 and not out
         assert "spec error:" in err
+
+    @pytest.mark.parametrize("constant", ["-2", [2.0, 1.0]], ids=["negative", "complex"])
+    def test_fractional_power_needs_positive_constant_exit_3(self, capsys, tmp_path, constant):
+        # the negative constant printed a complex value, the complex one a traceback
+        spec = {"variables": ["X", "Y"],
+                "factors": [{"poly": [{"coeff": constant, "exponents": [0, 0]},
+                                      {"coeff": "1", "exponents": [1, 0]},
+                                      {"coeff": "1", "exponents": [0, 1]}],
+                             "power": "1/2"}]}
+        path = tmp_path / "root.json"
+        path.write_text(json.dumps(spec))
+        for argv in (("--order", "2"), ("--at", "0,0")):
+            rc, out, err = run(capsys, "oracle", "--spec", str(path), *argv)
+            assert rc == 3 and not out, argv
+            assert err.startswith("spec error: factors[0]:") and "positive" in err, argv
 
     def test_space_separated_negative_index(self, capsys):
         rc, out, _ = run(capsys, "oracle", "--preset", "aztec", "--at", "-1,1,5")

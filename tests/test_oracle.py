@@ -11,6 +11,7 @@ from conepoint.polyseries import MultiPoly, TruncatedSeries
 from conepoint.oracle import (NotNormalizedError, QuasiRationalSpec, SpecError,
                               coefficient_at, empirical_decay, expand, expand_box,
                               naive_series, normalize_laurent)
+from float_specs import floated
 
 
 def mp(arity, *terms):
@@ -71,6 +72,32 @@ class TestExpand:
         spec = QuasiRationalSpec(1, MultiPoly.const(1, 1), ((x - x * x, 1),), (-1,))
         with pytest.raises(NotNormalizedError):
             expand(spec, 3)
+
+    @pytest.mark.parametrize("c", [3.7, 49.0])
+    def test_float_constant_under_a_fractional_power(self, c):
+        # the unit constant must be c/c, exactly 1.0, not c times the rounded 1/c
+        def spec(c0):  # (c0 - X - Y)^(-1/2), in floats when c0 is a float
+            q = mp(2, (c0, (0, 0)), (-1, (1, 0)), (-1, (0, 1)))
+            return QuasiRationalSpec(2, MultiPoly.const(2, 1), ((q, HALF),), (-1, -1))
+
+        exact = expand(spec(Fraction(c)), 6)
+        approx = expand(spec(c), 6)
+        assert set(approx.values) == set(exact.values)
+        for m in exact.values:
+            e = float(exact.value_at(m))
+            assert abs(approx.value_at(m) - e) <= 1e-12 * abs(e), m
+
+    def test_complex_constant_under_an_integer_power(self):
+        # the fractional power of (1 - X - Y)^(-1/2) sends (2 + i - X)^(-1)
+        # through the real engine, in complex arithmetic
+        q = mp(2, (complex(2, 1), (0, 0)), (-1, (1, 0)))
+        root = mp(2, (1, (0, 0)), (-1, (1, 0)), (-1, (0, 1)))
+        spec = QuasiRationalSpec(2, MultiPoly.const(2, 1), ((q, 1), (root, HALF)), (-1, -1))
+        table = expand(spec, 4)
+        ns = naive_series(spec, 4)
+        assert set(table.values) == set(ns.terms)
+        for m, c in ns.terms.items():
+            assert abs(table.value_at(m) - c) <= 1e-12 * abs(c), m
 
     def test_superballot_core_value(self, superballot_core):
         a = coefficient_at(superballot_core.spec, (10, 20, 30))
@@ -319,7 +346,7 @@ class TestSerialization:
 
     def test_float_mode_close_to_exact(self, cube_grove):
         exact = expand(cube_grove.spec, 8)
-        approx = expand(cube_grove.spec, 8, float_mode=True)
+        approx = expand(floated(cube_grove.spec), 8)
         for m, v in exact.nonzero_items():
             assert abs(approx.value_at(m) - float(v)) <= 1e-12 * (1 + abs(float(v)))
 
@@ -388,7 +415,7 @@ GOLDEN_CLIP = [
     ("superballot-core", (0, 0, 0), (24, 24, 24),
      "7e275b9710e569b98bafe37777d0f289bf25635f04fdfed788d72c62cabf014b"),
 ]
-# float-mode box sweeps printed with 17 digits: the real and the integer engine
+# box sweeps of floated specs printed with 17 digits: the real and the integer engine
 # (fls re-recorded for the Euler-operator recurrence, which rounds differently;
 # test_fls_float_within_1e_13_of_exact bounds its error)
 GOLDEN_FLOAT_BOX = [
@@ -397,7 +424,7 @@ GOLDEN_FLOAT_BOX = [
     ("cube_grove", (2, 1, 3), (9, 8, 7),
      "4e92b835b8ff93658b60237b3201354e8eaf0beb79f76dcbc2e168fd282d920d"),
 ]
-# exact tables printed with 17 digits, then float-mode sweeps printed the same way
+# exact tables printed with 17 digits, then the floated specs' tables printed the same way
 # (the fls float digest re-recorded with the fls float box above)
 GOLDEN_CSV = {
     "aztec": ("9fac72f47c77cc492e718f9d6a39c6a1ec039baa50af8c7c52cede0ed691fcfd",
@@ -430,7 +457,7 @@ class TestGoldenOutput:
         exact_digest, float_digest = GOLDEN_CSV[name]
         exact = expand(spec, GOLDEN_ORDERS[name])
         assert _sha256(table_to_csv(exact, float_digits=17)) == exact_digest
-        approx = expand(spec, GOLDEN_ORDERS[name], float_mode=True)
+        approx = expand(floated(spec), GOLDEN_ORDERS[name])
         assert _sha256(table_to_csv(approx, float_digits=17)) == float_digest
 
     @pytest.mark.parametrize("box", [None, ((3, 0, 2), (9, 8, 10))], ids=["table", "box"])
@@ -439,11 +466,9 @@ class TestGoldenOutput:
         # its accuracy, whatever order the recurrence sums in
         spec = preset("fls").spec
         if box is None:
-            exact, approx = (expand(spec, GOLDEN_ORDERS["fls"], float_mode=f)
-                             for f in (False, True))
+            exact, approx = (expand(s, GOLDEN_ORDERS["fls"]) for s in (spec, floated(spec)))
         else:
-            exact, approx = (expand_box(spec, *box, float_mode=f)
-                             for f in (False, True))
+            exact, approx = (expand_box(s, *box) for s in (spec, floated(spec)))
         assert set(exact.values) == set(approx.values)
         for m in exact.values:
             e = float(exact.value_at(m))
@@ -458,5 +483,5 @@ class TestGoldenOutput:
     @pytest.mark.parametrize("name,lo,hi,digest", GOLDEN_FLOAT_BOX)
     def test_float_box_csv(self, name, lo, hi, digest):
         from conepoint.specio import table_to_csv
-        table = expand_box(preset(name).spec, lo, hi, float_mode=True)
+        table = expand_box(floated(preset(name).spec), lo, hi)
         assert _sha256(table_to_csv(table, float_digits=17)) == digest

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conepoint.oracle import QuasiRationalSpec, expand, expand_box, naive_series
 from conepoint.polyseries import MultiPoly
 from conepoint.specio import canonical_json, spec_from_json, spec_to_json
+from float_specs import floated
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -106,7 +107,7 @@ def test_integer_and_real_engines_agree(spec, order):
 @given(st.one_of(specs(), specs(laurent=True)), st.integers(0, 5))
 def test_float_mode_close_to_exact(spec, order):
     exact = expand(spec, order)
-    approx = expand(spec, order, float_mode=True)
+    approx = expand(floated(spec), order)
     for m in set(exact.values) | set(approx.values):
         assert math.isclose(approx.value_at(m), float(exact.value_at(m)),
                             rel_tol=1e-9, abs_tol=1e-9), m
