@@ -31,8 +31,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .polyseries import MultiPoly, TruncatedSeries, _rational_root, binomials
 from .oracle import QuasiRationalSpec, _as_int
+from .errors import RefusalError
 from .localgeo import (TOL, DegenerateError, DirectionTag, GeometryError, Matrix,
-                       QuadraticPointData, RefusalError, _bilinear, classify_direction,
+                       QuadraticPointData, _bilinear, classify_direction,
                        homogeneous_part, quadratic_point_data)
 from .localgeo import log_compose_taylor  # noqa: F401  (perfbench traces it under this name)
 

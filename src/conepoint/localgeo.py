@@ -21,11 +21,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .polyseries import (FIELD_RATIONAL, MultiPoly, TruncatedSeries, _rational_root,
                          log_compose_taylor)
 from .oracle import QuasiRationalSpec, _as_int
+from .errors import RefusalError
 
 
 TOL = 1e-9  # relative margin of the decisions here and of smooth-point degeneracy
@@ -41,14 +42,6 @@ class DegenerateError(GeometryError):
 
 class SignatureError(GeometryError):
     pass
-
-
-class RefusalError(RuntimeError):
-    """Raised when asymptotics are declined (obstructed or unsupported)."""
-
-    def __init__(self, message: str, diagnostics: Optional[dict] = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
 
 
 # -- series probes -----------------------------------------------------------

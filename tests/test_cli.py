@@ -294,6 +294,19 @@ class TestInputErrors:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: conepoint oracle")
 
+    def test_order_with_at_exit_3(self, capsys):
+        # --order used to be dropped silently: this printed 0 and exited 0
+        rc, out, err = run(capsys, "oracle", "--preset", "aztec", "--at", "1,1,2", "--order", "3")
+        assert rc == 3 and not out
+        assert err.startswith("usage: conepoint") and "--at" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_format_with_at_exit_3(self, capsys, fmt):
+        # --format used to be dropped silently for a single coefficient
+        rc, out, err = run(capsys, "oracle", "--preset", "aztec", "--at", "1,1,2", "--format", fmt)
+        assert rc == 3 and not out
+        assert err.startswith("spec error:") and "--format" in err
+
     def test_float_outside_oracle_exit_3(self, capsys):
         # only oracle formats values; elsewhere --float is an unknown option
         rc, out, err = run(capsys, "asym", "--preset", "aztec", "--r", "0,0,9", "--float", "3")
