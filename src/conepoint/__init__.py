@@ -7,8 +7,7 @@ Each public name is imported from its home module on first use (PEP 562), so
 import importlib
 
 _EXPORTS = {
-    "polyseries": "FIELD_COMPLEX FIELD_RATIONAL FIELD_REAL DomainError MultiPoly NonUnitError "
-                  "TruncatedSeries log_compose_taylor",
+    "polyseries": "DomainError MultiPoly NonUnitError TruncatedSeries log_compose_taylor",
     "oracle": "CoeffTable NotNormalizedError QuasiRationalSpec SpecError coefficient_at "
               "empirical_decay expand expand_box naive_series normalize_laurent",
     "localgeo": "DegenerateError DirectionClass DirectionTag GeometryError QuadraticPointData "

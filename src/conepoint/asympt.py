@@ -144,7 +144,8 @@ def dual_power_derivative(dual_matrix: Matrix, alpha, m: Sequence[int], r: Seque
     floating point (and exact for integer exponents over rationals).
     """
     d = len(dual_matrix)
-    grad_rows = [MultiPoly(d, {tuple(int(i == j) for i in range(d)): 2 * dual_matrix[row][j]
+    grad_rows = [MultiPoly(d, {tuple(int(i == j) for i in range(d)):
+                               2 * Fraction(dual_matrix[row][j])
                                for j in range(d) if dual_matrix[row][j] != 0})
                  for row in range(d)]
     terms: Dict[int, MultiPoly] = {0: MultiPoly.const(d, 1)}
@@ -231,7 +232,7 @@ def double_residue(qtilde: MultiPoly, ell: Sequence, alpha: Sequence):
     """
     if qtilde.arity != 3:
         raise GeometryError("double residue is a 3-variable construction")
-    L = MultiPoly(3, {tuple(int(i == j) for i in range(3)): ell[j]
+    L = MultiPoly(3, {tuple(int(i == j) for i in range(3)): Fraction(ell[j])
                       for j in range(3) if ell[j] != 0})
     qa = qtilde.eval(list(alpha))
     la = L.eval(list(alpha))
@@ -320,7 +321,7 @@ def oriented_double_residue(data: QuadraticPointData):
                 m = [0] * d
                 m[i] += 1
                 m[j] += 1
-                terms[tuple(m)] = c
+                terms[tuple(m)] = Fraction(c)
     qt = MultiPoly(d, terms)
     ell = data.linear_factors[0][0]
     vals = [double_residue(qt, ell, alpha) for alpha in intersection_lines(data)]

@@ -70,17 +70,19 @@ def _build_parser() -> argparse.ArgumentParser:
                             "exact series oracle")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_source(sp):
+    def add_source(sp, discovers=True):
         src = sp.add_mutually_exclusive_group(required=True)
         src.add_argument("--preset", choices=PRESET_NAMES)
         src.add_argument("--spec", help="path to a spec JSON file")
         sp.add_argument("--beta", default=None,
                         help="power for the fls preset (rational like 3/4)")
-        sp.add_argument("--seed", type=int, default=0)
+        if discovers:
+            sp.add_argument("--seed", type=int, default=0,
+                            help="seed of the point search when the spec gives no points")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
 
     po = sub.add_parser("oracle", help="exact series coefficients")
-    add_source(po)
+    add_source(po, discovers=False)
     po.add_argument("--float", dest="float_digits", nargs="?", const=17, default=None,
                     type=_positive_int, help="print values as floats (optional digit count)")
     query = po.add_mutually_exclusive_group(required=True)
@@ -101,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--slice-step", type=_finite, default=0.1)
     pc.add_argument("--lambda-min", type=_finite, default=None)
     pc.add_argument("--lambda-max", type=_finite, default=2.0)
-    pc.add_argument("--cone-margin", type=float, default=0.2,
+    pc.add_argument("--cone-margin", type=_finite, default=0.2,
                     help="keep directions with dual form > margin * t^2 on the slice")
     pc.add_argument("--directions", default=None,
                     help="explicit direction list 'i,j,k;i,j,k;...' instead of a slice grid")

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import List, Sequence, Tuple
 
-from .polyseries import (FIELD_RATIONAL, MultiPoly, TruncatedSeries, _rational_root,
+from .polyseries import (MultiPoly, TruncatedSeries, _rational_root, is_exact,
                          log_compose_taylor)
 from .oracle import QuasiRationalSpec, _as_int
 from .errors import RefusalError
@@ -118,7 +118,7 @@ def classify_quadratic(h: MultiPoly, u: Sequence) -> Tuple[Matrix, bool]:
         if any(abs(c.imag) > TOL * scale for c in terms.values()):
             raise GeometryError("quadratic part is not a phase multiple of a real form")
         terms = {m: c.real for m, c in terms.items()}
-    M = [[Fraction(0) if h.field_tag == FIELD_RATIONAL else 0.0] * d for _ in range(d)]
+    M = [[Fraction(0) if is_exact(h) else 0.0] * d for _ in range(d)]
     for m, c in terms.items():
         idx = [i for i in range(d) for _ in range(m[i])]
         i, j = idx[0], idx[1]

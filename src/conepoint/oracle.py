@@ -55,7 +55,7 @@ from itertools import product
 from operator import add, le, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .polyseries import FIELD_RATIONAL, MultiPoly, TruncatedSeries
+from .polyseries import MultiPoly, TruncatedSeries, is_exact
 
 Exponent = Tuple[int, ...]
 
@@ -341,7 +341,7 @@ def _sweep_integer(numer: MultiPoly, D: MultiPoly, w: Tuple[int, ...], max_level
     p_levels: Dict[int, Dict[Exponent, object]] = {}
     for m, c in numer.terms.items():
         p_levels.setdefault(_grade_of(m, w), {})[m] = c
-    exact = D.field_tag == numer.field_tag == FIELD_RATIONAL
+    exact = is_exact(D) and is_exact(numer)
     div = None if exact or d0 == 1 else d0
     if exact:
         L = _denominator_lcm(D, numer)
@@ -412,7 +412,7 @@ def _sweep_real(D: MultiPoly, A: MultiPoly, w: Tuple[int, ...], lay: _Slabs, rec
     reach = max((k for _, k, _, _ in gens), default=0)
     cur = [0] * lay.size
     cur[lay.index(zero)] = 1 if C is not None else (
-        Fraction(1) if D.field_tag == FIELD_RATIONAL else 1.0)
+        Fraction(1) if is_exact(D) else 1.0)
     slabs = {0: cur}
     yield 0, cur
     for n in range(1, max(rects) + 1):
@@ -506,20 +506,20 @@ def _prepare_real(spec: QuasiRationalSpec, w: Tuple[int, ...]):
             else:
                 scale_exact = False
                 float_scale *= float(c) ** (-float(s))
-            poly = MultiPoly(arity, {m: v / c for m, v in poly.terms.items()}, poly.field_tag)
+            poly = MultiPoly(arity, {m: v / c for m, v in poly.terms.items()})
         hats.append(poly)
         powers.append(s)
     C = None
     if all(isinstance(s, Fraction) for s in powers) and all(
-            p.field_tag == FIELD_RATIONAL for p in (spec.numerator, *hats)):
+            map(is_exact, (spec.numerator, *hats))):
         C = math.lcm(*(s.denominator for s in powers)) * _denominator_lcm(*hats)
     D = MultiPoly.const(arity, 1)
     for h in hats:
         D = D * h
     A = MultiPoly.zero(arity)
     for j, h in enumerate(hats):
-        term = MultiPoly(arity, {m: c * _grade_of(m, w) for m, c in h.terms.items()},
-                         h.field_tag).scale(powers[j])
+        term = MultiPoly(arity, {m: c * _grade_of(m, w)
+                                 for m, c in h.terms.items()}).scale(powers[j])
         for k, other in enumerate(hats):
             if k != j:
                 term = term * other

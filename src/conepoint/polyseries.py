@@ -1,11 +1,16 @@
 """Sparse multivariate Laurent polynomials and truncated power series.
 
-Coefficients live in one of three scalar fields: exact rationals
-(`fractions.Fraction`), double-precision reals, or complex doubles.
-Arithmetic stays exact while all inputs are rational; a float or complex
-coefficient (as in a spec with float coefficients or powers) moves the
-result to that field.  Values are immutable after construction and all
-operations are pure, so they can be shared freely between threads.
+Each coefficient carries its own field: an exact `fractions.Fraction`, a
+float, or a complex float.  Arithmetic follows Python's numeric tower, so it
+stays exact while all inputs are rational, and a float or complex
+coefficient (as in a spec with float coefficients or powers) makes every
+result it touches float or complex: `Fraction` op `float` is `float(F)` op
+`float`.  Within one polynomial the coefficients share a field: construction
+turns ints into Fractions and lifts narrower coefficients to the widest one
+present, and `from_terms`, the input boundary, does the same before it sums
+repeated exponents.  `is_exact` tells whether a polynomial is all rational.
+Values are immutable after construction and all operations are pure, so
+they can be shared freely between threads.
 
 Representation: a polynomial is a map from exponent tuples (negative
 entries allowed) to nonzero coefficients.  A truncated series is the same
@@ -16,18 +21,13 @@ arithmetic truncates to the minimum order of the operands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
+from operator import add
 from typing import Dict, Iterable, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
-
-FIELD_RATIONAL = "exact-rational"
-FIELD_REAL = "real-float"
-FIELD_COMPLEX = "complex-float"
-
-_FIELD_RANK = {FIELD_RATIONAL: 0, FIELD_REAL: 1, FIELD_COMPLEX: 2}
 
 
 class DomainError(ValueError):
@@ -38,33 +38,92 @@ class NonUnitError(ValueError):
     """Raised when a series operation needs a nonzero constant term."""
 
 
-def field_of_scalar(c) -> str:
-    if isinstance(c, complex):
-        return FIELD_COMPLEX
-    if isinstance(c, float):
-        return FIELD_REAL
-    return FIELD_RATIONAL
+def _zero(terms: Dict[Exponent, object]):
+    """0 in the field of the coefficients (a Fraction when there are none)."""
+    return type(next(iter(terms.values()), Fraction(0)))()
 
 
-def join_fields(*tags: str) -> str:
-    return max(tags, key=_FIELD_RANK.__getitem__)
+def _clean(terms: Dict[Exponent, object], arity: int, order=None) -> Dict[Exponent, object]:
+    """Validated terms without zeros, ints made Fractions, all in the widest
+    field present; with an order, terms of higher total degree are dropped."""
+    clean = {}
+    for m, c in terms.items():
+        if len(m) != arity or (order is not None and any(e < 0 for e in m)):
+            raise ValueError(f"bad exponent {m} for arity {arity}")
+        if order is not None and sum(m) > order:
+            continue
+        if isinstance(c, int):
+            c = Fraction(c)
+        if c:
+            clean[tuple(int(e) for e in m)] = c
+    kinds = {type(c) for c in clean.values()}
+    if len(kinds) > 1:
+        zero = sum(kind() for kind in kinds)
+        clean = {m: c if type(c) is type(zero) else zero + c for m, c in clean.items()}
+    return clean
 
 
-def _coerce(c, tag: str):
-    if tag == FIELD_RATIONAL:
-        return c if isinstance(c, Fraction) else Fraction(c)
-    if tag == FIELD_REAL:
-        return float(c)
-    return complex(c)
+def _add_terms(a: Dict[Exponent, object], b: Dict[Exponent, object]) -> Dict[Exponent, object]:
+    """Sum of two term maps; a term missing from a reads as 0 in the field of the sum."""
+    zero = _zero(a) + _zero(b)
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, zero) + c
+    return out
 
 
-def _is_zero(c) -> bool:
-    return c == 0
+def _mul_terms(a: Dict[Exponent, object], b: Dict[Exponent, object],
+               order=None) -> Dict[Exponent, object]:
+    """Product of two term maps; with an order, pairs of higher total degree
+    are skipped."""
+    cap = math.inf if order is None else order
+    b_deg = [(mb, cb, sum(mb)) for mb, cb in b.items()]
+    out: Dict[Exponent, object] = {}
+    for ma, ca in a.items():
+        room = cap - sum(ma)
+        for mb, cb, db in b_deg:
+            if db <= room:
+                m = tuple(map(add, ma, mb))
+                out[m] = out[m] + ca * cb if m in out else ca * cb
+    return out
+
+
+def is_exact(p) -> bool:
+    """True when every coefficient of a polynomial or series is a Fraction."""
+    return all(isinstance(c, Fraction) for c in p.terms.values())
+
+
+class _Terms:
+    """What MultiPoly and TruncatedSeries share: lookups, negation, scaling."""
+
+    def coeff(self, m: Sequence[int]):
+        """The coefficient of X^m; a missing one reads as 0 in the field of the others."""
+        c = self.terms.get(tuple(m))
+        return _zero(self.terms) if c is None else c
+
+    def constant_term(self):
+        return self.coeff((0,) * self.arity)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __neg__(self):
+        return replace(self, terms={m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        return replace(self, terms={m: v * c for m, v in self.terms.items()})
+
+    def _check(self, other):
+        if self.arity != other.arity:
+            raise ValueError("arity mismatch")
 
 
 @dataclass(frozen=True)
-class MultiPoly:
-    """Sparse Laurent polynomial: arity, {exponent tuple: coefficient}, field tag.
+class MultiPoly(_Terms):
+    """Sparse Laurent polynomial: arity and {exponent tuple: coefficient}.
 
     Zero coefficients are never stored, so equality of term maps is
     equality of polynomials.
@@ -72,30 +131,21 @@ class MultiPoly:
 
     arity: int
     terms: Dict[Exponent, object] = field(default_factory=dict)
-    field_tag: str = FIELD_RATIONAL
 
     def __post_init__(self):
         if self.arity < 1:
             raise ValueError("arity must be positive")
-        clean = {}
-        for m, c in self.terms.items():
-            if len(m) != self.arity:
-                raise ValueError(f"exponent {m} has wrong length for arity {self.arity}")
-            c = _coerce(c, self.field_tag)
-            if not _is_zero(c):
-                clean[tuple(int(e) for e in m)] = c
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _clean(self.terms, self.arity))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, arity: int, field_tag: str = FIELD_RATIONAL) -> "MultiPoly":
-        return cls(arity, {}, field_tag)
+    def zero(cls, arity: int) -> "MultiPoly":
+        return cls(arity, {})
 
     @classmethod
-    def const(cls, arity: int, value, field_tag: str | None = None) -> "MultiPoly":
-        tag = field_tag or field_of_scalar(value)
-        return cls(arity, {(0,) * arity: value}, tag)
+    def const(cls, arity: int, value) -> "MultiPoly":
+        return cls(arity, {(0,) * arity: value})
 
     @classmethod
     def variable(cls, arity: int, idx: int, power: int = 1) -> "MultiPoly":
@@ -104,28 +154,18 @@ class MultiPoly:
         return cls(arity, {tuple(e): Fraction(1)})
 
     @classmethod
-    def from_terms(cls, arity: int, items: Iterable[Tuple[Sequence[int], object]],
-                   field_tag: str | None = None) -> "MultiPoly":
+    def from_terms(cls, arity: int,
+                   items: Iterable[Tuple[Sequence[int], object]]) -> "MultiPoly":
+        """Sum of the given terms, every coefficient first brought to the
+        widest field among them."""
+        items = [(tuple(int(e) for e in m), c) for m, c in items]
+        zero = sum((kind() for kind in {type(c) for _, c in items}), Fraction(0))
         terms: Dict[Exponent, object] = {}
-        tag = field_tag
         for m, c in items:
-            if tag is None:
-                tag = field_of_scalar(c)
-            else:
-                tag = join_fields(tag, field_of_scalar(c))
-        tag = tag or FIELD_RATIONAL
-        for m, c in items:
-            m = tuple(int(e) for e in m)
-            terms[m] = terms.get(m, _coerce(0, tag)) + _coerce(c, tag)
-        return cls(arity, terms, tag)
+            terms[m] = terms.get(m, zero) + c
+        return cls(arity, terms)
 
     # -- structure ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def constant_term(self):
-        return self.terms.get((0,) * self.arity, _coerce(0, self.field_tag))
 
     def min_exponents(self) -> Exponent:
         """Componentwise minimum exponent over the support (0 if empty)."""
@@ -138,59 +178,25 @@ class MultiPoly:
             return 0
         return max(sum(m) for m in self.terms)
 
-    def coeff(self, m: Sequence[int]):
-        return self.terms.get(tuple(m), _coerce(0, self.field_tag))
-
     # -- arithmetic --------------------------------------------------------
 
-    def _joined(self, other: "MultiPoly") -> str:
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        return join_fields(self.field_tag, other.field_tag)
-
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        tag = self._joined(other)
-        out = {m: _coerce(c, tag) for m, c in self.terms.items()}
-        for m, c in other.terms.items():
-            out[m] = out.get(m, _coerce(0, tag)) + _coerce(c, tag)
-        return MultiPoly(self.arity, out, tag)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.arity, {m: -c for m, c in self.terms.items()}, self.field_tag)
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
+        self._check(other)
+        return MultiPoly(self.arity, _add_terms(self.terms, other.terms))
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        tag = self._joined(other)
-        out: Dict[Exponent, object] = {}
-        for ma, ca in self.terms.items():
-            ca = _coerce(ca, tag)
-            for mb, cb in other.terms.items():
-                m = tuple(a + b for a, b in zip(ma, mb))
-                prod = ca * _coerce(cb, tag)
-                if m in out:
-                    out[m] = out[m] + prod
-                else:
-                    out[m] = prod
-        return MultiPoly(self.arity, out, tag)
-
-    def scale(self, c) -> "MultiPoly":
-        tag = join_fields(self.field_tag, field_of_scalar(c))
-        c = _coerce(c, tag)
-        return MultiPoly(self.arity, {m: _coerce(v, tag) * c for m, v in self.terms.items()}, tag)
+        self._check(other)
+        return MultiPoly(self.arity, _mul_terms(self.terms, other.terms))
 
     def shift(self, monomial: Sequence[int]) -> "MultiPoly":
         """Multiply by the monomial X^monomial (integer exponents)."""
         mono = tuple(int(e) for e in monomial)
-        return MultiPoly(self.arity,
-                         {tuple(a + b for a, b in zip(m, mono)): c for m, c in self.terms.items()},
-                         self.field_tag)
+        return MultiPoly(self.arity, {tuple(map(add, m, mono)): c for m, c in self.terms.items()})
 
     def pow(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = MultiPoly.const(self.arity, 1, self.field_tag)
+        result = MultiPoly.const(self.arity, 1)
         base = self
         while n:
             if n & 1:
@@ -213,12 +219,11 @@ class MultiPoly:
             m2 = list(m)
             m2[var_index] = e - 1
             m2 = tuple(m2)
-            add = c * e
-            out[m2] = out.get(m2, _coerce(0, self.field_tag)) + add
-        return MultiPoly(self.arity, out, self.field_tag)
+            out[m2] = out.get(m2, 0) + c * e
+        return MultiPoly(self.arity, out)
 
     def eval(self, point: Sequence):
-        """Evaluate at a point; exact when the field and point are rational.
+        """Evaluate at a point; exact when the coefficients and point are rational.
 
         Raises DomainError if a coordinate is zero where a negative exponent
         requires its inverse.
@@ -226,8 +231,7 @@ class MultiPoly:
         pt = list(point)
         if len(pt) != self.arity:
             raise ValueError("point length must equal arity")
-        exact = self.field_tag == FIELD_RATIONAL and all(
-            isinstance(v, (int, Fraction)) for v in pt)
+        exact = is_exact(self) and all(isinstance(v, (int, Fraction)) for v in pt)
         total = Fraction(0) if exact else 0
         for m, c in self.terms.items():
             term = c
@@ -251,7 +255,7 @@ class MultiPoly:
 
 
 @dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(_Terms):
     """Power series truncated at a total-degree order.
 
     Exponents are nonnegative with total degree <= order.  Binary
@@ -261,95 +265,37 @@ class TruncatedSeries:
     arity: int
     order: int
     terms: Dict[Exponent, object] = field(default_factory=dict)
-    field_tag: str = FIELD_RATIONAL
 
     def __post_init__(self):
         if self.order < 0:
             raise ValueError("order must be nonnegative")
-        clean = {}
-        for m, c in self.terms.items():
-            if len(m) != self.arity or any(e < 0 for e in m):
-                raise ValueError(f"bad series exponent {m}")
-            if sum(m) > self.order:
-                continue
-            c = _coerce(c, self.field_tag)
-            if not _is_zero(c):
-                clean[tuple(int(e) for e in m)] = c
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _clean(self.terms, self.arity, self.order))
 
     @classmethod
     def from_poly(cls, p: MultiPoly, order: int) -> "TruncatedSeries":
         if any(e < 0 for m in p.terms for e in m):
             raise ValueError("polynomial has negative exponents; not a power series")
-        return cls(p.arity, order, dict(p.terms), p.field_tag)
+        return cls(p.arity, order, dict(p.terms))
 
     @classmethod
-    def const(cls, arity: int, value, order: int, field_tag: str | None = None) -> "TruncatedSeries":
-        tag = field_tag or field_of_scalar(value)
-        return cls(arity, order, {(0,) * arity: value}, tag)
+    def const(cls, arity: int, value, order: int) -> "TruncatedSeries":
+        return cls(arity, order, {(0,) * arity: value})
 
     def to_poly(self) -> MultiPoly:
-        return MultiPoly(self.arity, dict(self.terms), self.field_tag)
-
-    def coeff(self, m: Sequence[int]):
-        return self.terms.get(tuple(m), _coerce(0, self.field_tag))
-
-    def constant_term(self):
-        return self.terms.get((0,) * self.arity, _coerce(0, self.field_tag))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _joined(self, other: "TruncatedSeries"):
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        return min(self.order, other.order), join_fields(self.field_tag, other.field_tag)
+        return MultiPoly(self.arity, dict(self.terms))
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order, tag = self._joined(other)
-        out = {m: _coerce(c, tag) for m, c in self.terms.items() if sum(m) <= order}
-        for m, c in other.terms.items():
-            if sum(m) > order:
-                continue
-            out[m] = out.get(m, _coerce(0, tag)) + _coerce(c, tag)
-        return TruncatedSeries(self.arity, order, out, tag)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.arity, self.order,
-                               {m: -c for m, c in self.terms.items()}, self.field_tag)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
+        self._check(other)
+        return TruncatedSeries(self.arity, min(self.order, other.order),
+                               _add_terms(self.terms, other.terms))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order, tag = self._joined(other)
-        out: Dict[Exponent, object] = {}
-        for ma, ca in self.terms.items():
-            da = sum(ma)
-            if da > order:
-                continue
-            ca = _coerce(ca, tag)
-            for mb, cb in other.terms.items():
-                if da + sum(mb) > order:
-                    continue
-                m = tuple(a + b for a, b in zip(ma, mb))
-                prod = ca * _coerce(cb, tag)
-                if m in out:
-                    out[m] = out[m] + prod
-                else:
-                    out[m] = prod
-        return TruncatedSeries(self.arity, order, out, tag)
-
-    def scale(self, c) -> "TruncatedSeries":
-        tag = join_fields(self.field_tag, field_of_scalar(c))
-        c = _coerce(c, tag)
-        return TruncatedSeries(self.arity, self.order,
-                               {m: _coerce(v, tag) * c for m, v in self.terms.items()}, tag)
+        self._check(other)
+        order = min(self.order, other.order)
+        return TruncatedSeries(self.arity, order, _mul_terms(self.terms, other.terms, order))
 
     def homogeneous_component(self, degree: int) -> MultiPoly:
-        return MultiPoly(self.arity,
-                         {m: c for m, c in self.terms.items() if sum(m) == degree},
-                         self.field_tag)
+        return MultiPoly(self.arity, {m: c for m, c in self.terms.items() if sum(m) == degree})
 
     def eval(self, point: Sequence):
         return self.to_poly().eval(point)
@@ -359,37 +305,29 @@ class TruncatedSeries:
 
         Requires a nonzero constant term c; computes c^alpha * sum
         binom(alpha, n) u^n with u = self/c - 1.  Result is exact when the
-        field, alpha and c^alpha are rational (in particular for integer
-        alpha); otherwise the constant prefactor is floating point.
+        coefficients, alpha and c^alpha are rational (in particular for
+        integer alpha); otherwise the constant prefactor is floating point.
         """
         c0 = self.constant_term()
-        if _is_zero(c0):
+        if c0 == 0:
             raise NonUnitError("series power needs a nonzero constant term")
+        one = type(c0)(1)  # 1 in the field of the series
         if alpha == 0:
-            return TruncatedSeries.const(self.arity, _coerce(1, self.field_tag), self.order,
-                                         self.field_tag)
+            return TruncatedSeries.const(self.arity, one, self.order)
         # c0^alpha: exact for integer alpha over rationals, and for fractional
         # alpha whenever the rational root is exact; floating otherwise
-        int_alpha = (isinstance(alpha, int) or
-                     (isinstance(alpha, Fraction) and alpha.denominator == 1))
-        if int_alpha:
-            alpha_i = int(alpha)
-            lead = Fraction(c0) ** alpha_i if self.field_tag == FIELD_RATIONAL else c0 ** alpha_i
-        elif self.field_tag == FIELD_RATIONAL and isinstance(alpha, Fraction):
-            root = _rational_root(Fraction(c0), alpha.denominator)
-            if root is not None:
-                lead = root ** alpha.numerator
-            else:
-                lead = float(c0) ** float(alpha)
+        if isinstance(alpha, int) or (isinstance(alpha, Fraction) and alpha.denominator == 1):
+            lead = c0 ** int(alpha)
+        elif is_exact(self) and isinstance(alpha, Fraction):
+            root = _rational_root(c0, alpha.denominator)
+            lead = root ** alpha.numerator if root is not None else float(c0) ** float(alpha)
+        elif isinstance(c0, complex):
+            lead = c0 ** complex(alpha)
         else:
-            lead = complex(c0) ** complex(alpha) if self.field_tag == FIELD_COMPLEX \
-                else float(c0) ** float(alpha)
-        u = self.scale(_coerce(1, self.field_tag) / c0 if self.field_tag == FIELD_RATIONAL
-                       else 1.0 / c0) - TruncatedSeries.const(self.arity, 1, self.order,
-                                                              self.field_tag)
+            lead = float(c0) ** float(alpha)
+        u = self.scale(one / c0) - TruncatedSeries.const(self.arity, one, self.order)
         # u has zero constant term, so u^n vanishes past n = order
-        result = TruncatedSeries.const(self.arity, 1, self.order, self.field_tag)
-        power = TruncatedSeries.const(self.arity, 1, self.order, self.field_tag)
+        result = power = TruncatedSeries.const(self.arity, one, self.order)
         binoms = binomials(alpha, self.order)
         for n in range(1, self.order + 1):
             power = power * u
@@ -443,20 +381,17 @@ def _graded_exponents(n: int, order: int) -> list:
 def log_compose_taylor(p: MultiPoly, center: Sequence, order: int) -> TruncatedSeries:
     """Taylor series of y -> p(Z_1 e^{y_1}, ..., Z_d e^{y_d}) around y = 0.
 
-    Exact (rational field) when p and the center Z are rational.  Each
-    monomial c X^m contributes c Z^m e^{m.y}, whose coefficient of y^a is
-    written down in closed form: c Z^m prod_i m_i^a_i / a_i!.
+    Exact when p and the center Z are rational; otherwise every coefficient
+    is in the center's field (float or complex) or p's, whichever is wider.
+    Each monomial c X^m contributes c Z^m e^{m.y}, whose coefficient of y^a
+    is written down in closed form: c Z^m prod_i m_i^a_i / a_i!.
     """
     Z = list(center)
     if len(Z) != p.arity:
         raise ValueError("center length must equal arity")
     if any(v == 0 for v in Z):
         raise DomainError("center must have nonzero coordinates")
-    exact = p.field_tag == FIELD_RATIONAL and all(isinstance(v, (int, Fraction)) for v in Z)
-    tag = p.field_tag
-    if not exact:
-        tag = join_fields(tag, FIELD_COMPLEX if any(isinstance(v, complex) for v in Z)
-                          else FIELD_REAL)
+    exact = is_exact(p) and all(isinstance(v, (int, Fraction)) for v in Z)
     terms: Dict[Exponent, object] = {}
     for m, c in p.terms.items():
         zm = c
@@ -474,4 +409,7 @@ def log_compose_taylor(p: MultiPoly, center: Sequence, order: int) -> TruncatedS
                 den *= math.factorial(k)
             a = tuple(a)
             terms[a] = terms.get(a, 0) + zm * Fraction(num, den)
-    return TruncatedSeries(p.arity, order, terms, tag)
+    if not exact:  # also the terms, like the constant one, that no float coordinate entered
+        zero = 0j if any(isinstance(v, complex) for v in Z) else 0.0
+        terms = {a: zero + c for a, c in terms.items()}
+    return TruncatedSeries(p.arity, order, terms)

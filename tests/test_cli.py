@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -285,7 +286,9 @@ class TestInputErrors:
 
     def test_usage_errors_exit_3(self, capsys):
         # argparse exits 2 on its own, which is the refusal code here
-        for argv in (("oracle", "--preset", "aztec", "--bogus"), ("oracle", "--order", "2"), ()):
+        # oracle discovers no points, so it has no --seed; it used to accept and ignore one
+        for argv in (("oracle", "--preset", "aztec", "--bogus"), ("oracle", "--order", "2"), (),
+                     ("oracle", "--preset", "aztec", "--at", "1,1,2", "--seed", "7")):
             rc, out, err = run(capsys, *argv)
             assert rc == 3 and not out, argv
             assert err.startswith("usage: conepoint") and "spec error:" in err, argv
@@ -354,7 +357,8 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("flag,value", [("--t-list", "19,abc"), ("--t-list", "9,"),
                                             ("--slice-step", "0"), ("--slice-step", "nan"),
-                                            ("--lambda-min", "nan"), ("--lambda-max", "inf")])
+                                            ("--lambda-min", "nan"), ("--lambda-max", "inf"),
+                                            ("--cone-margin", "nan"), ("--cone-margin", "-inf")])
     def test_bad_grid_options_exit_3(self, capsys, flag, value):
         # these used to exit 4, the numeric-failure code
         rc, out, err = run(capsys, "compare", "--preset", "aztec", f"{flag}={value}")
@@ -431,3 +435,77 @@ class TestGoldenOutput:
     def test_stdout_and_exit_code(self, capsys, argv):
         rc, out, _ = run(capsys, *argv)
         assert (rc, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_STDOUT[argv]
+
+
+def _floated_json(raw: dict) -> dict:
+    """A spec's JSON with every coefficient and power written as a float."""
+    out = json.loads(json.dumps(raw))
+    for poly in [out["numerator"]] + [f["poly"] for f in out["factors"]]:
+        for term in poly:
+            term["coeff"] = float(Fraction(term["coeff"]))
+    for f in out["factors"]:
+        f["power"] = float(Fraction(f["power"]))
+    return out
+
+
+def _grove_float_vanishing_numerator() -> dict:
+    raw = _floated_json(json.loads((SPEC_DIR / "cube_grove.json").read_text()))
+    raw["numerator"] = [{"coeff": 1.0, "exponents": [1, 0, 0]},
+                        {"coeff": -1.0, "exponents": [0, 0, 0]}]
+    return raw
+
+
+def _mixed_field_spec(power: str) -> dict:
+    """Two variables; int, "p/q" and float coefficients side by side in one polynomial."""
+    return {"variables": ["X", "Y"],
+            "numerator": [{"coeff": 2, "exponents": [0, 0]},
+                          {"coeff": "1/3", "exponents": [1, 0]},
+                          {"coeff": 0.75, "exponents": [0, 1]}],
+            "factors": [{"poly": [{"coeff": 1, "exponents": [0, 0]},
+                                  {"coeff": "-1/3", "exponents": [1, 0]},
+                                  {"coeff": -0.3, "exponents": [0, 1]},
+                                  {"coeff": "-1/7", "exponents": [1, 1]}], "power": power},
+                        {"poly": [{"coeff": "1", "exponents": [0, 0]},
+                                  {"coeff": "-2/5", "exponents": [0, 1]}], "power": 1}],
+            "cone_direction_u": [-1, -1]}
+
+
+FLOAT_SPECS = {
+    "grove-float-x-1": _grove_float_vanishing_numerator,
+    "mixed-2": lambda: _mixed_field_spec("2"),
+    "mixed-1/2": lambda: _mixed_field_spec("1/2"),
+    "fls-float": lambda: _floated_json(json.loads((SPEC_DIR / "fls.json").read_text())),
+}
+
+# SHA-256 of stdout and the exit code on specs with float or mixed coefficients,
+# recorded while each polynomial still carried a field tag; numbers now carry
+# their own field, and the bytes must not change.
+FLOAT_STDOUT = {
+    # the numerator X - 1 vanishes at (1,1,1) and prints as a float zero, "numerator_value":0.0
+    ("grove-float-x-1", "classify", "--r", "5,6,7"):
+        (0, "c6660a0e7269b877f4e577acaaacad39268a39e5464ff91b4401318579a0fc6e"),
+    ("mixed-2", "oracle", "--order", "8"):
+        (0, "5c0e3221634f5d24547d7ca2120ebe0b9e5cdaa39185ce8e0a2dd49237c96284"),
+    ("mixed-2", "oracle", "--order", "8", "--format", "json"):
+        (0, "a87112239110dc725fa404387c255f9b4e6f47b9856ffe39ea921f6de2797f41"),
+    ("mixed-2", "oracle", "--at", "7,5"):
+        (0, "060a7348df1d133411d94954646331b064021b88b75fcd03cbb5409f5e84e0d8"),
+    ("mixed-1/2", "oracle", "--order", "8"):
+        (0, "2661675578a7b7235833ded50fb9d07118181f7536cc9df5ab2ee597ff33b151"),
+    ("mixed-1/2", "oracle", "--order", "8", "--format", "json"):
+        (0, "4f30626fdcdaeb1ef71a8fe76145021ed1bffa60a6b8c7541be69960001fc172"),
+    ("mixed-1/2", "oracle", "--at", "7,5"):
+        (0, "574ba786e539b0a1952f0b16b61f28cf4efeb059d0b6fc7af3d3353ad8bef4ea"),
+    ("fls-float", "asym", "--terms", "3", "--r", "10,10,10"):
+        (0, "63dffa93addb3cf9a319838c594b348d23e311b39728a8d1fecaa0f4912256c2"),
+}
+
+
+class TestNumberFields:
+    @pytest.mark.parametrize("key", sorted(FLOAT_STDOUT), ids=" ".join)
+    def test_stdout_and_exit_code(self, capsys, tmp_path, key):
+        name, command, *argv = key
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(FLOAT_SPECS[name]()))
+        rc, out, _ = run(capsys, command, "--spec", str(path), *argv)
+        assert (rc, hashlib.sha256(out.encode()).hexdigest()) == FLOAT_STDOUT[key]

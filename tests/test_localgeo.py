@@ -11,6 +11,7 @@ from conepoint.localgeo import (DegenerateError, DirectionTag, GeometryError, Si
                                 classify_quadratic, dual_quadratic, homogeneous_part,
                                 mat_inverse, normalizer_absdet, quadratic_point_data,
                                 vanishing_degree)
+from reference_regions import hull_region, k0_region
 
 
 def mp(arity, *terms):
@@ -217,3 +218,72 @@ class TestClassifyDirection:
         bad = dataclasses.replace(data, linear_factors=(((0, 1, 1), 1), ((1, 0, 1), 1)))
         with pytest.raises(GeometryError):
             classify_direction(bad, (0, 0, 1))
+
+
+def _random_lorentzian_point(rng, base):
+    """base's point data with a random dual form L^T diag(1,-1,-1) L (small
+    integer L), the cone direction u = -L^T e_0 that picks the nappe with
+    (L r)_0 > 0, and zero or one covector ell with q*(ell, ell) < 0 and
+    ell . u < 0.  Also returns the sampling reference and a direction maker
+    that lands inside the cone or the hull about half the time."""
+    while True:
+        L = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        # adjugate: L adj = det I, so L (adj v) = det v
+        adj = [[L[(j + 1) % 3][(i + 1) % 3] * L[(j + 2) % 3][(i + 2) % 3]
+                - L[(j + 1) % 3][(i + 2) % 3] * L[(j + 2) % 3][(i + 1) % 3]
+                for j in range(3)] for i in range(3)]
+        det = sum(L[0][k] * adj[k][0] for k in range(3))
+        if det:
+            break
+    sign = (1, -1, -1)
+    dual = [[sum(L[k][i] * sign[k] * L[k][j] for k in range(3)) for j in range(3)]
+            for i in range(3)]
+    u = tuple(-L[0][j] for j in range(3))
+
+    def qdual(v):
+        return sum(v[i] * dual[i][j] * v[j] for i in range(3) for j in range(3))
+
+    ell = None
+    if rng.random() < 0.5:
+        ell = next(e for e in iter(lambda: tuple(rng.randint(-4, 4) for _ in range(3)), None)
+                   if qdual(e) < 0 and sum(a * b for a, b in zip(e, u)) != 0)
+        if sum(a * b for a, b in zip(ell, u)) > 0:
+            ell = tuple(-x for x in ell)
+    data = dataclasses.replace(
+        base, dual_matrix=tuple(tuple(Fraction(x) for x in row) for row in dual),
+        linear_factors=((ell, 1),) if ell else (), cone_direction_u=u)
+    uf = tuple(map(float, u))
+    region = (hull_region(qdual, tuple(map(float, ell)), uf) if ell
+              else k0_region(hull_region(qdual, (1.0, 0.0, 0.0), uf)))
+
+    def direction():
+        if rng.random() < 0.5:
+            return tuple(rng.randint(-12, 12) for _ in range(3))
+        x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+        v = (rng.randint(abs(x) + abs(y), 6), x, y)  # (v0, v1, v2) in the forward cone
+        r = [(1 if det > 0 else -1) * sum(adj[i][k] * v[k] for k in range(3)) for i in range(3)]
+        if ell:
+            lam = rng.randint(0, 3)
+            r = [a + lam * b for a, b in zip(r, ell)]
+        return tuple(r)
+
+    return data, region, direction
+
+
+def test_classifier_agrees_with_sampling_on_random_lorentzian_forms(cube_grove):
+    base = quadratic_point_data(cube_grove.spec, (1, 1, 1))
+    rng = random.Random(2024)
+    checked = set()
+    for _ in range(12):
+        data, region, direction = _random_lorentzian_point(rng, base)
+        for _ in range(10):
+            r = direction()
+            if not any(r):
+                continue
+            mine = classify_direction(data, r)
+            if (mine.tag in (DirectionTag.Indeterminate, DirectionTag.ObstructedBoundary)
+                    or abs(mine.margin) < 1e-2):
+                continue  # the sampler is not reliable near boundaries
+            assert mine.tag is region(r), (data.dual_matrix, data.linear_factors, r)
+            checked.add((data.k, mine.tag))
+    assert len(checked) == 5  # both k, and every decided tag

@@ -296,7 +296,7 @@ def _series_diff(s: TruncatedSeries, i: int) -> TruncatedSeries:
         m2 = list(m)
         m2[i] -= 1
         out[tuple(m2)] = out.get(tuple(m2), 0) + c * m[i]
-    return TruncatedSeries(s.arity, s.order, out, s.field_tag)
+    return TruncatedSeries(s.arity, s.order, out)
 
 
 class TestEmpiricalDecay:

@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conepoint.polyseries import (FIELD_RATIONAL, FIELD_REAL, DomainError, MultiPoly,
-                                  NonUnitError, TruncatedSeries, _rational_root,
-                                  log_compose_taylor)
+from conepoint.polyseries import (DomainError, MultiPoly, NonUnitError, TruncatedSeries,
+                                  _rational_root, is_exact, log_compose_taylor)
 
 
 def mp(arity, *terms):
@@ -125,10 +124,53 @@ class TestSeries:
         assert _rational_root(Fraction(-8), 3) is None
 
     def test_pow_real_roundtrip_float(self):
-        s = TruncatedSeries(1, 5, {(0,): 2.0, (1,): 0.5, (2,): -0.25}, "real-float")
+        s = TruncatedSeries(1, 5, {(0,): 2.0, (1,): 0.5, (2,): -0.25})
         back = s.pow_real(0.37).pow_real(1 / 0.37)
         for m, c in s.terms.items():
             assert abs(back.coeff(m) - c) < 1e-12 * (1 + abs(c))
+
+
+def random_rational_poly(rng, arity, lowest=-2):
+    """Terms with rationals that floats do not represent exactly; with lowest=0,
+    a power series with a constant term."""
+    def c():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+
+    terms = {tuple(rng.randint(lowest, 2) for _ in range(arity)): c()
+             for _ in range(rng.randint(1, 6))}
+    if lowest == 0:
+        terms[(0,) * arity] = c()
+    return MultiPoly(arity, terms)
+
+
+def floated(p):
+    return MultiPoly.from_terms(p.arity, [(m, float(c)) for m, c in p.terms.items()])
+
+
+def float_bits(p):
+    """Coefficients as float hex strings; a coefficient that is not a float raises."""
+    return {m: c.hex() for m, c in p.terms.items()}
+
+
+class TestMixedFields:
+    def test_one_float_operand_gives_the_all_float_bits(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            arity = rng.randint(1, 3)
+            p, q = random_rational_poly(rng, arity), random_rational_poly(rng, arity)
+            c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+            fp, fq = floated(p), floated(q)
+            assert float_bits(p * fq) == float_bits(fp * fq)
+            assert float_bits(fq * p) == float_bits(fq * fp)
+            assert float_bits(p + fq) == float_bits(fp + fq)
+            assert float_bits(fq - p) == float_bits(fq - fp)
+            assert float_bits(fp.scale(c)) == float_bits(fp.scale(float(c)))
+            order = rng.randint(0, 4)
+            p, q = random_rational_poly(rng, arity, 0), random_rational_poly(rng, arity, 0)
+            ps, fps, fqs = (TruncatedSeries.from_poly(x, order)
+                            for x in (p, floated(p), floated(q)))
+            assert float_bits(ps * fqs) == float_bits(fps * fqs)
+            assert float_bits(ps + fqs) == float_bits(fps + fqs)
 
 
 def naive_log_compose(p, center, order):
@@ -159,14 +201,14 @@ class TestLogCompose:
                  for _ in range(arity)]
             order = trial % 7
             s = log_compose_taylor(p, Z, order)
-            assert s.field_tag == FIELD_RATIONAL
+            assert is_exact(s)
             assert s == naive_log_compose(p, Z, order)
 
     def test_closed_form_matches_exp_series_at_a_float_center(self):
         p = random_poly(random.Random(3), 3, 3, laurent=True)
         Z = (0.7, -1.3, 2.1)
         s, ref = log_compose_taylor(p, Z, 6), naive_log_compose(p, Z, 6)
-        assert s.field_tag == ref.field_tag == FIELD_REAL
+        assert all(isinstance(c, float) for t in (s, ref) for c in t.terms.values())
         assert set(s.terms) == set(ref.terms)
         scale = max(abs(c) for c in ref.terms.values())
         for m, c in ref.terms.items():
