@@ -93,26 +93,12 @@ def z_power_neg(Z: Sequence, r: Sequence[int]):
 # -- local series expansion table ------------------------------------------------
 
 
-@dataclass
-class ExpansionTable:
-    """Coefficients c(m, l) of the falling-power re-expansion
-
-        p * q^(-s) = sum c(m,l) y^m qtilde(y)^(-s-l).
-
-    c(m,l) vanishes unless |m| >= 3l; the table is complete for all
-    |m| - 2l < max_order.
-    """
-
-    entries: Dict[Tuple[Tuple[int, ...], int], object]
-    max_order: int
-
-    def items(self):
-        return self.entries.items()
-
-
 def expansion_coefficients(p_series: TruncatedSeries, q_series: TruncatedSeries, s,
-                           N: int) -> ExpansionTable:
-    """Build the c(m,l) table by binomial re-expansion of the remainder of q."""
+                           N: int) -> Dict[Tuple[Tuple[int, ...], int], object]:
+    """Coefficients c(m,l), keyed by (m, l), of the falling-power re-expansion
+    p * q^(-s) = sum c(m,l) y^m qtilde(y)^(-s-l), by binomial re-expansion of the
+    remainder of q.  c(m,l) vanishes unless |m| >= 3l; the mapping is complete
+    for all |m| - 2l < N."""
     qt = homogeneous_part(q_series)
     if qt.total_degree() != 2:
         raise GeometryError("quadratic factor must vanish to order exactly 2")
@@ -130,18 +116,17 @@ def expansion_coefficients(p_series: TruncatedSeries, q_series: TruncatedSeries,
         for m, c in (rq_pow * p_series).terms.items():
             if sum(m) - 2 * ell < N:
                 entries[(m, ell)] = c_q[ell] * c
-    return ExpansionTable(entries, N)
+    return entries
 
 
 # -- derivatives of dual-form powers ----------------------------------------------
 
 
-def dual_power_derivative(dual_matrix: Matrix, alpha, m: Sequence[int], r: Sequence):
-    """Value of d^m/dr^m [ qdual(r,r)^alpha ] at r.
+def _derivative_terms(dual_matrix: Matrix, alpha, m: Sequence[int]) -> Dict[int, MultiPoly]:
+    """Polynomials P_j with d^m/dr^m [ qdual(r,r)^alpha ] = sum_j P_j(r) qdual(r,r)^(alpha-j).
 
-    Carried out by the exact product-rule recursion on pairs
-    (polynomial, power offset); only the final powers of qdual(r,r) are
-    floating point (and exact for integer exponents over rationals).
+    The exact product-rule recursion on pairs (polynomial, power offset j);
+    nothing here depends on r.
     """
     d = len(dual_matrix)
     grad_rows = [MultiPoly(d, {tuple(int(i == j) for i in range(d)):
@@ -149,22 +134,28 @@ def dual_power_derivative(dual_matrix: Matrix, alpha, m: Sequence[int], r: Seque
                                for j in range(d) if dual_matrix[row][j] != 0})
                  for row in range(d)]
     terms: Dict[int, MultiPoly] = {0: MultiPoly.const(d, 1)}
-    a = Fraction(alpha) if not isinstance(alpha, float) else alpha
     for i, cnt in enumerate(m):
         for _ in range(int(cnt)):
             new: Dict[int, MultiPoly] = {}
             for off, poly in terms.items():
                 dp = poly.diff(i)
                 if not dp.is_zero():
-                    _acc(new, off, dp)
+                    new[off] = new[off] + dp if off in new else dp
                 factor = poly * grad_rows[i]
                 if not factor.is_zero():
-                    _acc(new, off + 1, factor.scale(a - off))
+                    factor = factor.scale(alpha - off)
+                    new[off + 1] = new[off + 1] + factor if off + 1 in new else factor
             terms = new
-    qval = sum(r[i] * sum(dual_matrix[i][j] * r[j] for j in range(d)) for i in range(d))
+    return terms
+
+
+def _power_sum(terms: Dict[int, MultiPoly], alpha, r: Sequence, qval):
+    """sum_j P_j(r) qval^(alpha-j) for the terms of _derivative_terms and
+    qval = qdual(r,r).  Only the powers of qval are floating point (and
+    exact for integer exponents over rationals)."""
     total = 0
     for off, poly in terms.items():
-        expo = a - off
+        expo = alpha - off
         pv = poly.eval(list(r))
         if pv == 0:
             continue
@@ -182,36 +173,49 @@ def dual_power_derivative(dual_matrix: Matrix, alpha, m: Sequence[int], r: Seque
     return total
 
 
-def _acc(store: Dict[int, MultiPoly], key: int, poly: MultiPoly):
-    if key in store:
-        store[key] = store[key] + poly
-    else:
-        store[key] = poly
+def dual_power_derivative(dual_matrix: Matrix, alpha, m: Sequence[int], r: Sequence):
+    """Value of d^m/dr^m [ qdual(r,r)^alpha ] at r."""
+    a = Fraction(alpha) if not isinstance(alpha, float) else alpha
+    return _power_sum(_derivative_terms(dual_matrix, a, m), a, r,
+                      _bilinear(dual_matrix, r, r))
 
 
 # -- the quadratic-point series ----------------------------------------------------
 
+# One prepared term of the series at a bare quadratic point:
+# (l, c(m,l) (-1)^|m|, alpha = s + l - d/2, the P_j of d^m/dr^m qdual^alpha)
+SeriesTerm = Tuple[int, object, object, Dict[int, MultiPoly]]
 
-def quadratic_asymptotics(data: QuadraticPointData, table: ExpansionTable,
-                          r: Sequence[int], N: Optional[int] = None):
-    """Contribution of a bare quadratic point (no linear factors) at direction r."""
+
+def _series_terms(data: QuadraticPointData, N: int) -> Tuple[SeriesTerm, ...]:
+    """The direction-free part of the first N orders of the series, in the
+    order of expansion_coefficients."""
+    s, d = data.s, data.arity
+    out = []
+    for (m, ell), c in expansion_coefficients(data.p_series, data.q_series, s, N).items():
+        alpha = (Fraction(s) if not isinstance(s, float) else s) + ell - Fraction(d, 2)
+        out.append((ell, c if sum(m) % 2 == 0 else -c, alpha,
+                    _derivative_terms(data.dual_matrix, alpha, m)))
+    return tuple(out)
+
+
+def quadratic_asymptotics(data: QuadraticPointData, series: Sequence[SeriesTerm],
+                          r: Sequence[int]):
+    """Contribution of a bare quadratic point (no linear factors) at direction r,
+    from the series terms that prepare builds."""
     if data.k != 0:
         raise GeometryError("quadratic-point series requires k = 0")
     cls = classify_direction(data, r)
     if cls.tag is not DirectionTag.InteriorEllipticCone:
         raise RefusalError(f"direction {tuple(r)} is {cls.tag.value}",
                            {"class": cls.tag.value, "margin": cls.margin})
-    N = table.max_order if N is None else N
     d = data.arity
     s = data.s
     C = cone_constant(s, d, data.normalizer_absdet)
+    qval = _bilinear(data.dual_matrix, r, r)
     acc: Dict[int, float] = {}  # the terms of each l, which share the constant at s + l
-    for (m, ell), c in table.items():
-        if sum(m) - 2 * ell >= N:
-            continue
-        alpha = (Fraction(s) if not isinstance(s, float) else s) + ell - Fraction(d, 2)
-        deriv = dual_power_derivative(data.dual_matrix, alpha, m, r)
-        acc[ell] = acc.get(ell, 0.0) + float(c) * (-1.0) ** sum(m) * float(deriv)
+    for ell, c, alpha, terms in series:
+        acc[ell] = acc.get(ell, 0.0) + float(c) * float(_power_sum(terms, alpha, r, qval))
     zr = z_power_neg(data.point_Z, r)
     total = zr * C * acc.pop(0, 0.0)
     # a Gamma pole at s + l would be one at s too, which cone_constant refused
@@ -347,8 +351,8 @@ def cone_plane_asymptotics(data: QuadraticPointData, r: Sequence[int]):
     ell = data.linear_factors[0][0]
     qll = data.dual_eval(ell, ell)
     if float(qll) >= 0:
-        raise GeometryError("dual pairing of the smooth factor must be negative "
-                            "(real distinct intersections)")
+        raise RefusalError("dual pairing of the smooth factor must be negative "
+                           "(real distinct intersections)", {"dual_ll": str(qll)})
     cls = classify_direction(data, r)
     res2 = data.residue
     zr = z_power_neg(data.point_Z, r)
@@ -370,8 +374,7 @@ def cone_plane_asymptotics(data: QuadraticPointData, r: Sequence[int]):
 
 
 def smooth_asymptotics(P: MultiPoly, H: MultiPoly, cp: CriticalPoint,
-                       r: Sequence[int], cone_direction_u: Optional[Sequence] = None,
-                       nonvanishing_value=1):
+                       r: Sequence[int], cone_direction_u: Optional[Sequence] = None):
     """Leading smooth-point contribution via the log-variety curvature.
 
     The defining factor is sign-normalized to be positive on the
@@ -412,7 +415,7 @@ def smooth_asymptotics(P: MultiPoly, H: MultiPoly, cp: CriticalPoint,
         raise DegenerateError("curvature-degenerate smooth point")
     sqrt_kappa = np.prod([cmath.sqrt(e) for e in eig])
     rnorm = math.sqrt(sum(float(x) ** 2 for x in r))
-    pval = complex(P.eval(Z)) * complex(nonvanishing_value)
+    pval = complex(P.eval(Z))
     zr = complex(np.prod([complex(Z[i]) ** (-int(r[i])) for i in range(d)]))
     val = complex((2.0 * math.pi * rnorm) ** ((1 - d) / 2.0) * pval / (sqrt_kappa * gnorm) * zr)
     if abs(val.imag) < 1e-12 * (1 + abs(val)):
@@ -441,10 +444,10 @@ def _bilinear_tangent_frame(g: np.ndarray) -> List[np.ndarray]:
 # -- decay exponents -------------------------------------------------------------------
 
 
-def local_degree(spec: QuasiRationalSpec, Z: Sequence, order: int = 6):
+def local_degree(spec: QuasiRationalSpec, Z: Sequence):
     """Homogeneous degree of the function at the quadratic point Z (see
     QuadraticPointData.degree)."""
-    return quadratic_point_data(spec, Z, order).degree
+    return quadratic_point_data(spec, Z).degree
 
 
 def decay_exponent(spec: QuasiRationalSpec, points: Sequence[Tuple[Sequence, object]]) -> float:
@@ -481,51 +484,45 @@ class PreparedPoint:
     """What total_asymptotics needs at one point, whatever the direction."""
 
     data: QuadraticPointData
-    table: Optional[ExpansionTable]  # bare quadratic points (k = 0) only
+    series: Optional[Tuple[SeriesTerm, ...]]  # bare quadratic points (k = 0) only
 
 
 def prepare(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None, *,
-            order_terms: int = 1, x: Optional[Sequence[float]] = None,
-            seed: int = 0) -> Tuple[PreparedPoint, ...]:
+            order_terms: int = 1, seed: int = 0) -> Tuple[PreparedPoint, ...]:
     """Do the work of total_asymptotics that does not depend on the direction.
 
     points may be supplied (e.g. from a preset); otherwise the singular
-    points of every factor on the |Z_j| = e^{x_j} torus are discovered
-    numerically.  The result can be passed as `points` to total_asymptotics
-    for any number of directions.
+    points of every factor on the unit torus are discovered numerically.
+    Each bare quadratic point keeps the first order_terms orders of its
+    series as derivative polynomials, so a direction only evaluates them.
+    The result can be passed as `points` to total_asymptotics for any
+    number of directions.
     """
     if points is None:
         from .critpoints import find_singular_points
-        x = x or [0.0] * spec.arity
+        x = [0.0] * spec.arity
         points = [p.Z for poly, _ in spec.factors
                   for p in find_singular_points(poly, x, seed=seed).points]
         if not points:
-            raise RefusalError("no quadratic points found on the torus", {"x": list(x)})
-    out = []
-    for Z in points:
-        data = quadratic_point_data(spec, Z, order=8)
-        table = (expansion_coefficients(data.p_series, data.q_series, data.s, order_terms)
-                 if data.k == 0 else None)
-        out.append(PreparedPoint(data, table))
-    return tuple(out)
+            raise RefusalError("no quadratic points found on the torus", {"x": x})
+    local = [quadratic_point_data(spec, Z, order=8) for Z in points]
+    return tuple(PreparedPoint(data, _series_terms(data, order_terms) if data.k == 0 else None)
+                 for data in local)
 
 
 def total_asymptotics(spec: QuasiRationalSpec, r: Sequence[int],
-                      points: Optional[Sequence] = None,
-                      order_terms: int = 1, x: Optional[Sequence[float]] = None,
-                      seed: int = 0) -> AsymptoticEstimate:
+                      points: Optional[Sequence] = None) -> AsymptoticEstimate:
     """Sum the quadratic-point contributions over the critical set.
 
-    points are raw points, None (discover them, see prepare) or the result
-    of prepare, in which case order_terms, x and seed are the ones given to
-    prepare and only the per-direction work is done here.
+    points are the result of prepare; raw points or None are first given
+    to prepare with its defaults.
     Directions outside the normal cone at every point yield a zero estimate
     flagged as exponentially small; obstructed directions raise
     RefusalError.
     """
     r = tuple(int(e) for e in r)
     if points is None or not all(isinstance(p, PreparedPoint) for p in points):
-        points = prepare(spec, points, order_terms=order_terms, x=x, seed=seed)
+        points = prepare(spec, points)
     contribs: List[PointContribution] = []
     notes: List[str] = []
     total = 0
@@ -536,7 +533,7 @@ def total_asymptotics(spec: QuasiRationalSpec, r: Sequence[int],
             # quadratic_asymptotics classifies r; outside the normal cone its
             # refusal means an exponentially small contribution
             try:
-                val = quadratic_asymptotics(data, pt.table, r)
+                val = quadratic_asymptotics(data, pt.series, r)
             except RefusalError as e:
                 if e.diagnostics.get("class") != DirectionTag.OutsideNormalCone.value:
                     raise

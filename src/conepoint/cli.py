@@ -160,19 +160,19 @@ def _parse_beta(text):
         raise specio.SpecFormatError(f"--beta {text!r} is not a number like 3/4") from None
 
 
-def _load(args) -> Tuple[QuasiRationalSpec, Optional[list], object]:
-    """Returns (spec, known_points, preset_or_None)."""
+def _load(args) -> Tuple[QuasiRationalSpec, Optional[list]]:
+    """Returns (spec, known_points)."""
     if args.beta is not None and args.preset != "fls":
         raise specio.SpecFormatError("--beta applies only to --preset fls")
     if args.preset:
         pr = preset(args.preset, beta=_parse_beta(args.beta))
-        return pr.spec, list(pr.known_points), pr
+        return pr.spec, list(pr.known_points)
     with open(args.spec) as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as e:
             raise specio.SpecFormatError(f"{args.spec}:{e.lineno}:{e.colno}: {e.msg}") from None
-    return specio.spec_from_json(obj), specio.spec_points_from_json(obj), None
+    return specio.spec_from_json(obj), specio.spec_points_from_json(obj)
 
 
 def _emit(text: str, out: Optional[str]):
@@ -186,7 +186,7 @@ def _emit(text: str, out: Optional[str]):
 def _cmd_oracle(args) -> int:
     if args.at is not None and args.format is not None:
         raise specio.SpecFormatError("--format applies only to --order tables")
-    spec, _, _ = _load(args)
+    spec, _ = _load(args)
     if args.at is not None:
         r = _parse_vec(args.at, spec.arity)
         v = coefficient_at(spec, r)
@@ -204,11 +204,11 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_asym(args) -> int:
-    from .asympt import total_asymptotics
-    spec, points, _ = _load(args)
+    from .asympt import prepare, total_asymptotics
+    spec, points = _load(args)
     r = _parse_direction(args.r, spec.arity)
-    est = total_asymptotics(spec, r, points=points, order_terms=args.terms,
-                            seed=args.seed)
+    prepared = prepare(spec, points, order_terms=args.terms, seed=args.seed)
+    est = total_asymptotics(spec, r, points=prepared)
     _emit(specio.canonical_json(specio.estimate_to_json(est)), args.out)
     if est.formula_tag == "exponential-decay":
         return EXIT_REFUSAL
@@ -218,7 +218,7 @@ def _cmd_asym(args) -> int:
 def _cmd_classify(args) -> int:
     from .asympt import prepare
     from .localgeo import classify_direction
-    spec, points, _ = _load(args)
+    spec, points = _load(args)
     r = _parse_direction(args.r, spec.arity)
     report = []
     for pt in prepare(spec, points, seed=args.seed):
@@ -267,7 +267,7 @@ def _grid(args, spec, prepared: Sequence[PreparedPoint]) -> List[Tuple[int, ...]
 
 def _cmd_compare(args) -> int:
     from .asympt import prepare, total_asymptotics
-    spec, points, _ = _load(args)
+    spec, points = _load(args)
     targets = (sorted({_parse_direction(part, spec.arity)
                        for part in args.directions.split(";") if part})
                if args.directions else None)

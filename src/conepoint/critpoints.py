@@ -33,6 +33,9 @@ ACCEPT_RESIDUAL = 1e-10
 DEDUP_DISTANCE = 1e-6
 FAMILY_DIAMETER = 1e-3
 NEWTON_TOL = 1e-13  # residual norm at which Gauss-Newton stops early
+NEWTON_MAX_ITER = 100
+POLISH_STEPS = 2  # full Gauss-Newton steps after convergence, kept while they help
+EXACT_MAX_DEN = 16  # largest denominator tried when confirming a root exactly
 
 
 @dataclass(frozen=True)
@@ -55,12 +58,11 @@ def _torus_points(x: Sequence[float], theta: np.ndarray) -> List[complex]:
     return [cmath.exp(complex(xi, ti)) for xi, ti in zip(x, theta)]
 
 
-def _gauss_newton(fun_jac: Callable, theta0: np.ndarray,
-                  max_iter: int = 100) -> Optional[np.ndarray]:
+def _gauss_newton(fun_jac: Callable, theta0: np.ndarray) -> Optional[np.ndarray]:
     theta = theta0.copy()
     f, J = fun_jac(theta)
     norm = np.linalg.norm(f)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if norm < NEWTON_TOL:
             return theta
         step, *_ = np.linalg.lstsq(J, -f, rcond=None)
@@ -80,12 +82,12 @@ def _gauss_newton(fun_jac: Callable, theta0: np.ndarray,
     return theta if norm < math.sqrt(NEWTON_TOL) else None
 
 
-def _try_exact_rational(Z: Sequence[complex], max_den: int = 16) -> Optional[List[Fraction]]:
+def _try_exact_rational(Z: Sequence[complex]) -> Optional[List[Fraction]]:
     out = []
     for z in Z:
         if abs(z.imag) > 1e-7 * (1 + abs(z)):
             return None
-        fr = Fraction(z.real).limit_denominator(max_den)
+        fr = Fraction(z.real).limit_denominator(EXACT_MAX_DEN)
         if abs(float(fr) - z.real) > 1e-6 * (1 + abs(z)):
             return None
         out.append(fr)
@@ -151,8 +153,8 @@ def find_smooth_critical(H: MultiPoly, r: Sequence[float], x: Sequence[float],
     return _multistart([H] + cross, x, starts, seed, "SmoothOnFactor")
 
 
-def _polish(fun_jac, theta: np.ndarray, iters: int = 2) -> np.ndarray:
-    for _ in range(iters):
+def _polish(fun_jac, theta: np.ndarray) -> np.ndarray:
+    for _ in range(POLISH_STEPS):
         f, J = fun_jac(theta)
         step, *_ = np.linalg.lstsq(J, -f, rcond=None)
         if not np.all(np.isfinite(step)):

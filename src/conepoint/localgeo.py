@@ -370,8 +370,9 @@ def classify_direction(data: QuadraticPointData, r: Sequence) -> DirectionClass:
     ln2 = sum(float(x) * float(x) for x in ell)
     qll = data.dual_eval(ell, ell)
     if float(qll) >= -TOL * ln2:
-        raise GeometryError("linear factor lies inside the closed dual cone; "
-                            "the intersection points are not real and distinct")
+        raise RefusalError("linear factor lies inside the closed dual cone; the "
+                           "intersection points are not real and distinct",
+                           {"dual_ll": str(qll)})
     qrl = data.dual_eval(r, ell)
     if inside:
         return DirectionClass(DirectionTag.InteriorEllipticCone, float(qrr) / rn2)

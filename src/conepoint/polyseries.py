@@ -148,9 +148,9 @@ class MultiPoly(_Terms):
         return cls(arity, {(0,) * arity: value})
 
     @classmethod
-    def variable(cls, arity: int, idx: int, power: int = 1) -> "MultiPoly":
+    def variable(cls, arity: int, idx: int) -> "MultiPoly":
         e = [0] * arity
-        e[idx] = power
+        e[idx] = 1
         return cls(arity, {tuple(e): Fraction(1)})
 
     @classmethod

@@ -151,14 +151,11 @@ def grove_relation_check(n: int, edge_table: Optional[CoeffTable] = None,
     return True
 
 
-def aztec_creation_check(n_max: int, p_table: Optional[CoeffTable] = None,
-                         c_table: Optional[CoeffTable] = None) -> bool:
+def aztec_creation_check(n_max: int) -> bool:
     """c(i,j,n) = 2 (p(i,j,n) - p(i,j-1,n-1)) for all levels <= n_max."""
     a = _aztec()
-    if p_table is None:
-        p_table = expand(a.spec, n_max)
-    if c_table is None:
-        c_table = expand(a.companions["creation"], n_max)
+    p_table = expand(a.spec, n_max)
+    c_table = expand(a.companions["creation"], n_max)
     for (i, j, n), c in c_table.nonzero_items():
         if n > n_max - 1:
             continue

@@ -45,12 +45,12 @@ class TestExpansionCoefficients:
         q = TruncatedSeries(3, 5, {(2, 0, 0): 1, (0, 2, 0): -1, (0, 0, 2): -1})
         p = TruncatedSeries(3, 5, {(0, 0, 0): 1})
         table = expansion_coefficients(p, q, 1, 3)
-        assert table.entries == {((0, 0, 0), 0): 1}
+        assert table == {((0, 0, 0), 0): 1}
 
     def test_aztec_leading_coefficient(self, aztec):
         data = quadratic_point_data(aztec.spec, (1, 1, 1))
         table = expansion_coefficients(data.p_series, data.q_series, data.s, 1)
-        assert table.entries[((0, 0, 0), 0)] == HALF
+        assert table[((0, 0, 0), 0)] == HALF
 
     def test_fls_first_correction_is_minus_beta_remainder(self, fls):
         data = quadratic_point_data(fls.spec, (1, 1, 1))
@@ -59,9 +59,9 @@ class TestExpansionCoefficients:
         q3 = {m: c for m, c in data.q_series.terms.items() if sum(m) == 3}
         for m, c in q3.items():
             # scaled by the unit normalization of the quadratic: c(m,1) = -beta R_m
-            assert table.entries[(m, 1)] == -beta * c
+            assert table[(m, 1)] == -beta * c
         # support condition |m| >= 3 l
-        assert all(sum(m) >= 3 * ell for (m, ell) in table.entries)
+        assert all(sum(m) >= 3 * ell for (m, ell) in table)
 
 
 class TestDualPowerDerivative:
@@ -179,6 +179,13 @@ class TestConePlane:
         mid, _ = cone_plane_asymptotics(data, (0, 10000, 20000))
         # exactly the right angle there: value = P(Z) Res2 / 2
         assert abs(mid - 0.5 * 1.0 / 2) < 1e-9
+
+    def test_covector_inside_dual_cone_refused(self, aztec):
+        data = quadratic_point_data(aztec.spec, (1, 1, 1))
+        inside = dataclasses.replace(data, linear_factors=(((0, 0, 1), 1),))
+        with pytest.raises(RefusalError) as err:
+            cone_plane_asymptotics(inside, (0, 0, 9))
+        assert err.value.diagnostics == {"dual_ll": "1"}
 
     def test_obstructed_refusal(self, aztec):
         data = quadratic_point_data(aztec.spec, (1, 1, 1))
@@ -305,10 +312,9 @@ class TestTotals:
         assert est.formula_tag == "exponential-decay"
 
     def test_quadratic_requires_interior(self, superballot_core):
-        data = quadratic_point_data(superballot_core.spec, (1, 1, 1))
-        table = expansion_coefficients(data.p_series, data.q_series, data.s, 1)
+        pt, = prepare(superballot_core.spec, [(1, 1, 1)])
         with pytest.raises(RefusalError) as err:
-            quadratic_asymptotics(data, table, (1, 0, 0))
+            quadratic_asymptotics(pt.data, pt.series, (1, 0, 0))
         assert str(err.value) == "direction (1, 0, 0) is OutsideNormalCone"
         assert err.value.diagnostics["class"] == "OutsideNormalCone"
         assert err.value.diagnostics["margin"] < 0
@@ -342,7 +348,8 @@ class TestTotals:
     ])
     def test_prepared_points_give_the_same_estimates(self, monkeypatch, name, directions):
         pr = preset(name)
-        raw = [total_asymptotics(pr.spec, r, points=list(pr.known_points), order_terms=2)
+        raw = [total_asymptotics(pr.spec, r, points=prepare(pr.spec, pr.known_points,
+                                                            order_terms=2))
                for r in directions]
         prepared = prepare(pr.spec, pr.known_points, order_terms=2)
         assert [p.data.point_Z for p in prepared] == [tuple(Z) for Z in pr.known_points]
@@ -350,7 +357,9 @@ class TestTotals:
         def per_point_work(*args, **kwargs):
             raise AssertionError("per-point work repeated for a prepared point")
 
-        for fn in ("quadratic_point_data", "local_degree", "expansion_coefficients"):
+        # the series' derivative polynomials included: a direction only evaluates them
+        for fn in ("quadratic_point_data", "local_degree", "expansion_coefficients",
+                   "_derivative_terms"):
             monkeypatch.setattr(f"conepoint.asympt.{fn}", per_point_work)
         calls = {"classify_direction": 0, "oriented_double_residue": 0}
         for fn in calls:

@@ -133,6 +133,13 @@ class TestRefusals:
         assert err.startswith("refused: linear factor with power 1/2:")
         assert json.loads(err.splitlines()[1]) == {"power": "1/2"}
 
+    def test_qrw2d_linear_factor_inside_dual_cone(self, capsys):
+        # the point is outside the contour formulas; this exited 4 as a numeric failure
+        rc, out, err = run(capsys, "classify", "--preset", "qrw2d", "--r", "5,6,7")
+        assert rc == 2 and not out
+        assert err.startswith("refused: linear factor lies inside the closed dual cone")
+        assert json.loads(err.splitlines()[1]) == {"dual_ll": "1"}
+
 
 class TestCompare:
     def test_small_grid_summary(self, capsys, tmp_path):
@@ -421,6 +428,19 @@ GOLDEN_STDOUT = {
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("asym", "--preset", "superballot-core", "--r", "10,20,30"):
         (0, "8cb2c0e8c0375c2a18cb0f6465fae8164f879d906a2fb85397b91d873d56d4a6"),
+    # deeper series, recorded before each point's series was built once in prepare
+    ("asym", "--preset", "fls", "--r", "10,10,10", "--terms", "2"):
+        (0, "1c5a7e43bf43b512bbd3c49d643fad3e6abd283293775e92d0000933852548a4"),
+    ("asym", "--preset", "fls", "--r", "10,10,10", "--terms", "3"):
+        (0, "63dffa93addb3cf9a319838c594b348d23e311b39728a8d1fecaa0f4912256c2"),
+    ("asym", "--preset", "fls", "--r", "10,10,10", "--terms", "4"):
+        (0, "95879ce720c0325bc61541a419eb8431003bddaae630ed0c9313fb9fbc59a46a"),
+    ("asym", "--preset", "superballot-core", "--r", "10,20,30", "--terms", "2"):
+        (0, "e14ec9dd77867e681b800702ba68273d8f347619cac2bddaacef715a64a038df"),
+    ("asym", "--preset", "superballot-core", "--r", "10,20,30", "--terms", "3"):
+        (0, "cc796f6a01187b2088d2159d9ab64c56782189a1349d1790538dad51ae8291dc"),
+    ("asym", "--preset", "superballot-core", "--r", "10,20,30", "--terms", "4"):
+        (0, "94f9d1281d3d607cfedc192cbe7bafe49d5fd394421463c7f6a03b4f4d39cd9e"),
     ("classify", "--preset", "aztec", "--r", "1,0,1"):
         (0, "8b73c67522f75728bead520059870d6512d75d703c78db691e3ccd0ecdb381cb"),
     ("classify", "--preset", "cube_grove", "--r", "5,6,7"):

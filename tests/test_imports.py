@@ -39,7 +39,7 @@ HOMES = {
                  "QuadraticPointData", "SignatureError", "classify_direction",
                  "classify_quadratic", "dual_quadratic", "homogeneous_part",
                  "normalizer_absdet", "quadratic_point_data", "vanishing_degree"),
-    "asympt": ("AsymptoticEstimate", "ExpansionTable", "GammaPoleError", "PreparedPoint",
+    "asympt": ("AsymptoticEstimate", "GammaPoleError", "PreparedPoint",
                "cone_constant", "cone_plane_asymptotics", "decay_exponent",
                "double_residue", "dual_power_derivative", "expansion_coefficients",
                "local_degree", "oriented_double_residue", "prepare", "quadratic_asymptotics",
@@ -119,7 +119,7 @@ def test_cli_forwards_prediction_names_on_first_lookup():
 def test_public_names_are_pinned():
     assert sorted(conepoint.__all__) == sorted(
         [name for names in HOMES.values() for name in names] + list(SUBMODULES))
-    assert len(conepoint.__all__) == 54
+    assert len(conepoint.__all__) == 53
 
 
 def test_each_name_is_its_home_modules_object():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conepoint.errors import RefusalError
 from conepoint.polyseries import MultiPoly, TruncatedSeries, log_compose_taylor
 from conepoint.localgeo import (DegenerateError, DirectionTag, GeometryError, SignatureError,
                                 _symmetric_eigenvalues, classify_direction,
@@ -218,6 +219,15 @@ class TestClassifyDirection:
         bad = dataclasses.replace(data, linear_factors=(((0, 1, 1), 1), ((1, 0, 1), 1)))
         with pytest.raises(GeometryError):
             classify_direction(bad, (0, 0, 1))
+
+    def test_covector_inside_dual_cone_refused(self, aztec):
+        # q*(ell, ell) = 1 > 0: the intersection lines are not real, so the point is
+        # outside the contour formulas, which is a refusal and not a numeric failure
+        data = quadratic_point_data(aztec.spec, (1, 1, 1))
+        inside = dataclasses.replace(data, linear_factors=(((0, 0, 1), 1),))
+        with pytest.raises(RefusalError) as err:
+            classify_direction(inside, (0, 0, 1))
+        assert err.value.diagnostics == {"dual_ll": "1"}
 
 
 def _random_lorentzian_point(rng, base):
