@@ -212,7 +212,7 @@ def quadratic_asymptotics(data: QuadraticPointData, series: Sequence[SeriesTerm]
     d = data.arity
     s = data.s
     C = cone_constant(s, d, data.normalizer_absdet)
-    qval = _bilinear(data.dual_matrix, r, r)
+    qval = data.dual_eval(r, r)
     acc: Dict[int, float] = {}  # the terms of each l, which share the constant at s + l
     for ell, c, alpha, terms in series:
         acc[ell] = acc.get(ell, 0.0) + float(c) * float(_power_sum(terms, alpha, r, qval))
@@ -349,7 +349,7 @@ def cone_plane_asymptotics(data: QuadraticPointData, r: Sequence[int]):
         raise RefusalError("numerator vanishes at the point; only a decay bound is available",
                            {"numerator_valuation": data.numerator_valuation})
     ell = data.linear_factors[0][0]
-    qll = data.dual_eval(ell, ell)
+    qll = data.qll
     if float(qll) >= 0:
         raise RefusalError("dual pairing of the smooth factor must be negative "
                            "(real distinct intersections)", {"dual_ll": str(qll)})
@@ -495,6 +495,8 @@ def prepare(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None
     points of every factor on the unit torus are discovered numerically.
     Each bare quadratic point keeps the first order_terms orders of its
     series as derivative polynomials, so a direction only evaluates them.
+    Order N reads the local series to degree 3N - 3 (c(m, N-1) needs
+    |m| = 3(N-1)), so points expand to that order, and never below 8.
     The result can be passed as `points` to total_asymptotics for any
     number of directions.
     """
@@ -505,7 +507,8 @@ def prepare(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None
                   for p in find_singular_points(poly, x, seed=seed).points]
         if not points:
             raise RefusalError("no quadratic points found on the torus", {"x": x})
-    local = [quadratic_point_data(spec, Z, order=8) for Z in points]
+    local = [quadratic_point_data(spec, Z, order=max(8, 3 * order_terms - 3))
+             for Z in points]
     return tuple(PreparedPoint(data, _series_terms(data, order_terms) if data.k == 0 else None)
                  for data in local)
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from .polyseries import (MultiPoly, TruncatedSeries, _rational_root, is_exact,
@@ -198,6 +199,20 @@ def _bilinear(M: Matrix, a: Sequence, b: Sequence):
     return sum(a[i] * sum(M[i][j] * b[j] for j in range(len(b))) for i in range(len(a)))
 
 
+def _integral(v: Sequence):
+    """v as a list of ints when every entry is an int or an integral Fraction,
+    else None."""
+    out = []
+    for x in v:
+        if type(x) is int:
+            out.append(x)
+        elif type(x) is Fraction and x.denominator == 1:
+            out.append(x.numerator)
+        else:
+            return None
+    return out
+
+
 # -- point data ----------------------------------------------------------------
 
 
@@ -243,8 +258,33 @@ class QuadraticPointData:
         valuation minus the power-weighted valuations of the vanishing factors."""
         return self.numerator_valuation - 2 * self.s - sum(n for _, n in self.linear_factors)
 
+    @cached_property
+    def _dual_ints(self):
+        """(L, L * dual_matrix as ints) for a dual matrix of Fractions, L the
+        lcm of its denominators; None otherwise."""
+        M = self.dual_matrix
+        if not all(type(x) is Fraction for row in M for x in row):
+            return None
+        L = math.lcm(*(x.denominator for row in M for x in row))
+        return L, tuple(tuple(x.numerator * (L // x.denominator) for x in row) for row in M)
+
     def dual_eval(self, a: Sequence, b: Sequence):
+        """q*(a, b).  On an exact dual matrix and integer vectors it is one
+        integer bilinear form over L, the same canonical Fraction that the
+        rational sum gives."""
+        ints = self._dual_ints
+        if ints is not None:
+            ia, ib = _integral(a), _integral(b)
+            if ia is not None and ib is not None:
+                L, M = ints
+                return Fraction(sum(x * sum(map(mul, row, ib)) for x, row in zip(ia, M)), L)
         return _bilinear(self.dual_matrix, a, b)
+
+    @cached_property
+    def qll(self):
+        """q*(ell, ell) of the first linear factor, which every direction reads."""
+        ell = self.linear_factors[0][0]
+        return self.dual_eval(ell, ell)
 
     @cached_property
     def residue(self):
@@ -368,7 +408,7 @@ def classify_direction(data: QuadraticPointData, r: Sequence) -> DirectionClass:
 
     ell, _ = data.linear_factors[0]
     ln2 = sum(float(x) * float(x) for x in ell)
-    qll = data.dual_eval(ell, ell)
+    qll = data.qll
     if float(qll) >= -TOL * ln2:
         raise RefusalError("linear factor lies inside the closed dual cone; the "
                            "intersection points are not real and distinct",

@@ -31,9 +31,9 @@ denominators, which the binomial expansion of each unit-normalized factor
 to the power -s shows to be an integer: a cell of grade n takes at most n
 factors of Q - 1.  Each step of the real recurrence ends in one exact
 division by n * L; a nonzero remainder raises ArithmeticError rather than
-rounding.  Values become canonical Fractions once, when the table is built.
-Specs with float coefficients or powers run the same loops on unscaled
-doubles.
+rounding.  The table keeps those ints with one denominator per level, and a
+value becomes a canonical Fraction only where it is read.  Specs with float
+coefficients or powers run the same loops on unscaled doubles.
 
 Factors with non-unit constant terms and fractional powers contribute an
 overall scalar prod c_j^(-s_j) which is kept separate from the rational
@@ -51,13 +51,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from operator import add, le, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .polyseries import MultiPoly, TruncatedSeries, is_exact
 
 Exponent = Tuple[int, ...]
+Runs = Dict[int, Tuple[Optional[int], int]]  # level -> (denominator, cell count)
 
 
 class SpecError(ValueError):
@@ -170,33 +171,57 @@ def normalize_laurent(spec: QuasiRationalSpec) -> QuasiRationalSpec:
 
 @dataclass
 class CoeffTable:
-    """Graded coefficient table: values[r] * scale is the series coefficient.
+    """Graded coefficient table: value_at(r) is the series coefficient at r.
 
-    values holds exact rationals (floats for specs with float coefficients
-    or powers); scale is the only possibly irrational part, coming from
-    fractional powers of non-unit constant terms.  A table is complete for
-    every index r with 0 <= grading_w . r <= max_level (for expand_box, every
-    such index inside the box).
+    The sweeps hand over their cells as computed: cells maps each nonzero
+    index, level by level, to a scaled int, and runs holds one
+    (denominator, cell count) pair per level, keyed by the level, in the
+    same order; the value before scale is the int over its level's
+    denominator.  A denominator of None means the values are kept as they
+    are: the doubles of specs with float coefficients or powers, or
+    Fractions already built.  A value becomes a canonical Fraction only
+    where it is read: value_at builds one, and the first read of values
+    converts every cell in place.  scale is the only possibly irrational
+    part, coming from fractional powers of non-unit constant terms.  A
+    table is complete for every index r with 0 <= grading_w . r <=
+    max_level (for expand_box, every such index inside the box).
     """
 
     arity: int
-    values: Dict[Exponent, object]
+    cells: Dict[Exponent, object]
+    runs: Runs
     grading_w: Tuple[int, ...]
     max_level: int
     scale: object = Fraction(1)
 
     def value_at(self, r: Sequence[int]):
-        v = self.values.get(tuple(r))
-        if v is None:
+        m = tuple(r)
+        x = self.cells.get(m)
+        if x is None:
             return Fraction(0) if isinstance(self.scale, Fraction) else 0.0
+        den = self.runs[_grade_of(m, self.grading_w)][0]
+        v = x if den is None else Fraction(x, den)
         return v if self.scale == 1 else self.scale * v
 
+    @property
+    def values(self) -> Dict[Exponent, object]:
+        """The cells as values before scale, in cell order.  The first read
+        turns every scaled int into its Fraction in place, and each run's
+        denominator becomes None."""
+        if any(den is not None for den, _ in self.runs.values()):
+            items = iter(self.cells.items())
+            for den, n in self.runs.values():
+                self.cells.update([(m, x if den is None else Fraction(x, den))
+                                   for m, x in islice(items, n)])
+            self.runs = {g: (None, n) for g, (_, n) in self.runs.items()}
+        return self.cells
+
     def bounds(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        if not self.values:
+        if not self.cells:
             z = (0,) * self.arity
             return z, z
-        lo = tuple(min(m[i] for m in self.values) for i in range(self.arity))
-        hi = tuple(max(m[i] for m in self.values) for i in range(self.arity))
+        lo = tuple(min(m[i] for m in self.cells) for i in range(self.arity))
+        hi = tuple(max(m[i] for m in self.cells) for i in range(self.arity))
         return lo, hi
 
     def nonzero_items(self):
@@ -324,8 +349,9 @@ def _denominator_lcm(*polys: MultiPoly) -> int:
 
 
 def _sweep_integer(numer: MultiPoly, D: MultiPoly, w: Tuple[int, ...], max_level: int,
-                   box: Optional[Tuple[Sequence[int], Sequence[int]]]) -> Dict[Exponent, object]:
-    """Solve D * f = numer level by level in the grading w.
+                   box: Optional[Tuple[Sequence[int], Sequence[int]]]):
+    """Solve D * f = numer level by level in the grading w; returns the
+    cells and runs of a CoeffTable.
 
     Exact inputs run on ints: with L clearing the denominators of D and
     numer and d0 = L*D[0], the sweep carries G_m = d0^(g+1) f_m (g the grade
@@ -361,15 +387,17 @@ def _sweep_integer(numer: MultiPoly, D: MultiPoly, w: Tuple[int, ...], max_level
         clip = (box[0], box[1], up, down, max_level)
     rects = _hulls(range(max_level + 1), p_levels, steps, clip=clip)
     if not rects:
-        return {}
+        return {}, {}
     lay = _Slabs(w, rects.values(), [u for u, _ in gens])
     # stored negated for _fill: x + (-c)*y rounds exactly as x - c*y
     terms = [(lay.off(u), -c, k) for (u, c), (_, k) in zip(gens, steps)]
     reach = max([k for _, k in steps], default=0)
-    table: Dict[Exponent, object] = {}
+    cells: Dict[Exponent, object] = {}
+    runs: Runs = {}
     slabs: Dict[int, List[object]] = {}
     for g, (lo, hi) in rects.items():
         slabs = {l: s for l, s in slabs.items() if l >= g - reach}
+        count = len(cells)
         cur = [0] * lay.size
         for m, c in p_levels.get(g, {}).items():
             if all(map(le, lo, m)) and all(map(le, m, hi)):
@@ -380,10 +408,10 @@ def _sweep_integer(numer: MultiPoly, D: MultiPoly, w: Tuple[int, ...], max_level
             if div is not None:
                 row = [x / div for x in row]
             cur[i0:i0 + len(row)] = row
-            cells = lay.cells(row, a, outer, rem)
-            table.update([(m, Fraction(x, d0_pow[g + 1])) for m, x in cells] if exact else cells)
+            cells.update(lay.cells(row, a, outer, rem))
+        runs[g] = (d0_pow[g + 1] if exact else None, len(cells) - count)
         slabs[g] = cur
-    return table
+    return cells, runs
 
 
 def _sweep_real(D: MultiPoly, A: MultiPoly, w: Tuple[int, ...], lay: _Slabs, rects,
@@ -436,22 +464,24 @@ def _sweep_real(D: MultiPoly, A: MultiPoly, w: Tuple[int, ...], lay: _Slabs, rec
 
 def _multiply_numerator(levels: Iterator[Tuple[int, List[object]]], numer: MultiPoly,
                         w: Tuple[int, ...], lay: _Slabs, rects,
-                        C: Optional[int]) -> Dict[Exponent, object]:
+                        C: Optional[int]):
     """numer times the plain-series levels from _sweep_real (same C), level
-    by level in the grading w, keeping the levels a numerator term reads.
+    by level in the grading w, keeping the levels a numerator term reads;
+    returns the cells and runs of a CoeffTable.
 
     With an integer C, the product at level G is carried at the common
     scale Lp T! C^T, T = G - pmin (pmin the least numerator grade, Lp
     clearing the numerator's denominators), so the term c_p of grade
-    pmin + e lifts the level T - e by Lp c_p C^e T!/(T - e)!; each value
-    becomes a Fraction at the end.
+    pmin + e lifts the level T - e by Lp c_p C^e T!/(T - e)!, and that
+    scale is the level's denominator.
     """
     grades = [_grade_of(p, w) for p in numer.terms]
     pmin, pmax = min(grades), max(grades)
     Lp = _denominator_lcm(numer) if C is not None else 1
     terms = [(lay.off(p), k, cp if C is None else int(cp * Lp) * C ** (k - pmin))
              for (p, cp), k in zip(numer.terms.items(), grades)]
-    out: Dict[Exponent, object] = {}
+    cells: Dict[Exponent, object] = {}
+    runs: Runs = {}
     window: Dict[int, List[object]] = {}
     den = Lp
     for G in range(pmin, max(rects) + 1):
@@ -463,10 +493,11 @@ def _multiply_numerator(levels: Iterator[Tuple[int, List[object]]], numer: Multi
             den *= (G - pmin) * C
         deps = [(off, c if C is None else c * math.perm(G - pmin, k - pmin), window[G - k])
                 for off, k, c in terms if G - k in window]
+        count = len(cells)
         for i0, a, b, outer, rem in lay.rows(G, *rects[G]) if G in rects else ():
-            cells = lay.cells(_fill([0] * (b - a + 1), i0, deps), a, outer, rem)
-            out.update(cells if C is None else [(m, Fraction(x, den)) for m, x in cells])
-    return out
+            cells.update(lay.cells(_fill([0] * (b - a + 1), i0, deps), a, outer, rem))
+        runs[G] = (None if C is None else den, len(cells) - count)
+    return cells, runs
 
 
 def _prepare_real(spec: QuasiRationalSpec, w: Tuple[int, ...]):
@@ -541,7 +572,7 @@ def _run(spec: QuasiRationalSpec, max_level: int,
         D = MultiPoly.const(spec.arity, 1)
         for poly, power in spec.factors:
             D = D * poly.pow(_as_int(power))
-        values = _sweep_integer(numer, D, w, max_level, box)
+        cells, runs = _sweep_integer(numer, D, w, max_level, box)
         scale = Fraction(1)
     else:
         D, A, scale, C = _prepare_real(spec, w)
@@ -563,12 +594,12 @@ def _run(spec: QuasiRationalSpec, max_level: int,
                         [(u, _grade_of(u, w)) for u in gens], clip=gclip)
         orects = _hulls(range(pmin, max_level + 1), {},
                         [(p, _grade_of(p, w)) for p in numer.terms], grects, kclip)
-        values = {}
+        cells, runs = {}, {}
         if orects:
             lay = _Slabs(w, [*grects.values(), *orects.values()], gens + list(numer.terms))
             levels = _sweep_real(D, A, w, lay, grects, C)
-            values = _multiply_numerator(levels, numer, w, lay, orects, C)
-    return CoeffTable(spec.arity, values, w, max_level, scale)
+            cells, runs = _multiply_numerator(levels, numer, w, lay, orects, C)
+    return CoeffTable(spec.arity, cells, runs, w, max_level, scale)
 
 
 def expand(spec: QuasiRationalSpec, order: int, engine: str = "auto") -> CoeffTable:

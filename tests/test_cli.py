@@ -428,19 +428,22 @@ GOLDEN_STDOUT = {
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("asym", "--preset", "superballot-core", "--r", "10,20,30"):
         (0, "8cb2c0e8c0375c2a18cb0f6465fae8164f879d906a2fb85397b91d873d56d4a6"),
-    # deeper series, recorded before each point's series was built once in prepare
+    # deeper series, recorded before each point's series was built once in prepare;
+    # --terms 4 re-recorded when points expanded to local order 9 for it instead of 8
+    # (the value moved toward the oracle: relative error 5.4e-3 -> 4.7e-3 on fls,
+    # 9.1e-5 -> 1.2e-7 on superballot-core)
     ("asym", "--preset", "fls", "--r", "10,10,10", "--terms", "2"):
         (0, "1c5a7e43bf43b512bbd3c49d643fad3e6abd283293775e92d0000933852548a4"),
     ("asym", "--preset", "fls", "--r", "10,10,10", "--terms", "3"):
         (0, "63dffa93addb3cf9a319838c594b348d23e311b39728a8d1fecaa0f4912256c2"),
     ("asym", "--preset", "fls", "--r", "10,10,10", "--terms", "4"):
-        (0, "95879ce720c0325bc61541a419eb8431003bddaae630ed0c9313fb9fbc59a46a"),
+        (0, "3dd5d027d4cd29821bd5ec8ea93d26f1c931a0dff6a54c857ea8a6ab0267d99b"),
     ("asym", "--preset", "superballot-core", "--r", "10,20,30", "--terms", "2"):
         (0, "e14ec9dd77867e681b800702ba68273d8f347619cac2bddaacef715a64a038df"),
     ("asym", "--preset", "superballot-core", "--r", "10,20,30", "--terms", "3"):
         (0, "cc796f6a01187b2088d2159d9ab64c56782189a1349d1790538dad51ae8291dc"),
     ("asym", "--preset", "superballot-core", "--r", "10,20,30", "--terms", "4"):
-        (0, "94f9d1281d3d607cfedc192cbe7bafe49d5fd394421463c7f6a03b4f4d39cd9e"),
+        (0, "221d7cf2d545d4973ac33fdb8cbf929dcf40dd3092e694c8c9907fc191202169"),
     ("classify", "--preset", "aztec", "--r", "1,0,1"):
         (0, "8b73c67522f75728bead520059870d6512d75d703c78db691e3ccd0ecdb381cb"),
     ("classify", "--preset", "cube_grove", "--r", "5,6,7"):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conepoint import localgeo
 from conepoint.errors import RefusalError
 from conepoint.polyseries import MultiPoly, TruncatedSeries, log_compose_taylor
 from conepoint.localgeo import (DegenerateError, DirectionTag, GeometryError, SignatureError,
@@ -166,6 +167,39 @@ class TestPointData:
             data = quadratic_point_data(pr.spec, (1, 1, 1))
             prod = _mat_mul(list(map(list, data.dual_matrix)), list(map(list, data.q_matrix)))
             assert prod == [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+
+    def test_integer_dual_form_matches_the_rational_sum(self, aztec, monkeypatch):
+        # exact matrices and integer vectors (ints or integral Fractions) take
+        # one integer bilinear form over L; anything else the plain sum
+        base = quadratic_point_data(aztec.spec, (1, 1, 1))
+        rng = random.Random(15)
+        rational_sums = []
+        real_bilinear = localgeo._bilinear
+
+        def counted(M, a, b):
+            rational_sums.append(M)
+            return real_bilinear(M, a, b)
+
+        monkeypatch.setattr(localgeo, "_bilinear", counted)
+        for _ in range(20):
+            dual = tuple(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(3))
+                         for _ in range(3))
+            data = dataclasses.replace(base, dual_matrix=dual)
+            for _ in range(10):
+                a, b = (tuple(rng.randint(-40, 40) for _ in range(3)) for _ in range(2))
+                for x, y in ((a, b), (tuple(map(Fraction, a)), b)):
+                    got = data.dual_eval(x, y)
+                    want = real_bilinear(dual, x, y)
+                    assert got == want and type(got) is type(want) is Fraction
+            assert not rational_sums
+            half = (Fraction(1, 2), 3, -1)
+            assert data.dual_eval(half, a) == real_bilinear(dual, half, a)
+            floats = dataclasses.replace(base, dual_matrix=tuple(tuple(map(float, row))
+                                                                 for row in dual))
+            got = floats.dual_eval(a, b)
+            assert got == real_bilinear(floats.dual_matrix, a, b) and type(got) is float
+            assert len(rational_sums) == 2
+            rational_sums.clear()
 
     def test_scale_consistency(self, fls):
         # q -> lam q divides the dual pairing by lam and scales |M| by lam^(-d/2);

@@ -122,6 +122,24 @@ class TestCoefficientAt:
     def test_aztec_even_parity_zero(self, aztec):
         assert coefficient_at(aztec.spec, (1, 1, 2)) == 0
 
+    def test_table_builds_a_fraction_only_where_a_value_is_read(self, aztec, monkeypatch):
+        # the box's dependency closure holds 7,661 cells; building each as a
+        # Fraction took 7,722 constructions, keeping them as ints takes 61
+        built = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(cls)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        table = expand_box(aztec.spec, (3, 1, 39), (3, 1, 39))
+        value = table.value_at((3, 1, 39))
+        monkeypatch.undo()
+        assert len(table.cells) == 7661
+        assert len(built) < 100, len(built)
+        assert value == table.values[(3, 1, 39)] == Fraction(9151361887, 2 ** 35)
+
 
 class TestOracleInvariants:
     def test_matches_naive_inversion_on_random_specs(self):

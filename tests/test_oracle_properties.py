@@ -104,6 +104,25 @@ def test_integer_and_real_engines_agree(spec, order):
 
 
 @PROPERTY
+@given(st.one_of(specs(), specs(integer_powers=True), specs(laurent=True)),
+       st.integers(0, 5), st.booleans(), st.booleans())
+def test_value_at_reads_the_values_mapping(spec, order, as_float, values_first):
+    # value and type match whether values is built before or after value_at runs
+    spec = floated(spec) if as_float else spec
+    engines = ["integer"] * spec.all_integer_powers() + ["real"] * all(
+        x < 0 for x in spec.cone_direction_u)
+    for engine in engines:
+        table = expand(spec, order, engine)
+        if values_first:
+            assert list(table.values) == list(table.cells)
+        got = {m: table.value_at(m) for m in table.cells}
+        want = {m: v * table.scale for m, v in table.values.items()}
+        assert list(got) == list(want)
+        for m, v in want.items():
+            assert got[m] == v and type(got[m]) is type(v), (engine, m)
+
+
+@PROPERTY
 @given(st.one_of(specs(), specs(laurent=True)), st.integers(0, 5))
 def test_float_mode_close_to_exact(spec, order):
     exact = expand(spec, order)
