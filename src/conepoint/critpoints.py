@@ -7,27 +7,34 @@ residual check; candidates that cluster into a spread-out set rather than
 isolated points are reported as a solution family (positive-dimensional
 strata exist, e.g. binomial factors whose log-gradient is constant).
 
-Each search builds its system once as two arrays: E, the integer exponent
-rows of the union of the supports, and C, one complex coefficient row per
-polynomial.  A Gauss-Newton step then costs a few array operations:
-mono = exp(E x + i E theta), the residual is C @ mono and, because
-d/dtheta_j Z^e = i e_j Z^e, the Jacobian is i (C * mono) @ E.
+The search runs in plain Python floats and complex numbers.  Each search
+builds its system once: the union of the supports, one coefficient row per
+polynomial and, because d/dtheta_j Z^e = i e_j Z^e, one Jacobian row
+i c_e e_j per (polynomial, coordinate).  An evaluation computes each
+monomial once as exp(e.x + i e.theta); the residual and the Jacobian are
+dot products of those rows with the monomials.  A complex entry stands for
+its real and imaginary rows, so the m polynomials in d unknowns make a
+real 2m x d least-squares problem, solved by modified Gram-Schmidt
+(`_lstsq_step`).
 
 Roots whose coordinates round to small rationals are confirmed exactly in
-rational arithmetic, replacing the numeric residual with zero.
+rational arithmetic, replacing the numeric residual with zero; a polynomial
+with float coefficients need only vanish there to within rounding.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .polyseries import MultiPoly
+from .localgeo import TOL, size_at
+from .polyseries import MultiPoly, is_exact
 
 ACCEPT_RESIDUAL = 1e-10
 DEDUP_DISTANCE = 1e-6
@@ -54,27 +61,67 @@ class SearchReport:
     cluster_diameter: float
 
 
-def _torus_points(x: Sequence[float], theta: np.ndarray) -> List[complex]:
+def _torus_points(x: Sequence[float], theta: Sequence[float]) -> List[complex]:
     return [cmath.exp(complex(xi, ti)) for xi, ti in zip(x, theta)]
 
 
-def _gauss_newton(fun_jac: Callable, theta0: np.ndarray) -> Optional[np.ndarray]:
-    theta = theta0.copy()
-    f, J = fun_jac(theta)
-    norm = np.linalg.norm(f)
+def _norm(f: Sequence[complex]) -> float:
+    """Euclidean norm of f as a real vector of real and imaginary parts."""
+    return math.hypot(*map(abs, f))
+
+
+def _lstsq_step(cols: Sequence[Sequence[complex]], f: Sequence[complex]) -> List[float]:
+    """The real s minimizing ||f + J s||, J given by its d complex columns.
+
+    Modified Gram-Schmidt on [J | -f], which is backward stable for least
+    squares (Bjorck, BIT 7, 1967), in the real inner product Re(a^H b) of
+    C^m = R^2m.  A column whose part orthogonal to the columns before it is
+    at most 2m eps times the largest column of J (a bound on every |R_jj|)
+    is dropped with step 0, so a rank-deficient J still gives a finite step.
+    """
+    tol = 2 * len(f) * sys.float_info.epsilon * max(map(_norm, cols))
+    basis = []  # (q_i, conj(q_i)) for each kept column
+    kept = []   # (j, R_jj, R_ij for the kept i before j)
+    for j, col in enumerate([*cols, [-v for v in f]]):
+        above = []  # R_ij against each kept column; for -f, the right-hand side
+        for q, qc in basis:
+            r = sum(map(mul, qc, col)).real
+            col = [v - r * w for v, w in zip(col, q)]
+            above.append(r)
+        if j == len(cols):
+            break
+        rjj = _norm(col)
+        if rjj > tol:
+            q = [v / rjj for v in col]
+            basis.append((q, [v.conjugate() for v in q]))
+            kept.append((j, rjj, above))
+    rhs = above
+    step = [0.0] * len(cols)
+    for i in reversed(range(len(kept))):
+        j, rjj, above = kept[i]
+        step[j] = s = rhs[i] / rjj
+        for k in range(i):
+            rhs[k] -= above[k] * s
+    return step
+
+
+def _gauss_newton(residual: Callable, jacobian: Callable,
+                  theta: List[float]) -> Optional[List[float]]:
+    f, mono = residual(theta)
+    norm = _norm(f)
     for _ in range(NEWTON_MAX_ITER):
         if norm < NEWTON_TOL:
             return theta
-        step, *_ = np.linalg.lstsq(J, -f, rcond=None)
-        if not np.all(np.isfinite(step)):
+        step = _lstsq_step(jacobian(mono), f)
+        if not all(map(math.isfinite, step)):
             return None
         alpha = 1.0
         for _ in range(40):
-            cand = theta + alpha * step
-            fc, Jc = fun_jac(cand)
-            nc = np.linalg.norm(fc)
+            cand = [t + alpha * s for t, s in zip(theta, step)]
+            fc, mc = residual(cand)
+            nc = _norm(fc)
             if nc < norm * (1.0 - 1e-4 * alpha) or nc < NEWTON_TOL:
-                theta, f, J, norm = cand, fc, Jc, nc
+                theta, f, mono, norm = cand, fc, mc, nc
                 break
             alpha *= 0.5
         else:
@@ -94,7 +141,14 @@ def _try_exact_rational(Z: Sequence[complex]) -> Optional[List[Fraction]]:
     return out
 
 
-def _dedup(cands: List[Tuple[np.ndarray, Tuple[complex, ...], float]]):
+def _vanishes(p: MultiPoly, Z: Sequence[Fraction]) -> bool:
+    """p(Z) == 0 for an exact p; a float p may miss 0 by rounding, within TOL
+    of size_at(p, Z), as in localgeo.quadratic_point_data."""
+    value = p.eval(Z)
+    return value == 0 if is_exact(p) else abs(value) <= TOL * size_at(p, Z)
+
+
+def _dedup(cands: List[Tuple[List[float], Tuple[complex, ...], float]]):
     cands = sorted(cands, key=lambda c: tuple((round(z.real, 8), round(z.imag, 8))
                                               for z in c[1]))
     reps: List[Tuple[Tuple[complex, ...], float]] = []
@@ -153,50 +207,58 @@ def find_smooth_critical(H: MultiPoly, r: Sequence[float], x: Sequence[float],
     return _multistart([H] + cross, x, starts, seed, "SmoothOnFactor")
 
 
-def _polish(fun_jac, theta: np.ndarray) -> np.ndarray:
+def _polish(residual: Callable, jacobian: Callable,
+            theta: List[float]) -> Tuple[List[float], List[complex]]:
+    """Up to POLISH_STEPS full steps, kept while they do not raise the residual;
+    returns theta and its residual."""
+    f, mono = residual(theta)
+    norm = _norm(f)
     for _ in range(POLISH_STEPS):
-        f, J = fun_jac(theta)
-        step, *_ = np.linalg.lstsq(J, -f, rcond=None)
-        if not np.all(np.isfinite(step)):
+        step = _lstsq_step(jacobian(mono), f)
+        if not all(map(math.isfinite, step)):
             break
-        cand = theta + step
-        fc, _ = fun_jac(cand)
-        if np.linalg.norm(fc) <= np.linalg.norm(f):
-            theta = cand
-        else:
+        cand = [t + s for t, s in zip(theta, step)]
+        fc, mc = residual(cand)
+        nc = _norm(fc)
+        if not nc <= norm:
             break
-    return theta
+        theta, f, mono, norm = cand, fc, mc, nc
+    return theta, f
 
 
-def _system(polys: Sequence[MultiPoly], x: Sequence[float]) -> Callable:
-    """fun_jac(theta) for the real-and-imaginary system of polys on the torus."""
+def _system(polys: Sequence[MultiPoly], x: Sequence[float]) -> Tuple[Callable, Callable]:
+    """The system of polys on the torus through x, as two functions:
+    residual(theta) -> (f, mono), one complex value per polynomial and the
+    monomials they were computed from, and jacobian(mono) -> the d complex
+    columns df/dtheta_j at the same theta."""
     support = sorted({m for p in polys for m in p.terms})
-    E = np.array(support, dtype=float)
-    C = np.array([[complex(p.terms.get(m, 0)) for m in support] for p in polys])
-    Ex = E @ np.asarray(x, dtype=float)
+    ex = [sum(map(mul, m, x)) for m in support]
+    rows = [[complex(p.terms.get(m, 0)) for m in support] for p in polys]
+    jac_rows = [[[1j * c * m[j] for c, m in zip(row, support)] for row in rows]
+                for j in range(len(x))]
 
-    def fun_jac(theta):
-        mono = np.exp(Ex + 1j * (E @ theta))
-        f = C @ mono
-        Jt = 1j * (E.T @ (C * mono).T)  # J = i (C * mono) @ E, transposed
-        # float views split each complex entry into (re, im): rows alternate re, im
-        return f.view(float), Jt.view(float).T
+    def residual(theta):
+        mono = [cmath.exp(complex(a, sum(map(mul, m, theta)))) for a, m in zip(ex, support)]
+        return [sum(map(mul, row, mono)) for row in rows], mono
 
-    return fun_jac
+    def jacobian(mono):
+        return [[sum(map(mul, row, mono)) for row in col] for col in jac_rows]
+
+    return residual, jacobian
 
 
 def _multistart(polys, x, starts, seed, stratum) -> SearchReport:
-    fun_jac = _system(polys, x)
-    rng = np.random.default_rng(seed)
+    residual, jacobian = _system(polys, x)
+    rng = random.Random(seed)
+    d = polys[0].arity
     cands = []
     for _ in range(starts):
-        theta0 = rng.uniform(0.0, 2.0 * math.pi, size=polys[0].arity)
-        theta = _gauss_newton(fun_jac, theta0)
+        theta = _gauss_newton(residual, jacobian,
+                              [rng.uniform(0.0, 2.0 * math.pi) for _ in range(d)])
         if theta is None:
             continue
-        theta = _polish(fun_jac, theta)
-        f, _ = fun_jac(theta)
-        res = float(np.linalg.norm(f, ord=np.inf))
+        theta, f = _polish(residual, jacobian, theta)
+        res = max(max(abs(v.real), abs(v.imag)) for v in f)
         if res <= ACCEPT_RESIDUAL:
             Z = tuple(_torus_points(x, theta))
             cands.append((theta, Z, res))
@@ -207,7 +269,7 @@ def _multistart(polys, x, starts, seed, stratum) -> SearchReport:
     if not family:
         for Z, res in reps:
             fr = _try_exact_rational(Z)
-            if fr is not None and all(p.eval(fr) == 0 for p in polys):
+            if fr is not None and all(_vanishes(p, fr) for p in polys):
                 # keep the exact rational coordinates: downstream local analysis
                 # then runs in exact arithmetic
                 points.append(CriticalPoint(tuple(fr), stratum, 0.0, True))

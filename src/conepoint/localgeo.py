@@ -55,6 +55,13 @@ def vanishing_degree(s: TruncatedSeries) -> int:
     return min(sum(m) for m in s.terms)
 
 
+def size_at(poly: MultiPoly, Z: Sequence) -> float:
+    """sum |c_m Z^m|: a float polynomial's value at Z within TOL of this is
+    rounding, and counts as zero."""
+    return sum(abs(c) * math.prod(abs(complex(z)) ** e for z, e in zip(Z, m))
+               for m, c in poly.terms.items())
+
+
 def homogeneous_part(s: TruncatedSeries) -> MultiPoly:
     """All minimal-total-degree terms, as a homogeneous polynomial."""
     return s.homogeneous_component(vanishing_degree(s))
@@ -301,7 +308,10 @@ def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence,
     Factors are split by their vanishing degree at Z: nonvanishing factors
     are absorbed into the numerator, degree-1 factors become linear
     covectors (sign-fixed against the cone direction), and exactly one
-    degree-2 factor supplies the Lorentzian quadratic.
+    degree-2 factor supplies the Lorentzian quadratic.  A factor with float
+    coefficients vanishes to the degree its expansion shows once terms of
+    degree below 2 within TOL of its size at Z are dropped; an exact factor
+    vanishes where its terms are exactly zero.
     """
     u = spec.cone_direction_u
     p_series = log_compose_taylor(spec.numerator, Z, order)
@@ -310,6 +320,11 @@ def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence,
     linear: List[Tuple[Tuple[object, ...], int]] = []
     for poly, power in spec.factors:
         series = log_compose_taylor(poly, Z, order)
+        if not is_exact(poly):  # rounding leaves these where a float factor vanishes
+            tol = TOL * size_at(poly, Z)
+            series = TruncatedSeries(series.arity, series.order,
+                                     {m: c for m, c in series.terms.items()
+                                      if sum(m) >= 2 or abs(c) > tol})
         if series.is_zero():
             raise GeometryError("a factor vanishes identically at the point")
         v = vanishing_degree(series)

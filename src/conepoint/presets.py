@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .polyseries import MultiPoly
 from .oracle import CoeffTable, QuasiRationalSpec, SpecError, expand
@@ -226,25 +226,38 @@ def _qrw() -> Preset:
                   "probabilities are the summed squared amplitudes")
 
 
+def qrw_walk(times: Iterable[int]) -> Iterator[Tuple[int, Dict[Tuple[int, int, int], Fraction]]]:
+    """(t, qrw_simulate(t)) for each of the increasing times, from one walk.
+
+    The coin is _QRW_SIGN / 2, so the walk carries 2^step * amplitude as
+    Python ints (past int64 for large t); a state becomes Fractions only
+    at the times asked for.
+    """
+    state: Dict[Tuple[int, int, int], int] = {(0, 0, _QRW_START): 1}
+    step = 0
+    for t in times:
+        if t < step:
+            raise ValueError("times must be nonnegative and increasing")
+        for _ in range(t - step):
+            new: Dict[Tuple[int, int, int], int] = {}
+            for (x, y, eta), amp in state.items():
+                for xi, (dx, dy) in enumerate(_QRW_DISP):
+                    key = (x + dx, y + dy, xi)
+                    new[key] = new.get(key, 0) + _QRW_SIGN[xi][eta] * amp
+            state = {key: amp for key, amp in new.items() if amp}
+        step = t
+        yield t, {key: Fraction(amp, 2 ** t) for key, amp in state.items()}
+
+
 def qrw_simulate(t: int) -> Dict[Tuple[int, int, int], Fraction]:
     """Exact state after t coin-then-shift steps from ((0,0),N).
 
     Keys are (x, y, chirality index in ENWS); values are rational
     amplitudes.  This is the independent oracle the generating functions
-    are checked against.  The coin is _QRW_SIGN / 2, so the walk carries
-    2^step * amplitude as Python ints (past int64 for large t).
+    are checked against.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    state: Dict[Tuple[int, int, int], int] = {(0, 0, _QRW_START): 1}
-    for _ in range(t):
-        new: Dict[Tuple[int, int, int], int] = {}
-        for (x, y, eta), amp in state.items():
-            for xi, (dx, dy) in enumerate(_QRW_DISP):
-                key = (x + dx, y + dy, xi)
-                new[key] = new.get(key, 0) + _QRW_SIGN[xi][eta] * amp
-        state = {key: amp for key, amp in new.items() if amp}
-    return {key: Fraction(amp, 2 ** t) for key, amp in state.items()}
+    (_, state), = qrw_walk([t])
+    return state
 
 
 # -- graph-polynomial fractional powers --------------------------------------------

@@ -18,7 +18,7 @@ from conepoint.critpoints import find_smooth_critical
 from conepoint.asympt import (cone_constant, cone_plane_asymptotics, double_residue,
                               dual_power_derivative, oriented_double_residue,
                               prepare, smooth_asymptotics, total_asymptotics)
-from conepoint.presets import grove_relation_check, qrw_simulate
+from conepoint.presets import grove_relation_check, qrw_walk
 
 
 def mp(arity, *terms):
@@ -158,8 +158,7 @@ def test_criterion_06_grove_convergence(cube_grove, scoreboard):
 def test_criterion_07_qrw_properties(qrw, scoreboard):
     T_exact = 16
     tables = {ch: expand(qrw.companions[ch], T_exact) for ch in "ENWS"}
-    for t in range(T_exact + 1):
-        sim = qrw_simulate(t)
+    for t, sim in qrw_walk(range(T_exact + 1)):
         seen = set()
         for x in range(-t, t + 1):
             for y in range(-t, t + 1):
@@ -168,8 +167,7 @@ def test_criterion_07_qrw_properties(qrw, scoreboard):
         for (x, y, i) in sim:
             assert abs(x) <= t and abs(y) <= t
     scaling = []
-    for t in range(8, 65, 4):
-        sim = qrw_simulate(t)
+    for t, sim in qrw_walk(range(8, 65, 4)):
         if t <= 32:
             assert sum(v * v for v in sim.values()) == 1
         p = sum(sim.get((t // 4, t // 4, xi), Fraction(0)) ** 2 for xi in range(4))

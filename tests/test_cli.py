@@ -532,3 +532,21 @@ class TestNumberFields:
         path.write_text(json.dumps(FLOAT_SPECS[name]()))
         rc, out, _ = run(capsys, command, "--spec", str(path), *argv)
         assert (rc, hashlib.sha256(out.encode()).hexdigest()) == FLOAT_STDOUT[key]
+
+    @pytest.mark.parametrize("with_points", [True, False], ids=["given", "discovered"])
+    def test_factor_vanishing_up_to_rounding(self, capsys, tmp_path, with_points):
+        # 0.3 times fls's factor leaves a constant term near 1e-17 at (1,1,1),
+        # so the point is quadratic only once rounding counts as zero
+        raw = _floated_json(json.loads((SPEC_DIR / "fls.json").read_text()))
+        for term in raw["factors"][0]["poly"]:
+            term["coeff"] *= 0.3
+        if not with_points:
+            raw.pop("points")
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(raw))
+        rc, out, _ = run(capsys, "asym", "--spec", str(path), "--r", "10,10,10")
+        assert rc == 0
+        _, exact, _ = run(capsys, "asym", "--preset", "fls", "--r", "10,10,10")
+        expected = json.loads(exact)["value"] * 0.3 ** -0.75
+        assert json.loads(out)["value"] == pytest.approx(expected, rel=1e-12, abs=0)
+        assert json.loads(out)["per_point"][0]["point"] == ["1", "1", "1"]

@@ -2,9 +2,10 @@
 
 `import conepoint` loads no submodule: each public name is imported from its
 home module on first use.  The exact oracle loads neither the prediction
-modules (`asympt`, `localgeo`) nor numpy and the critical-point search.
-`asym`, `classify` and `compare` load the search only when the spec or
-preset gives no points.
+modules (`asympt`, `localgeo`) nor the critical-point search.  `asym`,
+`classify` and `compare` load the search only when the spec or preset gives
+no points.  No command loads numpy: every command runs with numpy's import
+blocked.
 
 Each load check runs in a fresh interpreter: this suite's own process has
 imported everything long before.
@@ -92,16 +93,35 @@ def test_prepared_commands_load_neither():
     assert len(out) >= 3
 
 
-def test_discovery_still_loads_the_search(tmp_path):
-    raw = json.loads((SPEC_DIR / "fls.json").read_text())
+def _without_points(tmp_path, name):
+    raw = json.loads((SPEC_DIR / f"{name}.json").read_text())
     raw.pop("points")
-    path = tmp_path / "fls.json"
+    path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def test_discovery_still_loads_the_search(tmp_path):
+    path = _without_points(tmp_path, "fls")
     out, loaded = _modules_after([
-        f'assert conepoint.cli.main(["asym", "--spec", {str(path)!r}, '
-        '"--r", "10,10,10"]) == 0'])
-    assert loaded >= SEARCH
+        f'assert conepoint.cli.main(["asym", "--spec", {path!r}, "--r", "10,10,10"]) == 0'])
+    assert loaded & SEARCH == {"conepoint.critpoints"}
     assert json.loads(out[0])["per_point"]
+
+
+def test_no_command_needs_numpy(tmp_path):
+    spec = _without_points(tmp_path, "superballot-core")
+    commands = [
+        'assert conepoint.cli.main(["oracle", "--preset", "aztec", "--order", "4"]) == 0',
+        f'assert conepoint.cli.main(["asym", "--spec", {spec!r}, "--r", "9,10,11"]) == 0',
+        'assert conepoint.cli.main(["classify", "--preset", "fls", "--r", "10,10,10"]) == 0',
+        'assert conepoint.cli.main(["compare", "--preset", "aztec", '
+        '"--directions=2,2,22;-1,3,23"]) == 0']
+    # with None in sys.modules, any import of numpy raises ImportError
+    blocked, _ = _modules_after(commands, prelude="sys.modules['numpy'] = None\n"
+                                                  "import conepoint, conepoint.cli")
+    out, _ = _modules_after(commands)
+    assert blocked == out and len(out) > 4
 
 
 def test_cli_forwards_prediction_names_on_first_lookup():

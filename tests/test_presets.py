@@ -11,7 +11,8 @@ from conepoint.critpoints import find_singular_points
 from conepoint.oracle import expand
 from conepoint.asympt import prepare, total_asymptotics
 from conepoint.presets import (PRESET_NAMES, aztec_creation_check, grove_relation_check,
-                               preset, qrw_simulate, superballot_number)
+                               preset, qrw_simulate, qrw_walk,
+                               superballot_number)
 from conepoint import specio
 from reference_regions import VALIDITY_REGION
 
@@ -110,8 +111,8 @@ QRW_GOLDEN = "badba29aaa881179e865863e9fa9b871530ea802d421533740d8387d538a7eaf"
 
 class TestQRW:
     def test_simulation_golden_digest(self):
-        text = "".join(f"{t} {x} {y} {i} {v}\n" for t in QRW_GOLDEN_TIMES
-                       for (x, y, i), v in sorted(qrw_simulate(t).items()))
+        text = "".join(f"{t} {x} {y} {i} {v}\n" for t, state in qrw_walk(QRW_GOLDEN_TIMES)
+                       for (x, y, i), v in sorted(state.items()))
         assert hashlib.sha256(text.encode()).hexdigest() == QRW_GOLDEN
 
     def test_time_zero_and_one(self):
