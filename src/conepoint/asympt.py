@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .polyseries import MultiPoly, TruncatedSeries, _rational_root, binomials
 from .oracle import QuasiRationalSpec, _as_int
@@ -461,16 +460,14 @@ def decay_exponent(spec: QuasiRationalSpec, points: Sequence[Tuple[Sequence, obj
 # -- totals ------------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointContribution:
+class PointContribution(NamedTuple):
     Z: Tuple[object, ...]
     formula: str
     direction_class: str
     value: object
 
 
-@dataclass(frozen=True)
-class AsymptoticEstimate:
+class AsymptoticEstimate(NamedTuple):
     direction: Tuple[int, ...]
     value: object
     decay_exponent: float
@@ -479,12 +476,34 @@ class AsymptoticEstimate:
     notes: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class PreparedPoint:
+class PreparedPoint(NamedTuple):
     """What total_asymptotics needs at one point, whatever the direction."""
 
     data: QuadraticPointData
     series: Optional[Tuple[SeriesTerm, ...]]  # bare quadratic points (k = 0) only
+
+
+def _given_or_found(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]],
+                    seed: int) -> Sequence[Sequence]:
+    """points when given; otherwise the singular points of every factor on
+    the unit torus, discovered numerically."""
+    if points is not None:
+        return points
+    from .critpoints import find_singular_points
+    x = [0.0] * spec.arity
+    points = [p.Z for poly, _ in spec.factors
+              for p in find_singular_points(poly, x, seed=seed).points]
+    if not points:
+        raise RefusalError("no quadratic points found on the torus", {"x": x})
+    return points
+
+
+def point_data(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None, *,
+               order: int = 8, seed: int = 0) -> Tuple[QuadraticPointData, ...]:
+    """The local data at each point, to the given local order: what classify
+    reports.  points are taken as prepare takes them."""
+    return tuple(quadratic_point_data(spec, Z, order=order)
+                 for Z in _given_or_found(spec, points, seed))
 
 
 def prepare(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None, *,
@@ -493,6 +512,8 @@ def prepare(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None
 
     points may be supplied (e.g. from a preset); otherwise the singular
     points of every factor on the unit torus are discovered numerically.
+    A point with a complex coordinate is refused, since the formulas are
+    written for real points.
     Each bare quadratic point keeps the first order_terms orders of its
     series as derivative polynomials, so a direction only evaluates them.
     Order N reads the local series to degree 3N - 3 (c(m, N-1) needs
@@ -500,15 +521,12 @@ def prepare(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None
     The result can be passed as `points` to total_asymptotics for any
     number of directions.
     """
-    if points is None:
-        from .critpoints import find_singular_points
-        x = [0.0] * spec.arity
-        points = [p.Z for poly, _ in spec.factors
-                  for p in find_singular_points(poly, x, seed=seed).points]
-        if not points:
-            raise RefusalError("no quadratic points found on the torus", {"x": x})
-    local = [quadratic_point_data(spec, Z, order=max(8, 3 * order_terms - 3))
-             for Z in points]
+    points = _given_or_found(spec, points, seed)
+    for Z in points:
+        if any(isinstance(z, complex) for z in Z):
+            raise RefusalError(f"point ({', '.join(map(str, Z))}) has a complex coordinate: "
+                               "the formulas need a real point", {"point": list(map(str, Z))})
+    local = point_data(spec, points, order=max(8, 3 * order_terms - 3))
     return tuple(PreparedPoint(data, _series_terms(data, order_terms) if data.k == 0 else None)
                  for data in local)
 

@@ -216,13 +216,12 @@ def _cmd_asym(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    from .asympt import prepare
+    from .asympt import point_data
     from .localgeo import classify_direction
     spec, points = _load(args)
     r = _parse_direction(args.r, spec.arity)
     report = []
-    for pt in prepare(spec, points, seed=args.seed):
-        data = pt.data
+    for data in point_data(spec, points, seed=args.seed):
         cls = classify_direction(data, r)
         entry = specio.point_data_to_json(data)
         entry.update({

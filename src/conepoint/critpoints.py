@@ -28,10 +28,9 @@ import cmath
 import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .localgeo import TOL, size_at
 from .polyseries import MultiPoly, is_exact
@@ -45,16 +44,14 @@ POLISH_STEPS = 2  # full Gauss-Newton steps after convergence, kept while they h
 EXACT_MAX_DEN = 16  # largest denominator tried when confirming a root exactly
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     Z: Tuple[complex, ...]
     stratum: str              # "QuadraticSingular" | "SmoothOnFactor" | ...
     residual: float
     exact: bool = False       # confirmed in rational arithmetic
 
 
-@dataclass
-class SearchReport:
+class SearchReport(NamedTuple):
     points: List[CriticalPoint]
     family_detected: bool
     n_converged: int

@@ -17,14 +17,13 @@ point and coefficients are rational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
-from .polyseries import (MultiPoly, TruncatedSeries, _rational_root, is_exact,
+from .polyseries import (MultiPoly, Record, TruncatedSeries, _rational_root, is_exact,
                          log_compose_taylor)
 from .oracle import QuasiRationalSpec, _as_int
 from .errors import RefusalError
@@ -231,29 +230,37 @@ class DirectionTag(Enum):
     Indeterminate = "Indeterminate"
 
 
-@dataclass(frozen=True)
-class DirectionClass:
+class DirectionClass(NamedTuple):
     tag: DirectionTag
     margin: float  # signed proxy distance used for tolerance decisions
 
 
-@dataclass(frozen=True)
-class QuadraticPointData:
+class QuadraticPointData(Record):
     """Everything local to one quadratic singular point."""
 
-    arity: int
-    point_Z: Tuple[object, ...]
-    s: object                      # power of the quadratic factor
-    q_matrix: Matrix
-    dual_matrix: Matrix
-    normalizer_absdet: object
-    numerator_value: object        # collected numerator value P(Z)
-    linear_factors: Tuple[Tuple[Tuple[object, ...], int], ...]
-    cone_direction_u: Tuple[object, ...]
-    sign_flipped: bool
-    p_series: TruncatedSeries
-    q_series: TruncatedSeries
-    numerator_valuation: int
+    _fields = ("arity", "point_Z", "s", "q_matrix", "dual_matrix", "normalizer_absdet",
+               "numerator_value", "linear_factors", "cone_direction_u", "sign_flipped",
+               "p_series", "q_series", "numerator_valuation")
+
+    def __init__(self, arity: int, point_Z: Tuple[object, ...], s, q_matrix: Matrix,
+                 dual_matrix: Matrix, normalizer_absdet, numerator_value,
+                 linear_factors: Tuple[Tuple[Tuple[object, ...], int], ...],
+                 cone_direction_u: Tuple[object, ...], sign_flipped: bool,
+                 p_series: TruncatedSeries, q_series: TruncatedSeries,
+                 numerator_valuation: int):
+        self.arity = arity
+        self.point_Z = point_Z
+        self.s = s  # power of the quadratic factor
+        self.q_matrix = q_matrix
+        self.dual_matrix = dual_matrix
+        self.normalizer_absdet = normalizer_absdet
+        self.numerator_value = numerator_value  # collected numerator value P(Z)
+        self.linear_factors = linear_factors
+        self.cone_direction_u = cone_direction_u
+        self.sign_flipped = sign_flipped
+        self.p_series = p_series
+        self.q_series = q_series
+        self.numerator_valuation = numerator_valuation
 
     @property
     def k(self) -> int:

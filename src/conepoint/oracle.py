@@ -49,13 +49,12 @@ makes single-coefficient queries at large total degree cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice, product
 from operator import add, le, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .polyseries import MultiPoly, TruncatedSeries, is_exact
+from .polyseries import MultiPoly, Record, TruncatedSeries, is_exact
 
 Exponent = Tuple[int, ...]
 Runs = Dict[int, Tuple[Optional[int], int]]  # level -> (denominator, cell count)
@@ -69,8 +68,7 @@ class NotNormalizedError(SpecError):
     """Raised when a factor lacks the unit term the recurrence pivots on."""
 
 
-@dataclass(frozen=True)
-class QuasiRationalSpec:
+class QuasiRationalSpec(Record):
     """F = numerator * prod_j factor_j ^ (-power_j).
 
     cone_direction_u is a reference direction interior to the
@@ -80,12 +78,20 @@ class QuasiRationalSpec:
     spec's coefficients at r + laurent_shift.
     """
 
-    arity: int
-    numerator: MultiPoly
-    factors: Tuple[Tuple[MultiPoly, object], ...]
-    cone_direction_u: Tuple[object, ...]
-    laurent_shift: Tuple[int, ...] = None
-    name: str = ""
+    __slots__ = _fields = ("arity", "numerator", "factors", "cone_direction_u",
+                           "laurent_shift", "name")
+
+    def __init__(self, arity: int, numerator: MultiPoly,
+                 factors: Tuple[Tuple[MultiPoly, object], ...],
+                 cone_direction_u: Tuple[object, ...],
+                 laurent_shift: Optional[Tuple[int, ...]] = None, name: str = ""):
+        self.arity = arity
+        self.numerator = numerator
+        self.factors = factors
+        self.cone_direction_u = cone_direction_u
+        self.laurent_shift = laurent_shift
+        self.name = name
+        self.__post_init__()
 
     def __post_init__(self):
         if self.numerator.arity != self.arity:
@@ -99,12 +105,12 @@ class QuasiRationalSpec:
             if power == 0:
                 raise SpecError("factor powers must be nonzero")
             facs.append((poly, power))
-        object.__setattr__(self, "factors", tuple(facs))
-        object.__setattr__(self, "cone_direction_u", tuple(self.cone_direction_u))
+        self.factors = tuple(facs)
+        self.cone_direction_u = tuple(self.cone_direction_u)
         if self.laurent_shift is None:
-            object.__setattr__(self, "laurent_shift", (0,) * self.arity)
+            self.laurent_shift = (0,) * self.arity
         else:
-            object.__setattr__(self, "laurent_shift", tuple(int(e) for e in self.laurent_shift))
+            self.laurent_shift = tuple(int(e) for e in self.laurent_shift)
 
     def all_integer_powers(self) -> bool:
         return all(_as_int(p) is not None and _as_int(p) > 0 for _, p in self.factors)
@@ -166,11 +172,11 @@ def normalize_laurent(spec: QuasiRationalSpec) -> QuasiRationalSpec:
         for i in range(spec.arity):
             kappa[i] += sigma_p[i]
     shift = tuple(k + s for k, s in zip(kappa, spec.laurent_shift))
-    return replace(spec, numerator=numer, factors=tuple(new_factors), laurent_shift=shift)
+    return QuasiRationalSpec(spec.arity, numer, tuple(new_factors), spec.cone_direction_u,
+                             shift, spec.name)
 
 
-@dataclass
-class CoeffTable:
+class CoeffTable(Record):
     """Graded coefficient table: value_at(r) is the series coefficient at r.
 
     The sweeps hand over their cells as computed: cells maps each nonzero
@@ -187,12 +193,16 @@ class CoeffTable:
     max_level (for expand_box, every such index inside the box).
     """
 
-    arity: int
-    cells: Dict[Exponent, object]
-    runs: Runs
-    grading_w: Tuple[int, ...]
-    max_level: int
-    scale: object = Fraction(1)
+    __slots__ = _fields = ("arity", "cells", "runs", "grading_w", "max_level", "scale")
+
+    def __init__(self, arity: int, cells: Dict[Exponent, object], runs: Runs,
+                 grading_w: Tuple[int, ...], max_level: int, scale=Fraction(1)):
+        self.arity = arity
+        self.cells = cells
+        self.runs = runs
+        self.grading_w = grading_w
+        self.max_level = max_level
+        self.scale = scale
 
     def value_at(self, r: Sequence[int]):
         m = tuple(r)

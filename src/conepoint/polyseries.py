@@ -9,8 +9,8 @@ result it touches float or complex: `Fraction` op `float` is `float(F)` op
 turns ints into Fractions and lifts narrower coefficients to the widest one
 present, and `from_terms`, the input boundary, does the same before it sums
 repeated exponents.  `is_exact` tells whether a polynomial is all rational.
-Values are immutable after construction and all operations are pure, so
-they can be shared freely between threads.
+Values are never changed after construction and all operations are pure,
+so they can be shared freely between threads.
 
 Representation: a polynomial is a map from exponent tuples (negative
 entries allowed) to nonzero coefficients.  A truncated series is the same
@@ -21,11 +21,10 @@ arithmetic truncates to the minimum order of the operands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
 from operator import add
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 
@@ -93,8 +92,34 @@ def is_exact(p) -> bool:
     return all(isinstance(c, Fraction) for c in p.terms.values())
 
 
-class _Terms:
+class Record:
+    """Base of the package's record classes, which cost nothing to define.
+
+    == compares the fields named in _fields, in order, and only between
+    instances of the same class; a record is unhashable.  repr lists the
+    fields by name.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class _Terms(Record):
     """What MultiPoly and TruncatedSeries share: lookups, negation, scaling."""
+
+    __slots__ = ()
 
     def coeff(self, m: Sequence[int]):
         """The coefficient of X^m; a missing one reads as 0 in the field of the others."""
@@ -108,20 +133,19 @@ class _Terms:
         return not self.terms
 
     def __neg__(self):
-        return replace(self, terms={m: -c for m, c in self.terms.items()})
+        return self._with_terms({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        return replace(self, terms={m: v * c for m, v in self.terms.items()})
+        return self._with_terms({m: v * c for m, v in self.terms.items()})
 
     def _check(self, other):
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
 
 
-@dataclass(frozen=True)
 class MultiPoly(_Terms):
     """Sparse Laurent polynomial: arity and {exponent tuple: coefficient}.
 
@@ -129,13 +153,20 @@ class MultiPoly(_Terms):
     equality of polynomials.
     """
 
-    arity: int
-    terms: Dict[Exponent, object] = field(default_factory=dict)
+    __slots__ = _fields = ("arity", "terms")
+
+    def __init__(self, arity: int, terms: Optional[Dict[Exponent, object]] = None):
+        self.arity = arity
+        self.terms = {} if terms is None else terms
+        self.__post_init__()
 
     def __post_init__(self):
         if self.arity < 1:
             raise ValueError("arity must be positive")
-        object.__setattr__(self, "terms", _clean(self.terms, self.arity))
+        self.terms = _clean(self.terms, self.arity)
+
+    def _with_terms(self, terms: Dict[Exponent, object]) -> "MultiPoly":
+        return MultiPoly(self.arity, terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -254,7 +285,6 @@ class MultiPoly(_Terms):
         return "MultiPoly(" + " + ".join(parts[:6]) + (" + ..." if len(parts) > 6 else "") + ")"
 
 
-@dataclass(frozen=True)
 class TruncatedSeries(_Terms):
     """Power series truncated at a total-degree order.
 
@@ -262,14 +292,22 @@ class TruncatedSeries(_Terms):
     operations carry order = min of the operand orders.
     """
 
-    arity: int
-    order: int
-    terms: Dict[Exponent, object] = field(default_factory=dict)
+    __slots__ = _fields = ("arity", "order", "terms")
+
+    def __init__(self, arity: int, order: int,
+                 terms: Optional[Dict[Exponent, object]] = None):
+        self.arity = arity
+        self.order = order
+        self.terms = {} if terms is None else terms
+        self.__post_init__()
 
     def __post_init__(self):
         if self.order < 0:
             raise ValueError("order must be nonnegative")
-        object.__setattr__(self, "terms", _clean(self.terms, self.arity, self.order))
+        self.terms = _clean(self.terms, self.arity, self.order)
+
+    def _with_terms(self, terms: Dict[Exponent, object]) -> "TruncatedSeries":
+        return TruncatedSeries(self.arity, self.order, terms)
 
     @classmethod
     def from_poly(cls, p: MultiPoly, order: int) -> "TruncatedSeries":

@@ -21,11 +21,10 @@ Conventions fixed by simulation:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .polyseries import MultiPoly
+from .polyseries import MultiPoly, Record
 from .oracle import CoeffTable, QuasiRationalSpec, SpecError, expand
 
 
@@ -57,14 +56,20 @@ _Q_SUPER_POLE = _mp(3, (1, (0, 0, 0)), (-1, (1, 0, 0)), (-1, (0, 1, 0)),
 _P_SUPER = _mp(3, (1, (0, 0, 0)), (-2, (1, 0, 0)))          # 1 - 2X
 
 
-@dataclass(frozen=True)
-class Preset:
-    name: str
-    spec: QuasiRationalSpec
-    known_points: Tuple[Tuple[object, ...], ...]
-    reference_formula: Optional[Callable[[Sequence[int]], object]]
-    companions: Dict[str, QuasiRationalSpec] = field(default_factory=dict)
-    notes: str = ""
+class Preset(Record):
+    __slots__ = _fields = ("name", "spec", "known_points", "reference_formula",
+                           "companions", "notes")
+
+    def __init__(self, name: str, spec: QuasiRationalSpec,
+                 known_points: Tuple[Tuple[object, ...], ...],
+                 reference_formula: Optional[Callable[[Sequence[int]], object]],
+                 companions: Optional[Dict[str, QuasiRationalSpec]] = None, notes: str = ""):
+        self.name = name
+        self.spec = spec
+        self.known_points = known_points
+        self.reference_formula = reference_formula
+        self.companions = {} if companions is None else companions
+        self.notes = notes
 
 
 # -- Aztec diamond --------------------------------------------------------------

@@ -1,8 +1,6 @@
 """Float copies of specs: the oracle runs a spec whose coefficients or
 powers are floats in float arithmetic."""
 
-from dataclasses import replace
-
 from conepoint.oracle import QuasiRationalSpec
 from conepoint.polyseries import MultiPoly
 
@@ -13,5 +11,6 @@ def _floated_poly(p: MultiPoly) -> MultiPoly:
 
 def floated(spec: QuasiRationalSpec) -> QuasiRationalSpec:
     """spec with every coefficient and every power rebuilt as a float."""
-    return replace(spec, numerator=_floated_poly(spec.numerator),
-                   factors=tuple((_floated_poly(p), float(s)) for p, s in spec.factors))
+    return QuasiRationalSpec(spec.arity, _floated_poly(spec.numerator),
+                             tuple((_floated_poly(p), float(s)) for p, s in spec.factors),
+                             spec.cone_direction_u, spec.laurent_shift, spec.name)

@@ -141,6 +141,41 @@ class TestRefusals:
         assert json.loads(err.splitlines()[1]) == {"dual_ll": "1"}
 
 
+    @staticmethod
+    def _complex_point_spec(tmp_path, kind):
+        """fls with its point written as the complex 1 + 0j, or fls with every
+        X-term coefficient times -i and no points, whose search finds (i, 1, 1)."""
+        raw = json.loads((SPEC_DIR / "fls.json").read_text())
+        if kind == "written":
+            raw["points"] = [[[1.0, 0.0], "1", "1"]]
+        else:
+            raw.pop("points")
+            for term in raw["factors"][0]["poly"]:
+                if term["exponents"][0] == 1:
+                    term["coeff"] = [0.0, -float(Fraction(term["coeff"]))]
+        path = tmp_path / f"fls-{kind}.json"
+        path.write_text(json.dumps(raw))
+        return str(path)
+
+    @pytest.mark.parametrize("kind", ["written", "found"])
+    @pytest.mark.parametrize("argv", [("asym", "--r", "8,12,10"),
+                                      ("compare", "--directions", "8,12,10")], ids=" ".join)
+    def test_complex_point(self, capsys, tmp_path, kind, argv):
+        # these raised TypeError from the formulas and exited 1
+        path = self._complex_point_spec(tmp_path, kind)
+        rc, out, err = run(capsys, argv[0], "--spec", path, *argv[1:])
+        assert rc == 2 and not out
+        first, diagnostics = err.splitlines()
+        assert first.startswith("refused: point (") and "complex coordinate" in first
+        assert len(json.loads(diagnostics)["point"]) == 3
+
+    def test_classify_still_reports_a_complex_point(self, capsys, tmp_path):
+        rc, out, _ = run(capsys, "classify", "--spec",
+                         self._complex_point_spec(tmp_path, "written"), "--r", "8,12,10")
+        assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (
+            0, "9dc188738c32cfb0f72be020488b3551c41e1cf145733c1bb81ecccfc35dcb95")
+
+
 class TestCompare:
     def test_small_grid_summary(self, capsys, tmp_path):
         out_path = tmp_path / "cmp.csv"

@@ -4,8 +4,8 @@
 home module on first use.  The exact oracle loads neither the prediction
 modules (`asympt`, `localgeo`) nor the critical-point search.  `asym`,
 `classify` and `compare` load the search only when the spec or preset gives
-no points.  No command loads numpy: every command runs with numpy's import
-blocked.
+no points.  No command loads numpy, `dataclasses` or `inspect`: every command
+runs with their imports blocked.
 
 Each load check runs in a fresh interpreter: this suite's own process has
 imported everything long before.
@@ -109,16 +109,18 @@ def test_discovery_still_loads_the_search(tmp_path):
     assert json.loads(out[0])["per_point"]
 
 
-def test_no_command_needs_numpy(tmp_path):
+def test_no_command_imports_numpy_dataclasses_or_inspect(tmp_path):
     spec = _without_points(tmp_path, "superballot-core")
     commands = [
         'assert conepoint.cli.main(["oracle", "--preset", "aztec", "--order", "4"]) == 0',
+        'assert conepoint.cli.main(["oracle", "--preset", "fls", "--at", "5,5,5"]) == 0',
         f'assert conepoint.cli.main(["asym", "--spec", {spec!r}, "--r", "9,10,11"]) == 0',
         'assert conepoint.cli.main(["classify", "--preset", "fls", "--r", "10,10,10"]) == 0',
         'assert conepoint.cli.main(["compare", "--preset", "aztec", '
         '"--directions=2,2,22;-1,3,23"]) == 0']
-    # with None in sys.modules, any import of numpy raises ImportError
-    blocked, _ = _modules_after(commands, prelude="sys.modules['numpy'] = None\n"
+    # with None in sys.modules, any import of these modules raises ImportError
+    blocked, _ = _modules_after(commands, prelude="for m in ('numpy', 'dataclasses', 'inspect'):\n"
+                                                  "    sys.modules[m] = None\n"
                                                   "import conepoint, conepoint.cli")
     out, _ = _modules_after(commands)
     assert blocked == out and len(out) > 4

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -18,6 +17,11 @@ from reference_regions import hull_region, k0_region
 
 def mp(arity, *terms):
     return MultiPoly.from_terms(arity, [(e, c) for c, e in terms])
+
+
+def replaced(data, **changes):
+    """A copy of data built through its constructor, with the given fields changed."""
+    return type(data)(**{**{name: getattr(data, name) for name in data._fields}, **changes})
 
 
 HALF = Fraction(1, 2)
@@ -184,7 +188,7 @@ class TestPointData:
         for _ in range(20):
             dual = tuple(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(3))
                          for _ in range(3))
-            data = dataclasses.replace(base, dual_matrix=dual)
+            data = replaced(base, dual_matrix=dual)
             for _ in range(10):
                 a, b = (tuple(rng.randint(-40, 40) for _ in range(3)) for _ in range(2))
                 for x, y in ((a, b), (tuple(map(Fraction, a)), b)):
@@ -194,8 +198,7 @@ class TestPointData:
             assert not rational_sums
             half = (Fraction(1, 2), 3, -1)
             assert data.dual_eval(half, a) == real_bilinear(dual, half, a)
-            floats = dataclasses.replace(base, dual_matrix=tuple(tuple(map(float, row))
-                                                                 for row in dual))
+            floats = replaced(base, dual_matrix=tuple(tuple(map(float, row)) for row in dual))
             got = floats.dual_eval(a, b)
             assert got == real_bilinear(floats.dual_matrix, a, b) and type(got) is float
             assert len(rational_sums) == 2
@@ -250,7 +253,7 @@ class TestClassifyDirection:
 
     def test_two_linear_factors_unsupported(self, aztec):
         data = quadratic_point_data(aztec.spec, (1, 1, 1))
-        bad = dataclasses.replace(data, linear_factors=(((0, 1, 1), 1), ((1, 0, 1), 1)))
+        bad = replaced(data, linear_factors=(((0, 1, 1), 1), ((1, 0, 1), 1)))
         with pytest.raises(GeometryError):
             classify_direction(bad, (0, 0, 1))
 
@@ -258,7 +261,7 @@ class TestClassifyDirection:
         # q*(ell, ell) = 1 > 0: the intersection lines are not real, so the point is
         # outside the contour formulas, which is a refusal and not a numeric failure
         data = quadratic_point_data(aztec.spec, (1, 1, 1))
-        inside = dataclasses.replace(data, linear_factors=(((0, 0, 1), 1),))
+        inside = replaced(data, linear_factors=(((0, 0, 1), 1),))
         with pytest.raises(RefusalError) as err:
             classify_direction(inside, (0, 0, 1))
         assert err.value.diagnostics == {"dual_ll": "1"}
@@ -293,7 +296,7 @@ def _random_lorentzian_point(rng, base):
                    if qdual(e) < 0 and sum(a * b for a, b in zip(e, u)) != 0)
         if sum(a * b for a, b in zip(ell, u)) > 0:
             ell = tuple(-x for x in ell)
-    data = dataclasses.replace(
+    data = replaced(
         base, dual_matrix=tuple(tuple(Fraction(x) for x in row) for row in dual),
         linear_factors=((ell, 1),) if ell else (), cone_direction_u=u)
     uf = tuple(map(float, u))

@@ -21,6 +21,31 @@ def mp(arity, *terms):
 HALF = Fraction(1, 2)
 
 
+
+class TestSpecConstruction:
+    def test_structural_errors(self):
+        one, p2 = MultiPoly.const(2, 1), mp(2, (1, (0, 0)), (-1, (1, 0)))
+        for numer, factors, message in [
+                (MultiPoly.const(3, 1), ((p2, 1),), "numerator arity mismatch"),
+                (one, ((mp(3, (1, (0, 0, 0))), 1),), "factor arity mismatch"),
+                (one, ((MultiPoly.zero(2), 1),), "zero polynomial factor"),
+                (one, ((p2, 0),), "factor powers must be nonzero"),
+                (one, ((p2, Fraction(0)),), "factor powers must be nonzero")]:
+            with pytest.raises(SpecError, match=message):
+                QuasiRationalSpec(2, numer, factors, (-1, -1))
+
+    def test_fields_are_normalized_and_compared(self):
+        p2 = mp(2, (1, (0, 0)), (-1, (1, 0)))
+        spec = QuasiRationalSpec(2, MultiPoly.const(2, 1), [(p2, 1)], [-1, -1], name="s")
+        assert spec.factors == ((p2, 1),) and spec.cone_direction_u == (-1, -1)
+        assert spec.laurent_shift == (0, 0) and spec.name == "s"
+        same = QuasiRationalSpec(2, MultiPoly.const(2, 1), ((p2, 1),), (-1, -1), (0, 0), "s")
+        shifted = QuasiRationalSpec(2, MultiPoly.const(2, 1), ((p2, 1),), (-1, -1), (1, 0), "s")
+        assert spec == same and spec != shifted
+        with pytest.raises(TypeError):
+            hash(spec)
+
+
 class TestNormalizeLaurent:
     def test_aztec_factor_cleared_by_xy(self, aztec):
         norm = normalize_laurent(aztec.spec)

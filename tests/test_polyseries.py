@@ -26,6 +26,45 @@ def random_poly(rng, arity, deg, laurent=False):
     return MultiPoly(arity, terms)
 
 
+class TestConstructors:
+    def test_each_object_runs_post_init_once(self, monkeypatch):
+        # perfbench counts the objects built by wrapping __post_init__ on the class
+        built = []
+        for cls in (MultiPoly, TruncatedSeries):
+            def counted(self, original=cls.__post_init__):
+                built.append(type(self))
+                original(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        p = mp(2, (1, (0, 0)), (2, (1, 0)), (0, (0, 1)))
+        s = TruncatedSeries.from_poly(p, 3)
+        objs = [p, s, p.scale(3), -p, s.scale(HALF), -s, p + p, s * s, s.to_poly(),
+                MultiPoly.zero(2), TruncatedSeries(2, 1)]
+        assert built == [type(o) for o in objs]
+        # the wrapped __post_init__ still cleans the terms
+        assert p.terms == {(0, 0): 1, (1, 0): 2} and type(p.terms[(0, 0)]) is Fraction
+
+    def test_construction_errors(self):
+        with pytest.raises(ValueError, match="arity must be positive"):
+            MultiPoly(0, {})
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            TruncatedSeries(3, -1)
+        with pytest.raises(ValueError, match="bad exponent"):
+            MultiPoly(2, {(1,): 1})
+
+    def test_equality_is_by_class_and_fields(self):
+        terms = {(0, 0): 1, (1, 1): HALF}
+        p, q = MultiPoly(2, terms), MultiPoly(2, dict(terms))
+        s = TruncatedSeries(2, 3, terms)
+        assert p == q and not p != q
+        assert p != MultiPoly(2, {(0, 0): 1}) and p != MultiPoly(3, {})
+        assert p != s and s != p and not p == s
+        assert s == TruncatedSeries(2, 3, dict(terms)) and s != TruncatedSeries(2, 2, terms)
+        for obj in (p, s):
+            with pytest.raises(TypeError):
+                hash(obj)
+        assert repr(p) == "MultiPoly(1*x^[0, 0] + 1/2*x^[1, 1])"
+
+
 class TestEval:
     def test_aztec_vanishes_at_ones(self):
         assert Q_AZTEC.eval([1, 1, 1]) == 0
