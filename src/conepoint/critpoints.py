@@ -14,8 +14,15 @@ i c_e e_j per (polynomial, coordinate).  An evaluation computes each
 monomial once as exp(e.x + i e.theta); the residual and the Jacobian are
 dot products of those rows with the monomials.  A complex entry stands for
 its real and imaginary rows, so the m polynomials in d unknowns make a
-real 2m x d least-squares problem, solved by modified Gram-Schmidt
-(`_lstsq_step`).
+real 2m x d least-squares problem.  Its step solves the normal equations
+by Cholesky on the d x d Gram matrix Re(J^H J) (`_lstsq_step`).  Squaring
+the condition number, which unfits the normal equations for an accurate
+least-squares solution, costs nothing here: the step is only a direction,
+and a start is accepted on its residual, computed directly (Bjorck,
+Numerical Methods for Least Squares Problems, 1996, sec. 2.2).  A start
+that Gauss-Newton brings below NEWTON_TOL is accepted as it is; a start it
+leaves above that, and then the one representative of each found point,
+is polished.
 
 Roots whose coordinates round to small rationals are confirmed exactly in
 rational arithmetic, replacing the numeric residual with zero; a polynomial
@@ -40,8 +47,9 @@ DEDUP_DISTANCE = 1e-6
 FAMILY_DIAMETER = 1e-3
 NEWTON_TOL = 1e-13  # residual norm at which Gauss-Newton stops early
 NEWTON_MAX_ITER = 100
-POLISH_STEPS = 2  # full Gauss-Newton steps after convergence, kept while they help
+POLISH_STEPS = 2  # full Gauss-Newton steps per polish, kept while they help
 EXACT_MAX_DEN = 16  # largest denominator tried when confirming a root exactly
+PIVOT_DROP = 64 * sys.float_info.epsilon  # squared Cholesky pivot / G_jj at which a column drops
 
 
 class CriticalPoint(NamedTuple):
@@ -67,48 +75,47 @@ def _norm(f: Sequence[complex]) -> float:
     return math.hypot(*map(abs, f))
 
 
+def _max_component(f: Sequence[complex]) -> float:
+    """The largest |real| or |imaginary| part of f."""
+    return max(max(abs(v.real), abs(v.imag)) for v in f)
+
+
 def _lstsq_step(cols: Sequence[Sequence[complex]], f: Sequence[complex]) -> List[float]:
     """The real s minimizing ||f + J s||, J given by its d complex columns.
 
-    Modified Gram-Schmidt on [J | -f], which is backward stable for least
-    squares (Bjorck, BIT 7, 1967), in the real inner product Re(a^H b) of
-    C^m = R^2m.  A column whose part orthogonal to the columns before it is
-    at most 2m eps times the largest column of J (a bound on every |R_jj|)
-    is dropped with step 0, so a rank-deficient J still gives a finite step.
+    Solves Re(J^H J) s = -Re(J^H f) by Cholesky, row j of the factor L from
+    row j of the Gram matrix G.  A column whose squared pivot is at most
+    PIVOT_DROP = 64 eps times G_jj, below the rounding that forming and
+    factoring G leaves in it, is dropped with step 0, so a rank-deficient J
+    still gives a finite step.
     """
-    tol = 2 * len(f) * sys.float_info.epsilon * max(map(_norm, cols))
-    basis = []  # (q_i, conj(q_i)) for each kept column
-    kept = []   # (j, R_jj, R_ij for the kept i before j)
-    for j, col in enumerate([*cols, [-v for v in f]]):
-        above = []  # R_ij against each kept column; for -f, the right-hand side
-        for q, qc in basis:
-            r = sum(map(mul, qc, col)).real
-            col = [v - r * w for v, w in zip(col, q)]
-            above.append(r)
-        if j == len(cols):
-            break
-        rjj = _norm(col)
-        if rjj > tol:
-            q = [v / rjj for v in col]
-            basis.append((q, [v.conjugate() for v in q]))
-            kept.append((j, rjj, above))
-    rhs = above
-    step = [0.0] * len(cols)
-    for i in reversed(range(len(kept))):
-        j, rjj, above = kept[i]
-        step[j] = s = rhs[i] / rjj
-        for k in range(i):
-            rhs[k] -= above[k] * s
-    return step
+    rows, inv, y = [], [], []  # L below the diagonal; 1/L_jj, 0 if dropped; L^-1 rhs
+    for j, col in enumerate(cols):
+        conj = [v.conjugate() for v in col]
+        *row, gjj, bj = [sum(map(mul, conj, c), 0j).real for c in (*cols[:j + 1], f)]
+        for k, lk in enumerate(rows):
+            row[k] = (row[k] - sum(map(mul, row, lk))) * inv[k]
+        pivot = gjj - sum(map(mul, row, row))
+        i = 1.0 / math.sqrt(pivot) if pivot > PIVOT_DROP * gjj else 0.0
+        rows.append(row)
+        inv.append(i)
+        y.append((sum(map(mul, row, y)) + bj) * -i)
+    for j in reversed(range(len(rows))):
+        y[j] = s = y[j] * inv[j]
+        for k, l in enumerate(rows[j]):
+            y[k] -= l * s
+    return y
 
 
 def _gauss_newton(residual: Callable, jacobian: Callable,
-                  theta: List[float]) -> Optional[List[float]]:
+                  theta: List[float]) -> Optional[Tuple[List[float], List[complex]]]:
+    """theta and its residual after Gauss-Newton from theta, polished if it
+    stopped above NEWTON_TOL, or None if it stopped above sqrt(NEWTON_TOL)."""
     f, mono = residual(theta)
     norm = _norm(f)
     for _ in range(NEWTON_MAX_ITER):
         if norm < NEWTON_TOL:
-            return theta
+            return theta, f
         step = _lstsq_step(jacobian(mono), f)
         if not all(map(math.isfinite, step)):
             return None
@@ -122,8 +129,8 @@ def _gauss_newton(residual: Callable, jacobian: Callable,
                 break
             alpha *= 0.5
         else:
-            return theta if norm < math.sqrt(NEWTON_TOL) else None
-    return theta if norm < math.sqrt(NEWTON_TOL) else None
+            break
+    return _polish(residual, jacobian, theta) if norm < math.sqrt(NEWTON_TOL) else None
 
 
 def _try_exact_rational(Z: Sequence[complex]) -> Optional[List[Fraction]]:
@@ -146,17 +153,19 @@ def _vanishes(p: MultiPoly, Z: Sequence[Fraction]) -> bool:
 
 
 def _dedup(cands: List[Tuple[List[float], Tuple[complex, ...], float]]):
+    """One (theta, Z, res) per cluster of cands: its lowest-residual member."""
     cands = sorted(cands, key=lambda c: tuple((round(z.real, 8), round(z.imag, 8))
                                               for z in c[1]))
-    reps: List[Tuple[Tuple[complex, ...], float]] = []
-    for _, Z, res in cands:
-        for i, (Zr, res_r) in enumerate(reps):
+    reps: List[Tuple[List[float], Tuple[complex, ...], float]] = []
+    for cand in cands:
+        _, Z, res = cand
+        for i, (_, Zr, res_r) in enumerate(reps):
             if max(abs(a - b) for a, b in zip(Z, Zr)) < DEDUP_DISTANCE:
                 if res < res_r:
-                    reps[i] = (Z, res)
+                    reps[i] = cand
                 break
         else:
-            reps.append((Z, res))
+            reps.append(cand)
     return reps
 
 
@@ -166,7 +175,7 @@ def _cluster_diameter(reps) -> float:
     diam = 0.0
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
-            diam = max(diam, max(abs(a - b) for a, b in zip(reps[i][0], reps[j][0])))
+            diam = max(diam, max(abs(a - b) for a, b in zip(reps[i][1], reps[j][1])))
     return diam
 
 
@@ -250,21 +259,22 @@ def _multistart(polys, x, starts, seed, stratum) -> SearchReport:
     d = polys[0].arity
     cands = []
     for _ in range(starts):
-        theta = _gauss_newton(residual, jacobian,
+        found = _gauss_newton(residual, jacobian,
                               [rng.uniform(0.0, 2.0 * math.pi) for _ in range(d)])
-        if theta is None:
+        if found is None:
             continue
-        theta, f = _polish(residual, jacobian, theta)
-        res = max(max(abs(v.real), abs(v.imag)) for v in f)
+        theta, f = found
+        res = _max_component(f)
         if res <= ACCEPT_RESIDUAL:
-            Z = tuple(_torus_points(x, theta))
-            cands.append((theta, Z, res))
+            cands.append((theta, tuple(_torus_points(x, theta)), res))
     reps = _dedup(cands)
     diam = _cluster_diameter(reps)
     family = len(reps) > 8 and diam > FAMILY_DIAMETER
     points = []
     if not family:
-        for Z, res in reps:
+        for theta, _, _ in reps:
+            theta, f = _polish(residual, jacobian, theta)
+            Z, res = tuple(_torus_points(x, theta)), _max_component(f)
             fr = _try_exact_rational(Z)
             if fr is not None and all(_vanishes(p, fr) for p in polys):
                 # keep the exact rational coordinates: downstream local analysis

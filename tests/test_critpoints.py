@@ -58,6 +58,53 @@ class TestSingularPoints:
         rep = find_singular_points(poly, [0.0] * poly.arity, seed=0)
         assert (rep.points, rep.family_detected, rep.n_converged) == ([], False, 0)
 
+    def test_polishes_once_per_point(self, fls, monkeypatch):
+        # fls's starts all reach NEWTON_TOL, so only its one point is polished
+        import conepoint.critpoints as cp
+
+        calls = []
+        polish = cp._polish
+
+        def counting(*args):
+            calls.append(args)
+            return polish(*args)
+
+        monkeypatch.setattr(cp, "_polish", counting)
+        rep = find_singular_points(fls.spec.factors[0][0], [0.0] * 3, starts=200, seed=0)
+        assert len(calls) == len(rep.points) == 1
+        assert (rep.n_converged, rep.family_detected, rep.points) == (
+            200, False, [cp.CriticalPoint((1, 1, 1), "QuadraticSingular", 0.0, True)])
+
+    def test_rotated_point_stays_a_float_point(self, fls):
+        # X -> lam X moves fls's point (1, 1, 1) to (conj(lam), 1, 1), off the
+        # rationals, so the report keeps the polished float point and its residual
+        lam = cmath.exp(1j * math.pi / 5)
+        Q = fls.spec.factors[0][0]
+        rotated = MultiPoly.from_terms(3, [(e, complex(c) * lam ** e[0])
+                                           for e, c in Q.terms.items()])
+        rep = find_singular_points(rotated, [0.0] * 3, starts=200, seed=0)
+        assert len(rep.points) == 1 and not rep.family_detected
+        (p,) = rep.points
+        assert not p.exact
+        assert max(abs(a - b) for a, b in zip(p.Z, (lam.conjugate(), 1, 1))) <= 1e-12
+        assert p.residual <= 1e-14
+
+    # n_converged for aztec's factor with its variables permuted, seed 0; the
+    # starts' coordinates do not permute with the variables, so the counts differ
+    # from the unpermuted 171
+    PERMUTED_AZTEC = {(0, 2, 1): 170, (1, 2, 0): 170, (2, 0, 1): 158, (2, 1, 0): 158}
+
+    @pytest.mark.parametrize("perm", sorted(PERMUTED_AZTEC))
+    def test_permuted_variables_permute_the_points(self, aztec, perm):
+        Q = aztec.spec.factors[0][0]
+        permuted = MultiPoly.from_terms(3, [(tuple(e[i] for i in perm), c)
+                                            for e, c in Q.terms.items()])
+        rep = find_singular_points(permuted, [0.0] * 3, starts=200, seed=0)
+        points = sorted_real_points(find_singular_points(Q, [0.0] * 3, seed=0))
+        assert sorted_real_points(rep) == sorted(tuple(z[i] for i in perm) for z in points)
+        assert all(p.exact for p in rep.points)
+        assert rep.n_converged == self.PERMUTED_AZTEC[perm]
+
     def test_stable_under_doubling_starts(self, aztec):
         a = sorted_real_points(find_singular_points(aztec.spec.factors[0][0], [0.0] * 3,
                                                     starts=100, seed=3))
@@ -199,6 +246,23 @@ def test_least_squares_step_on_rank_deficient_jacobian(d, m, rank_defect):
         step = np.array(_lstsq_step(cols, f))
         assert np.all(np.isfinite(step))
         assert np.linalg.norm(fr + J @ step) <= np.linalg.norm(fr + J @ ref) + 1e-12
+
+
+@pytest.mark.parametrize("d,m", LSTSQ_SHAPES)
+def test_least_squares_step_on_ill_conditioned_jacobian(d, m):
+    from conepoint.critpoints import _lstsq_step
+
+    rng = random.Random(100 * d + m)
+    for _ in range(50):
+        cols, f = _random_system(rng, d, m)
+        cols = [[s * v for v in col] for s, col in zip((1.0, 1e-3, 1e-6), cols)]
+        J, fr = _real_system(cols, f)
+        ref = np.linalg.lstsq(J, -fr, rcond=None)[0]
+        step = np.array(_lstsq_step(cols, f))
+        assert np.all(np.isfinite(step))
+        assert (J @ step) @ fr < 0  # downhill
+        tol = 1e-12 * np.linalg.norm(fr)
+        assert np.linalg.norm(fr + J @ step) <= np.linalg.norm(fr + J @ ref) + tol
 
 
 # (preset, factor index, seed): (n_converged, family_detected, points as

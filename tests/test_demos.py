@@ -1,4 +1,5 @@
-"""Each demo script runs to completion in a fresh interpreter and prints something.
+"""Each demo script runs to completion in a fresh interpreter and prints something,
+the same each time.
 
 The demos call the public API the way a user would (several pass raw points to
 total_asymptotics), so a change to that API that a demo was not updated for
@@ -20,10 +21,21 @@ def test_demos_are_found():
     assert DEMOS
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(path):
+def _run(path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(path)], capture_output=True, text=True,
                           env=env, cwd=ROOT, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    return proc.stdout
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path):
+    assert _run(path).strip()
+
+
+def test_demo_output_is_reproducible():
+    # stdout holds no timings or other per-run values, so demo outputs can be
+    # compared across commits
+    path = ROOT / "demos" / "fractional_powers.py"
+    assert _run(path) == _run(path)
