@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .polyseries import MultiPoly, TruncatedSeries, _rational_root, binomials
+from .polyseries import Exponent, MultiPoly, TruncatedSeries, _rational_root, binomials
 from .oracle import QuasiRationalSpec, _as_int
 from .errors import RefusalError
 from .localgeo import (TOL, DegenerateError, DirectionTag, GeometryError, Matrix,
@@ -120,107 +120,106 @@ def expansion_coefficients(p_series: TruncatedSeries, q_series: TruncatedSeries,
 
 # -- derivatives of dual-form powers ----------------------------------------------
 
+Terms = Dict[Exponent, object]  # a polynomial as a plain coefficient dict
 
-def _derivative_terms(dual_matrix: Matrix, alpha, m: Sequence[int]) -> Dict[int, MultiPoly]:
+
+def _derivative_terms(dual_matrix: Matrix, alpha, m: Exponent,
+                      memo: Dict[Exponent, Dict[int, Terms]]) -> Dict[int, Terms]:
     """Polynomials P_j with d^m/dr^m [ qdual(r,r)^alpha ] = sum_j P_j(r) qdual(r,r)^(alpha-j).
 
-    The exact product-rule recursion on pairs (polynomial, power offset j);
-    nothing here depends on r.
+    d^m is the r_i-derivative of d^(m - e_i), i the last nonzero coordinate of m, by the
+    exact product rule.  memo holds what is built for this dual_matrix and alpha and
+    gains each result; its dicts are not to be changed.  Nothing here depends on r.
     """
-    d = len(dual_matrix)
-    grad_rows = [MultiPoly(d, {tuple(int(i == j) for i in range(d)):
-                               2 * Fraction(dual_matrix[row][j])
-                               for j in range(d) if dual_matrix[row][j] != 0})
-                 for row in range(d)]
-    terms: Dict[int, MultiPoly] = {0: MultiPoly.const(d, 1)}
-    for i, cnt in enumerate(m):
-        for _ in range(int(cnt)):
-            new: Dict[int, MultiPoly] = {}
-            for off, poly in terms.items():
-                dp = poly.diff(i)
-                if not dp.is_zero():
-                    new[off] = new[off] + dp if off in new else dp
-                factor = poly * grad_rows[i]
-                if not factor.is_zero():
-                    factor = factor.scale(alpha - off)
-                    new[off + 1] = new[off + 1] + factor if off + 1 in new else factor
-            terms = new
-    return terms
+    if m in memo or not any(m):
+        return memo.setdefault(m, {0: {m: Fraction(1)}})
+    i = max(k for k, e in enumerate(m) if e)
+    grad = [(k, 2 * q) for k, q in enumerate(dual_matrix[i]) if q != 0]
+    out: Dict[int, Terms] = {}
+    for off, poly in _derivative_terms(dual_matrix, alpha, m[:i] + (m[i] - 1,) + m[i + 1:],
+                                       memo).items():
+        same, up = out.setdefault(off, {}), out.setdefault(off + 1, {})
+        scaled = [(k, g * (alpha - off)) for k, g in grad]
+        for mono, c in poly.items():
+            if mono[i]:
+                key = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+                same[key] = same.get(key, 0) + c * mono[i]
+            for k, g in scaled:
+                key = mono[:k] + (mono[k] + 1,) + mono[k + 1:]
+                up[key] = up.get(key, 0) + c * g
+    memo[m] = {off: poly for off, poly in out.items() if poly}
+    return memo[m]
 
 
-def _power_sum(terms: Dict[int, MultiPoly], alpha, r: Sequence, qval):
-    """sum_j P_j(r) qval^(alpha-j) for the terms of _derivative_terms and
-    qval = qdual(r,r).  Only the powers of qval are floating point (and
-    exact for integer exponents over rationals)."""
-    total = 0
+def _power_sum(terms: Dict[int, MultiPoly], alpha, r: Sequence, qval) -> float:
+    """sum_j P_j(r) qval^(alpha-j), qval = qdual(r,r).  Each P_j(r), and a rational
+    qval to an integer power, is exact over the rationals and rounds once."""
+    total = 0.0
     for off, poly in terms.items():
-        expo = alpha - off
-        pv = poly.eval(list(r))
+        expo, pv = alpha - off, poly.eval(list(r))
         if pv == 0:
             continue
-        if qval == 0:
-            if expo < 0:
-                raise DegenerateError("dual form vanishes at r with a negative power")
-            total += pv * (0.0 if expo > 0 else 1.0)
-            continue
+        if qval == 0 and expo < 0:
+            raise DegenerateError("dual form vanishes at r with a negative power")
         if isinstance(expo, Fraction) and expo.denominator == 1 and isinstance(qval, Fraction):
-            total = total + pv * qval ** int(expo)
+            total += float(pv) * float(qval ** int(expo))
+        elif float(qval) < 0:
+            raise DegenerateError("dual form negative where a fractional power is needed")
         else:
-            if float(qval) < 0:
-                raise DegenerateError("dual form negative where a fractional power is needed")
-            total = total + float(pv) * float(qval) ** float(expo)
+            total += float(pv) * float(qval) ** float(expo)
     return total
 
 
-def dual_power_derivative(dual_matrix: Matrix, alpha, m: Sequence[int], r: Sequence):
+def dual_power_derivative(dual_matrix: Matrix, alpha, m: Sequence[int], r: Sequence) -> float:
     """Value of d^m/dr^m [ qdual(r,r)^alpha ] at r."""
     a = Fraction(alpha) if not isinstance(alpha, float) else alpha
-    return _power_sum(_derivative_terms(dual_matrix, a, m), a, r,
+    terms = _derivative_terms(dual_matrix, a, tuple(map(int, m)), {})
+    return _power_sum({j: MultiPoly(len(r), t) for j, t in terms.items()}, a, r,
                       _bilinear(dual_matrix, r, r))
 
 
 # -- the quadratic-point series ----------------------------------------------------
 
-# One prepared term of the series at a bare quadratic point:
-# (l, c(m,l) (-1)^|m|, alpha = s + l - d/2, the P_j of d^m/dr^m qdual^alpha)
-SeriesTerm = Tuple[int, object, object, Dict[int, MultiPoly]]
+# One order l of the series at a bare quadratic point: (l, alpha = s + l - d/2,
+# {j: R_(l,j)}), R_(l,j) = sum_m c(m,l) (-1)^|m| P_(m,j) for d^m/dr^m qdual^alpha
+SeriesOrder = Tuple[int, object, Dict[int, MultiPoly]]
 
 
-def _series_terms(data: QuadraticPointData, N: int) -> Tuple[SeriesTerm, ...]:
-    """The direction-free part of the first N orders of the series, in the
-    order of expansion_coefficients."""
-    s, d = data.s, data.arity
-    out = []
-    for (m, ell), c in expansion_coefficients(data.p_series, data.q_series, s, N).items():
-        alpha = (Fraction(s) if not isinstance(s, float) else s) + ell - Fraction(d, 2)
-        out.append((ell, c if sum(m) % 2 == 0 else -c, alpha,
-                    _derivative_terms(data.dual_matrix, alpha, m)))
-    return tuple(out)
+def _series_terms(data: QuadraticPointData, N: int) -> Tuple[SeriesOrder, ...]:
+    """The direction-free part of the first N orders of the series.  The
+    terms of one order share its exponent, so each order is summed into one
+    polynomial per power offset j."""
+    d, s = data.arity, Fraction(data.s) if not isinstance(data.s, float) else data.s
+    orders: Dict[int, Tuple[Dict[int, Terms], dict]] = {}  # l: (R_(l,j) terms, memo)
+    for (m, ell), c in expansion_coefficients(data.p_series, data.q_series, data.s,
+                                              N).items():
+        sums, memo = orders.setdefault(ell, ({}, {}))
+        c = -c if sum(m) % 2 else c
+        for j, poly in _derivative_terms(data.dual_matrix, s + ell - Fraction(d, 2), m,
+                                         memo).items():
+            acc = sums.setdefault(j, {})
+            for mono, v in poly.items():
+                acc[mono] = acc.get(mono, 0) + c * v
+    return tuple((ell, s + ell - Fraction(d, 2), {j: MultiPoly(d, sums[j]) for j in sorted(sums)})
+                 for ell, (sums, _) in orders.items())
 
 
-def quadratic_asymptotics(data: QuadraticPointData, series: Sequence[SeriesTerm],
+def quadratic_asymptotics(data: QuadraticPointData, series: Sequence[SeriesOrder],
                           r: Sequence[int]):
     """Contribution of a bare quadratic point (no linear factors) at direction r,
-    from the series terms that prepare builds."""
+    from the series orders that prepare builds:
+    Z^(-r) sum_l K(s+l) sum_j R_(l,j)(r) qdual(r,r)^(alpha_l - j)."""
     if data.k != 0:
         raise GeometryError("quadratic-point series requires k = 0")
     cls = classify_direction(data, r)
     if cls.tag is not DirectionTag.InteriorEllipticCone:
         raise RefusalError(f"direction {tuple(r)} is {cls.tag.value}",
                            {"class": cls.tag.value, "margin": cls.margin})
-    d = data.arity
-    s = data.s
-    C = cone_constant(s, d, data.normalizer_absdet)
-    qval = data.dual_eval(r, r)
-    acc: Dict[int, float] = {}  # the terms of each l, which share the constant at s + l
-    for ell, c, alpha, terms in series:
-        acc[ell] = acc.get(ell, 0.0) + float(c) * float(_power_sum(terms, alpha, r, qval))
-    zr = z_power_neg(data.point_Z, r)
-    total = zr * C * acc.pop(0, 0.0)
-    # a Gamma pole at s + l would be one at s too, which cone_constant refused
-    for ell, a in acc.items():
-        total = total + zr * cone_constant(s + ell, d, data.normalizer_absdet) * a
-    return total
+    d, s, absdet = data.arity, data.s, data.normalizer_absdet
+    C = cone_constant(s, d, absdet)  # a Gamma pole at s + l would be one at s too
+    zr, qval = z_power_neg(data.point_Z, r), data.dual_eval(r, r)
+    return sum((zr * (cone_constant(s + ell, d, absdet) if ell else C)
+                * _power_sum(polys, alpha, r, qval) for ell, alpha, polys in series), 0.0)
 
 
 # -- double residue & the cone-plane formula ----------------------------------------
@@ -480,7 +479,7 @@ class PreparedPoint(NamedTuple):
     """What total_asymptotics needs at one point, whatever the direction."""
 
     data: QuadraticPointData
-    series: Optional[Tuple[SeriesTerm, ...]]  # bare quadratic points (k = 0) only
+    series: Optional[Tuple[SeriesOrder, ...]]  # bare quadratic points (k = 0) only
 
 
 def _given_or_found(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]],
@@ -514,8 +513,8 @@ def prepare(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None
     points of every factor on the unit torus are discovered numerically.
     A point with a complex coordinate is refused, since the formulas are
     written for real points.
-    Each bare quadratic point keeps the first order_terms orders of its
-    series as derivative polynomials, so a direction only evaluates them.
+    Each bare quadratic point keeps the first order_terms orders of its series as one
+    polynomial per (order, power offset j), so a direction only evaluates them.
     Order N reads the local series to degree 3N - 3 (c(m, N-1) needs
     |m| = 3(N-1)), so points expand to that order, and never below 8.
     The result can be passed as `points` to total_asymptotics for any

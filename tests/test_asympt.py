@@ -16,6 +16,7 @@ from conepoint.asympt import (GammaPoleError, RefusalError, cone_constant,
                               total_asymptotics)
 from conepoint.oracle import coefficient_at
 from conepoint.presets import preset
+from float_specs import floated
 
 
 def mp(arity, *terms):
@@ -345,6 +346,31 @@ class TestTotals:
                                    - a) / abs(a) for t, a in zip(ts, exact)]
             assert max(scaled) <= bound, (N, scaled)
             assert scaled[-1] <= 1.01 * scaled[0], (N, scaled)
+
+    # prepare sums the (m, l) terms of each order l into one polynomial per power
+    # offset; the term-by-term sum of the series is the reference
+    @pytest.mark.parametrize("floats", [False, True], ids=["exact", "float"])
+    @pytest.mark.parametrize("name,directions", [
+        ("fls", [(10, 11, 12), (6, 9, 14)]),
+        ("superballot-core", [(10, 20, 30), (12, 11, 10)]),
+    ])
+    def test_grouped_series_matches_the_term_by_term_sum(self, name, directions, floats):
+        pr = preset(name)
+        spec = floated(pr.spec) if floats else pr.spec
+        prepared = {N: prepare(spec, pr.known_points, order_terms=N)[0] for N in (2, 3, 4)}
+        data = prepared[4].data
+        s, d = data.s, data.arity
+        coeffs = expansion_coefficients(data.p_series, data.q_series, s, 4)
+        for r in directions:
+            terms = {(m, ell): float(c) * (-1) ** sum(m)
+                     * cone_constant(s + ell, d, data.normalizer_absdet)
+                     * dual_power_derivative(data.dual_matrix, s + ell - Fraction(d, 2), m, r)
+                     for (m, ell), c in coeffs.items()}
+            zr = float(asympt.z_power_neg(data.point_Z, r))
+            for N, pt in prepared.items():
+                want = zr * math.fsum(v for (m, ell), v in terms.items() if sum(m) - 2 * ell < N)
+                got = quadratic_asymptotics(pt.data, pt.series, r)
+                assert want != 0 and abs(got - want) <= 1e-12 * abs(want), (N, r, got, want)
 
     @pytest.mark.parametrize("name,directions", [
         ("aztec", [(0, 0, 9), (0, 0, 8), (1, 0, 1), (3, -2, 11), (5, 6, 9)]),
