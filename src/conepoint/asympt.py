@@ -9,16 +9,17 @@ interior directions r behave like
 
 where qdual is the inverse-matrix dual form, |M| = |det q|^(-1/2), and the
 c(m,l) come from re-expanding the local series in falling powers of q.
-With one additional smooth factor (d=3, s=1) the leading term instead
-involves an iterated residue and the angle
+With one additional smooth factor l (d=3, s=1) the leading term instead
+involves the iterated residue Res2 = |det q qdual(l,l)|^(-1/2) / 2 and the angle
 
     theta = atan2( sqrt(qdual(r,r)) sqrt(-qdual(l,l)), qdual(r,l) )
 
 taken in (0, pi): contribution = Z^(-r) P(Z) Res2/pi * theta inside the
 elliptic cone, and Z^(-r) P(Z) Res2 on the nonconvex flange.  Smooth
 (simple-pole) critical points contribute the classical Gaussian-curvature
-term.  Everything is summed over the discovered critical points, which
-handles parity cancellation between conjugate points automatically.
+term, the curvature taken from the bordered log-Hessian.  Everything is
+summed over the discovered critical points, which handles parity
+cancellation between conjugate points automatically.
 """
 
 from __future__ import annotations
@@ -28,16 +29,15 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .polyseries import Exponent, MultiPoly, TruncatedSeries, _rational_root, binomials
+from .polyseries import Exponent, MultiPoly, TruncatedSeries, binomials
 from .oracle import QuasiRationalSpec, _as_int
 from .errors import RefusalError
 from .localgeo import (TOL, DegenerateError, DirectionTag, GeometryError, Matrix,
-                       QuadraticPointData, _bilinear, classify_direction,
-                       homogeneous_part, quadratic_point_data)
+                       QuadraticPointData, _bilinear, _gauss_jordan, _normalizer,
+                       classify_direction, homogeneous_part, quadratic_point_data)
 from .localgeo import log_compose_taylor  # noqa: F401  (perfbench traces it under this name)
 
-if TYPE_CHECKING:  # both load only in the functions that run them, never for `oracle`
-    import numpy as np
+if TYPE_CHECKING:  # loads only where the search runs, never for `oracle`
     from .critpoints import CriticalPoint
 
 
@@ -258,81 +258,23 @@ def double_residue(qtilde: MultiPoly, ell: Sequence, alpha: Sequence):
     return num / den
 
 
-def intersection_lines(data: QuadraticPointData) -> List[Tuple[object, ...]]:
-    """The two projective lines where the quadratic and the plane both vanish.
-
-    Returned as affine representative points; exact rational when the
-    discriminant is a perfect square (all shipped applications).
-    """
-    if data.k != 1:
-        raise GeometryError("intersection lines need exactly one linear factor")
-    ell = data.linear_factors[0][0]
-    piv = max(range(3), key=lambda i: abs(float(ell[i])))
-    basis = []
-    for j in range(3):
-        if j == piv:
-            continue
-        v = [Fraction(0)] * 3
-        v[j] = Fraction(ell[piv])
-        v[piv] = -Fraction(ell[j])
-        basis.append(tuple(v))
-    v1, v2 = basis
-    M = data.q_matrix
-    a = _bilinear(M, v1, v1)
-    b = 2 * _bilinear(M, v1, v2)
-    c = _bilinear(M, v2, v2)
-    # roots of a t^2 + b t + c = 0 as (lam : mu)
-    if a == 0 and c == 0:
-        pairs = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-    elif a == 0:
-        pairs = [(Fraction(1), Fraction(0)), (-Fraction(c), Fraction(b))]
-    else:
-        disc = b * b - 4 * a * c
-        if float(disc) <= 0:
-            raise GeometryError("intersection lines are not real and distinct")
-        root = _rational_root(disc, 2) if isinstance(disc, Fraction) else None
-        root = math.sqrt(float(disc)) if root is None else root
-        pairs = [((-b + root) / (2 * a) if not isinstance(root, float)
-                  else (float(-b) + root) / float(2 * a), 1),
-                 ((-b - root) / (2 * a) if not isinstance(root, float)
-                  else (float(-b) - root) / float(2 * a), 1)]
-    out = []
-    for lam, mu in pairs:
-        pt = tuple(lam * a1 + mu * a2 for a1, a2 in zip(v1, v2))
-        scale = max(abs(float(x)) for x in pt)
-        if scale == 0:
-            raise DegenerateError("degenerate intersection representative")
-        out.append(pt)
-    return out
-
-
 def oriented_double_residue(data: QuadraticPointData):
-    """Res2 with the orientation fixed to the positive branch.
+    """Res2 = |det q * q*(ell, ell)|^(-1/2) / 2: the positive value of
+    double_residue on either line where q and the linear factor ell both
+    vanish.  Exact when the product is a rational square.
 
-    The two intersection lines carry opposite residue values; the
-    contribution formulas use the branch that continuity across the
-    flange boundary realizes in the probability applications, which is
-    the positive one.
+    Let a, a' span the two null lines of q in ell^perp, with a'^T q a = 1,
+    and let b = q^-1 ell.  The Gram matrix of (a, a', b) under q is
+    [[0,1,0],[1,0,0],[0,0,q*(ell,ell)]], so det[a,b,a']^2 = -q*(ell,ell)/det q.
+    2 q a x ell is orthogonal to q a and to ell, as a is, so it is c a, and the
+    residue at a is 1/c.  Dotting with q a' gives c = 2 det[qa, qb, qa'] =
+    2 det q det[a,b,a'], so c^2 = -4 det q q*(ell,ell).  The lines are real
+    and distinct exactly when that product is negative.
     """
-    d = data.arity
-    terms = {}
-    for i in range(d):
-        for j in range(i, d):
-            c = data.q_matrix[i][j] if i == j else 2 * data.q_matrix[i][j]
-            if c != 0:
-                m = [0] * d
-                m[i] += 1
-                m[j] += 1
-                terms[tuple(m)] = Fraction(c)
-    qt = MultiPoly(d, terms)
-    ell = data.linear_factors[0][0]
-    vals = [double_residue(qt, ell, alpha) for alpha in intersection_lines(data)]
-    if len(vals) == 2 and abs(float(vals[0]) + float(vals[1])) > 1e-9 * abs(float(vals[0])):
-        raise GeometryError("inconsistent residue orientation between the two lines")
-    pos = [v for v in vals if float(v) > 0]
-    if not pos:
-        raise DegenerateError("no positive residue branch found")
-    return pos[0]
+    product = _gauss_jordan(data.q_matrix)[1] * data.qll
+    if not float(product) < 0:
+        raise GeometryError("intersection lines are not real and distinct")
+    return _normalizer(product) / 2
 
 
 def cone_plane_asymptotics(data: QuadraticPointData, r: Sequence[int]):
@@ -346,12 +288,8 @@ def cone_plane_asymptotics(data: QuadraticPointData, r: Sequence[int]):
     if data.numerator_value == 0:
         raise RefusalError("numerator vanishes at the point; only a decay bound is available",
                            {"numerator_valuation": data.numerator_valuation})
-    ell = data.linear_factors[0][0]
-    qll = data.qll
-    if float(qll) >= 0:
-        raise RefusalError("dual pairing of the smooth factor must be negative "
-                           "(real distinct intersections)", {"dual_ll": str(qll)})
-    cls = classify_direction(data, r)
+    ell, qll = data.linear_factors[0][0], data.qll
+    cls = classify_direction(data, r)  # refuses an ell inside the closed dual cone
     res2 = data.residue
     zr = z_power_neg(data.point_Z, r)
     pz = data.numerator_value
@@ -376,67 +314,44 @@ def smooth_asymptotics(P: MultiPoly, H: MultiPoly, cp: CriticalPoint,
     """Leading smooth-point contribution via the log-variety curvature.
 
     The defining factor is sign-normalized to be positive on the
-    convergence side (probed along cone_direction_u); the curvature is the
-    determinant of the second fundamental form of the log-variety in a
-    tangent frame, with principal square roots.  Honest only up to phase
-    at non-real points.
+    convergence side (probed along cone_direction_u).  With g and hess the
+    log-gradient and log-Hessian of H at Z, and |g| the principal root of
+    the bilinear g.g, the curvature is the bordered-Hessian determinant
+
+        det II = (-1/|g|)^(d-1) (-det[[hess, g], [g^T, 0]]) / |g|^2,
+
+    the determinant of the second fundamental form in any tangent frame
+    orthonormal for the bilinear form, and its principal root enters the
+    formula.  Honest only up to phase at non-real points.
     """
-    import numpy as np
     d = H.arity
     Z = cp.Z
-    z = [cmath.log(complex(v)) for v in Z]
-    g = np.array([complex(Z[i]) * complex(H.diff(i).eval(Z)) for i in range(d)])
-    hess = np.empty((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            v = complex(Z[i]) * complex(Z[j]) * complex(H.diff(i).diff(j).eval(Z))
-            if i == j:
-                v += g[i]
-            hess[i][j] = v
-    if cone_direction_u is not None:
-        side = complex(np.dot(g, np.array([complex(x) for x in cone_direction_u])))
-        if side.real < 0:
-            g = -g
-            hess = -hess
-    gnorm2 = complex(np.dot(g, g))  # bilinear, not hermitian
+    grad = [H.diff(i) for i in range(d)]
+    g = [complex(Z[i]) * complex(grad[i].eval(Z)) for i in range(d)]
+    hess = [[complex(Z[i]) * complex(Z[j]) * complex(grad[i].diff(j).eval(Z))
+             + (g[i] if i == j else 0) for j in range(d)] for i in range(d)]
+    if (cone_direction_u is not None
+            and sum(a * complex(x) for a, x in zip(g, cone_direction_u)).real < 0):
+        g = [-x for x in g]
+        hess = [[-x for x in row] for row in hess]
+    gnorm2 = sum(x * x for x in g)  # bilinear, not hermitian
     gnorm = cmath.sqrt(gnorm2)
     if abs(gnorm) < TOL:
         raise DegenerateError("vanishing log-gradient at the smooth point")
-    frame = _bilinear_tangent_frame(g)
-    II = np.empty((d - 1, d - 1), dtype=complex)
-    for a in range(d - 1):
-        for b in range(d - 1):
-            II[a][b] = -np.dot(frame[a], hess @ frame[b]) / gnorm
-    eig = np.linalg.eigvals(II)
-    kappa = np.prod(eig)
+    try:
+        bordered = _gauss_jordan([row + [x] for row, x in zip(hess, g)] + [g + [0]])[1]
+    except DegenerateError:
+        bordered = 0
+    kappa = (-1 / gnorm) ** (d - 1) * -bordered / gnorm2
     if abs(kappa) < TOL:
         raise DegenerateError("curvature-degenerate smooth point")
-    sqrt_kappa = np.prod([cmath.sqrt(e) for e in eig])
     rnorm = math.sqrt(sum(float(x) ** 2 for x in r))
-    pval = complex(P.eval(Z))
-    zr = complex(np.prod([complex(Z[i]) ** (-int(r[i])) for i in range(d)]))
-    val = complex((2.0 * math.pi * rnorm) ** ((1 - d) / 2.0) * pval / (sqrt_kappa * gnorm) * zr)
+    zr = math.prod(complex(z) ** -int(e) for z, e in zip(Z, r))
+    val = ((2.0 * math.pi * rnorm) ** ((1 - d) / 2.0) * complex(P.eval(Z))
+           / (cmath.sqrt(kappa) * gnorm) * zr)
     if abs(val.imag) < 1e-12 * (1 + abs(val)):
         return val.real
     return val
-
-
-def _bilinear_tangent_frame(g: np.ndarray) -> List[np.ndarray]:
-    """Vectors spanning {v : g.v = 0}, orthonormal for the bilinear form."""
-    import numpy as np
-    d = len(g)
-    _, _, vh = np.linalg.svd(g.reshape(1, d))
-    cand = [vh[i].conj() for i in range(1, d)]
-    frame: List[np.ndarray] = []
-    for v in cand:
-        v = v - (v @ g) / (g @ g) * g
-        for w in frame:
-            v = v - (v @ w) * w
-        n2 = complex(v @ v)
-        if abs(n2) < 1e-12:
-            raise DegenerateError("isotropic tangent frame; curvature needs a regular frame")
-        frame.append(v / cmath.sqrt(n2))
-    return frame
 
 
 # -- decay exponents -------------------------------------------------------------------

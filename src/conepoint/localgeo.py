@@ -73,10 +73,11 @@ Matrix = Tuple[Tuple[object, ...], ...]
 
 def _gauss_jordan(M: Matrix) -> Tuple[Matrix, object]:
     """Inverse and determinant of M from one Gauss-Jordan elimination (exact
-    for Fractions); the determinant is the signed product of the pivots."""
+    for Fractions, else in floats or complex numbers); the determinant is the
+    signed product of the pivots."""
     n = len(M)
     exact = all(isinstance(x, (int, Fraction)) for row in M for x in row)
-    A = [[Fraction(x) if exact else float(x) for x in row] + [
+    A = [[Fraction(x) if exact else x if isinstance(x, complex) else float(x) for x in row] + [
         (Fraction(1) if exact else 1.0) if i == j else (Fraction(0) if exact else 0.0)
         for j in range(n)] for i, row in enumerate(M)]
     det = Fraction(1) if exact else 1.0

@@ -121,8 +121,9 @@ def test_criterion_05_aztec_convergence(aztec, scoreboard):
     assert medians[0] > medians[1] > medians[2]
     assert medians[2] < 0.10
     assert elapsed < 300.0
+    # no wall time in the line, so that two scoreboards compare byte for byte
     scoreboard(5, f"aztec medians {[round(m, 4) for m in medians]} decreasing, "
-              f"even indices exactly zero, {elapsed:.0f}s")
+              "even indices exactly zero")
 
 
 def test_criterion_06_grove_convergence(cube_grove, scoreboard):

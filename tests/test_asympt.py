@@ -6,7 +6,7 @@ import pytest
 
 from conepoint.polyseries import MultiPoly, TruncatedSeries
 from conepoint.localgeo import DirectionTag, quadratic_point_data
-from conepoint.critpoints import find_smooth_critical
+from conepoint.critpoints import CriticalPoint, find_smooth_critical
 from conepoint import asympt, localgeo, polyseries
 from conepoint.asympt import (GammaPoleError, RefusalError, cone_constant,
                               cone_plane_asymptotics, decay_exponent, double_residue,
@@ -153,6 +153,42 @@ class TestDoubleResidue:
         vals = [Fraction(num, 1) / den for num, den in pairs if den != 0]
         assert all(v == v1 for v in vals)
 
+    def test_closed_form_is_the_residue_on_both_lines(self, aztec):
+        # q = A^-T G A^-1 with G = diag(1, -c, b), b < 0, is Lorentzian, its null
+        # lines in ell^perp are A (sqrt(c), +-1, 0) for ell = q A e3, and
+        # -det q q*(ell, ell) = c (b / det A)^2: a rational square exactly when c is
+        base = quadratic_point_data(aztec.spec, (1, 1, 1))
+        rng = random.Random(5)
+        draws = {True: 0, False: 0}
+        while min(draws.values()) < 30:
+            A = [[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
+            try:
+                Ainv = localgeo.mat_inverse(A)
+            except localgeo.DegenerateError:
+                continue
+            b = -Fraction(rng.randint(1, 5), rng.randint(1, 5))
+            c = Fraction(rng.choice([1, 4, Fraction(9, 4), 2, 3, Fraction(1, 2)]))
+            root = polyseries._rational_root(c, 2) or math.sqrt(c)
+            G = ((1, 0, 0), (0, -c, 0), (0, 0, b))
+            q = tuple(tuple(sum(Ainv[k][i] * G[k][k] * Ainv[k][j] for k in range(3))
+                            for j in range(3)) for i in range(3))
+            ell = tuple(sum(q[i][j] * A[j][2] for j in range(3)) for i in range(3))
+            data = replaced(base, q_matrix=q, dual_matrix=localgeo.mat_inverse(q),
+                            linear_factors=((ell, 1),))
+            res = oriented_double_residue(data)
+            qt = MultiPoly(3, {tuple((i == k) + (j == k) for k in range(3)):
+                               q[i][j] if i == j else 2 * q[i][j]
+                               for i in range(3) for j in range(i, 3) if q[i][j] != 0})
+            vals = [double_residue(qt, ell, [A[i][0] * root + sign * A[i][1] for i in range(3)])
+                    for sign in (1, -1)]
+            exact = isinstance(root, Fraction)
+            draws[exact] += 1
+            if exact:
+                assert isinstance(res, Fraction) and sorted(vals) == [-res, res]
+            else:
+                assert vals[0] * vals[1] < 0
+                assert all(abs(abs(v) - res) <= 1e-13 * res for v in vals)
+
 
 class TestConePlane:
     def test_aztec_axis_value(self, aztec):
@@ -191,6 +227,8 @@ class TestConePlane:
         with pytest.raises(RefusalError) as err:
             cone_plane_asymptotics(inside, (0, 0, 9))
         assert err.value.diagnostics == {"dual_ll": "1"}
+        with pytest.raises(localgeo.GeometryError, match="not real and distinct"):
+            oriented_double_residue(inside)
 
     def test_obstructed_refusal(self, aztec):
         data = quadratic_point_data(aztec.spec, (1, 1, 1))
@@ -212,38 +250,57 @@ class TestConePlane:
         assert abs(v1 - v2) < 1e-13 * abs(v1)
 
 
-@pytest.fixture(scope="module")
-def binom_setup():
-    h = mp(2, (1, (0, 0)), (-1, (1, 0)), (-1, (0, 1)))
-    one = MultiPoly.const(2, 1)
-    return h, one
+# smooth_asymptotics for 1/(1 - x_1 - ... - x_d) along n * direction, recorded
+# from the second fundamental form in an SVD tangent frame and its eigenvalues,
+# a construction independent of the bordered-Hessian determinant
+SMOOTH_VALUES = {
+    (1, 1): (13072.540644194145, 605793952.5203681, 1.8397965366868255e+18,
+             2.399797086022113e+37),
+    (2, 1): (744459.1712347917, 2268590292248.48, 2.9792121932941934e+25),
+    (1, 1, 1): (9731972773.909906, 1.3742982797905442e+21, 5.48114427527782e+43),
+    (1, 2, 3): (2.4132377991944847e+19, 1.4636596419373419e+40, 1.0768372032022621e+82),
+}
+
+
+def _multinomial_errors(direction, ns):
+    """Relative errors of the smooth-point formula for 1/(1 - x_1 - ... - x_d)
+    along n * direction against the exact multinomial coefficients; each value
+    must also match SMOOTH_VALUES within 1e-12 relative."""
+    d = len(direction)
+    one = MultiPoly.const(d, 1)
+    h = one - sum((MultiPoly.variable(d, i) for i in range(1, d)), MultiPoly.variable(d, 0))
+    x = [math.log(a / sum(direction)) for a in direction]
+    cp = find_smooth_critical(h, direction, x, starts=40, seed=0).points[0]
+    errs = []
+    for n, pinned in zip(ns, SMOOTH_VALUES[direction]):
+        r = tuple(n * a for a in direction)
+        val = smooth_asymptotics(one, h, cp, r, cone_direction_u=(-1,) * d)
+        assert abs(val - pinned) <= 1e-12 * pinned
+        exact = math.factorial(sum(r)) // math.prod(math.factorial(a) for a in r)
+        errs.append(abs(val - exact) / exact)
+    assert errs == sorted(errs, reverse=True)
+    return errs
 
 
 class TestSmoothPoint:
 
-    def test_diagonal_binomials(self, binom_setup):
-        h, one = binom_setup
-        x = [math.log(0.5)] * 2
-        cp = find_smooth_critical(h, (1, 1), x, starts=40, seed=0).points[0]
-        errs = []
-        for n in (8, 16, 32, 64):
-            val = smooth_asymptotics(one, h, cp, (n, n), cone_direction_u=(-1, -1))
-            exact = math.comb(2 * n, n)
-            errs.append(abs(val - exact) / exact)
-        assert errs == sorted(errs, reverse=True)
-        assert errs[-1] < 0.02
+    def test_diagonal_binomials(self):
+        assert _multinomial_errors((1, 1), (8, 16, 32, 64))[-1] < 0.02
 
-    def test_off_diagonal_binomials(self, binom_setup):
-        h, one = binom_setup
-        x = [math.log(2 / 3), math.log(1 / 3)]
-        cp = find_smooth_critical(h, (2, 1), x, starts=40, seed=0).points[0]
-        errs = []
-        for n in (8, 16, 32):
-            val = smooth_asymptotics(one, h, cp, (2 * n, n), cone_direction_u=(-1, -1))
-            exact = math.comb(3 * n, n)
-            errs.append(abs(val - exact) / exact)
-        assert errs == sorted(errs, reverse=True)
-        assert errs[-1] < 0.02
+    def test_off_diagonal_binomials(self):
+        assert _multinomial_errors((2, 1), (8, 16, 32))[-1] < 0.02
+
+    @pytest.mark.parametrize("direction", [(1, 1, 1), (1, 2, 3)], ids=str)
+    def test_trinomials(self, direction):
+        # d = 3: two principal curvatures; 0.70% and 0.43% at n = 32
+        assert _multinomial_errors(direction, (8, 16, 32))[-1] < 0.01
+
+    def test_flat_log_variety_refused(self):
+        # 1 - X: the log-variety {x = 0} is flat, so the bordered Hessian is singular
+        h = MultiPoly.const(2, 1) - MultiPoly.variable(2, 0)
+        cp = CriticalPoint((Fraction(1), Fraction(1)), "SmoothOnFactor", 0.0, True)
+        with pytest.raises(localgeo.DegenerateError, match="curvature-degenerate"):
+            smooth_asymptotics(MultiPoly.const(2, 1), h, cp, (5, 0), cone_direction_u=(-1, -1))
 
 
 class TestDecay:

@@ -140,6 +140,20 @@ class TestRefusals:
         assert err.startswith("refused: linear factor lies inside the closed dual cone")
         assert json.loads(err.splitlines()[1]) == {"dual_ll": "1"}
 
+    @pytest.mark.parametrize("command", ["asym", "classify"])
+    def test_aztec_with_linear_factor_inside_dual_cone(self, capsys, tmp_path, command):
+        # aztec with its second factor 1 - Z, so q*(ell, ell) = 1: both commands
+        # give the one refusal, with the same message and diagnostics
+        raw = json.loads((SPEC_DIR / "aztec.json").read_text())
+        raw["factors"][1]["poly"] = [{"coeff": "1", "exponents": [0, 0, 0]},
+                                     {"coeff": "-1", "exponents": [0, 0, 1]}]
+        path = tmp_path / "aztec-z.json"
+        path.write_text(json.dumps(raw))
+        rc, out, err = run(capsys, command, "--spec", str(path), "--r", "1,2,9")
+        assert rc == 2 and not out
+        assert err.startswith("refused: linear factor lies inside the closed dual cone")
+        assert json.loads(err.splitlines()[1]) == {"dual_ll": "1"}
+
 
     @staticmethod
     def _complex_point_spec(tmp_path, kind):

@@ -126,6 +126,16 @@ def test_no_command_imports_numpy_dataclasses_or_inspect(tmp_path):
     assert blocked == out and len(out) > 4
 
 
+def test_generic_spec_demo_runs_without_numpy():
+    # the demo's smooth-point formula is plain Python: with numpy's import
+    # blocked it prints what it prints with numpy available
+    demo = str(ROOT / "demos" / "generic_spec.py")
+    run = f"import runpy; runpy.run_path({demo!r}, run_name='__main__')"
+    blocked, _ = _modules_after([run], prelude="sys.modules['numpy'] = None")
+    out, loaded = _modules_after([run], prelude="")
+    assert blocked == out and len(out) > 10 and "numpy" not in loaded
+
+
 def test_cli_forwards_prediction_names_on_first_lookup():
     # the names the benchmark looks up on cli resolve to the home module's
     # objects, and the lookup is what loads that module
