@@ -25,7 +25,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 from .polyseries import (MultiPoly, Record, TruncatedSeries, _rational_root, is_exact,
                          log_compose_taylor)
-from .oracle import QuasiRationalSpec, _as_int
+from .oracle import QuasiRationalSpec, SpecError, _as_int
 from .errors import RefusalError
 
 
@@ -354,6 +354,9 @@ def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence,
         else:
             raise GeometryError(f"factor vanishes to order {v}; only quadratic cone points "
                                 "and smooth factors are supported")
+    if q_series is None and not linear:
+        raise SpecError(f"no factor vanishes at the given point "
+                        f"({', '.join(map(str, Z))}); it is not on the pole variety")
     if q_series is None:
         raise GeometryError("no quadratic factor vanishes at the point")
     q_matrix, flipped = classify_quadratic(homogeneous_part(q_series), u)

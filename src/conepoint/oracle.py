@@ -187,10 +187,12 @@ class CoeffTable(Record):
     are: the doubles of specs with float coefficients or powers, or
     Fractions already built.  A value becomes a canonical Fraction only
     where it is read: value_at builds one, and the first read of values
-    converts every cell in place.  scale is the only possibly irrational
-    part, coming from fractional powers of non-unit constant terms.  A
-    table is complete for every index r with 0 <= grading_w . r <=
-    max_level (for expand_box, every such index inside the box).
+    converts every cell in place; the printers in specio read the cells and
+    runs and build none unless scale is complex.  scale is the only
+    possibly irrational part, coming from fractional powers of non-unit
+    constant terms.  A table is complete for every index r with
+    0 <= grading_w . r <= max_level (for expand_box, every such index
+    inside the box).
     """
 
     __slots__ = _fields = ("arity", "cells", "runs", "grading_w", "max_level", "scale")
@@ -227,12 +229,8 @@ class CoeffTable(Record):
         return self.cells
 
     def bounds(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        if not self.cells:
-            z = (0,) * self.arity
-            return z, z
-        lo = tuple(min(m[i] for m in self.cells) for i in range(self.arity))
-        hi = tuple(max(m[i] for m in self.cells) for i in range(self.arity))
-        return lo, hi
+        axes = list(zip(*self.cells)) or [(0,)] * self.arity
+        return tuple(map(min, axes)), tuple(map(max, axes))
 
     def nonzero_items(self):
         return self.values.items()
@@ -530,9 +528,11 @@ def _prepare_real(spec: QuasiRationalSpec, w: Tuple[int, ...]):
     hats = []
     powers = []
     for j, (poly, power) in enumerate(spec.factors):
-        if any(e < 0 for m in poly.terms for e in m):
-            raise NotNormalizedError("real-power factors must have nonnegative exponents; "
-                                     "run normalize_laurent first")
+        e, m = min((e, m) for m in poly.terms for e in m)
+        if e < 0:
+            raise NotNormalizedError(f"factors[{j}]: the term {m} has the negative exponent "
+                                     f"{e}; the real-power recurrence needs factors with "
+                                     "nonnegative exponents")
         c = poly.terms.get(zero)
         if c is None:
             raise NotNormalizedError("zero constant term in a factor")

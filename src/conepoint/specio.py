@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 from typing import List, Optional, Sequence
 
 from .polyseries import MultiPoly
@@ -137,18 +138,44 @@ def format_value(v, float_digits: Optional[int] = None) -> str:
     return repr(f) if float_digits is None else f"{f:.{float_digits}g}"
 
 
-def _table_items(table: CoeffTable):
-    """(index, coefficient) pairs of a table in index order."""
+def _table_rows(table: CoeffTable, float_digits: Optional[int], csv: bool) -> list:
+    """The table's CSV lines or JSON coefficients, one per cell in index order.
+
+    A level's cell x is x/den before scale: an exact scale a/b gives
+    x*a/(den*b) in lowest terms, or that int division's correctly rounded
+    float, and a float scale s gives s * (x/den), the double that s times
+    the Fraction gives."""
     s = table.scale
-    return ((m, v if s == 1 else s * v) for m, v in sorted(table.values.items()))
+    exact = isinstance(s, (int, Fraction))
+    a, b = (s.numerator, s.denominator) if exact else (1, 1)
+    t = 1.0 if exact else s
+    real = (float if not csv else repr if float_digits is None else
+            f"{{:.{float_digits}g}}".format)
+    value = ((lambda v: format_value(v, float_digits)) if csv else
+             scalar_to_json if float_digits is None else float)
+    form = ",".join(["%d"] * table.arity) + ",%s"
+    row = (lambda m, v: form % (*m, v)) if csv else (lambda m, v: {"r": list(m), "value": v})
+    out = []
+    items = iter(table.cells.items())
+    for den, n in table.runs.values():
+        level = zip(range(n), items)
+        if den is None or isinstance(t, complex):  # value by value, as values reads them
+            out += [(m, row(m, value(v if s == 1 else s * v))) for _, (m, x) in level
+                    for v in [x if den is None else Fraction(x, den)]]
+            continue
+        ak, q = (a, den * b) if den > 0 else (-a, -den * b)
+        if float_digits is None and t == 1:
+            out += [(m, row(m, str(p // g) if (g := gcd(p := x * ak, q)) == q else
+                            f"{p // g}/{q // g}")) for _, (m, x) in level]
+        else:
+            out += [(m, row(m, real(t * (x * ak / q)))) for _, (m, x) in level]
+    out.sort(key=lambda c: c[0])
+    return [r for _, r in out]
 
 
 def table_to_csv(table: CoeffTable, float_digits: Optional[int] = None) -> str:
     header = ",".join(f"r{i+1}" for i in range(table.arity)) + ",value"
-    lines = [header]
-    for m, v in _table_items(table):
-        lines.append(",".join(str(e) for e in m) + "," + format_value(v, float_digits))
-    return "\n".join(lines) + "\n"
+    return "\n".join([header, *_table_rows(table, float_digits, True)]) + "\n"
 
 
 def table_to_json(table: CoeffTable, float_digits: Optional[int] = None) -> dict:
@@ -159,9 +186,7 @@ def table_to_json(table: CoeffTable, float_digits: Optional[int] = None) -> dict
         "max_level": table.max_level,
         "bounds": {"min": list(lo), "max": list(hi)},
         "scale": scalar_to_json(table.scale),
-        "coefficients": [
-            {"r": list(m), "value": scalar_to_json(v) if float_digits is None else float(v)}
-            for m, v in _table_items(table)],
+        "coefficients": _table_rows(table, float_digits, False),
     }
 
 

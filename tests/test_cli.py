@@ -155,6 +155,18 @@ class TestRefusals:
         assert json.loads(err.splitlines()[1]) == {"dual_ll": "1"}
 
 
+    @pytest.mark.parametrize("command", ["asym", "classify"])
+    def test_point_off_the_pole_variety_exit_3(self, capsys, tmp_path, command):
+        # a given point at which no factor vanishes is an input error; it exited 4
+        raw = json.loads((SPEC_DIR / "fls.json").read_text())
+        raw["points"] = [["2", "2", "2"]]
+        path = tmp_path / "fls-off.json"
+        path.write_text(json.dumps(raw))
+        rc, out, err = run(capsys, command, "--spec", str(path), "--r", "10,10,10")
+        assert rc == 3 and not out
+        assert err == ("spec error: no factor vanishes at the given point (2, 2, 2); "
+                       "it is not on the pole variety\n")
+
     @staticmethod
     def _complex_point_spec(tmp_path, kind):
         """fls with its point written as the complex 1 + 0j, or fls with every
@@ -441,6 +453,19 @@ class TestInputErrors:
             rc, out, err = run(capsys, "oracle", "--spec", str(path), *argv)
             assert rc == 3 and not out, argv
             assert err.startswith("spec error: factors[0]:") and "positive" in err, argv
+
+    @pytest.mark.parametrize("query", [("--order", "3"), ("--at", "1,1,1")], ids=" ".join)
+    def test_laurent_factor_under_fractional_power_exit_3(self, capsys, tmp_path, query):
+        # the message named normalize_laurent, which a CLI user cannot run
+        raw = json.loads((SPEC_DIR / "fls.json").read_text())
+        raw["factors"][0]["poly"].append({"coeff": "1", "exponents": [0, -2, 1]})
+        path = tmp_path / "fls-laurent.json"
+        path.write_text(json.dumps(raw))
+        rc, out, err = run(capsys, "oracle", "--spec", str(path), *query)
+        assert rc == 3 and not out
+        assert err == ("spec error: factors[0]: the term (0, -2, 1) has the negative "
+                       "exponent -2; the real-power recurrence needs factors with "
+                       "nonnegative exponents\n")
 
     def test_space_separated_negative_index(self, capsys):
         rc, out, _ = run(capsys, "oracle", "--preset", "aztec", "--at", "-1,1,5")

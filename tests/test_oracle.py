@@ -477,6 +477,47 @@ GOLDEN_CSV = {
     "qrw2d": ("9c9d786fe8c59838cb227bb7c7b56a678e50b7bf5ac62a77ed250c0c8387f55d",
               "9c9d786fe8c59838cb227bb7c7b56a678e50b7bf5ac62a77ed250c0c8387f55d"),
 }
+# the formats the digests above leave out, recorded from the printers that built
+# one Fraction per cell: (exact CSV, `--float` JSON, `--float 9` CSV) of each
+# preset's table, then of its floated spec's table
+GOLDEN_FORMATS = {
+    "aztec": (("9e67dc9e99939f14dece35e9f0b4ba13eb508f66c522e6d63dd494404860159e",
+               "8903fb4fb031709e73b3217048908a83ba5d81189566471aaa3951c7575f70af",
+               "ffbd4a740560572b470de969ac37a0b8c0e8a8742573699fa1541b47e9de9748"),
+              ("88346965228767c59331d80d674b22edfd9fdd66e5854ff87005a222def6e145",
+               "8903fb4fb031709e73b3217048908a83ba5d81189566471aaa3951c7575f70af",
+               "ffbd4a740560572b470de969ac37a0b8c0e8a8742573699fa1541b47e9de9748")),
+    "cube_grove": (("e5e0f38c132d62ccdeefd4ff6d5a675468a74acbe2d0480b7f1cbfcfc99ec448",
+                    "498a0d6395d3e3e3f9325a50ad9353093ddaa56b9bb2a3bfbdd345ce5e1c2a1f",
+                    "7e0dab73add40e73a132a1502f49e25ad13328eebbd91766d0aebc9cd5588d6e"),
+                   ("4b901bef92d7fbc7f50e503ee9270ac06267038d5a9bd7f99abed07e2c36acbe",
+                    "5645a404949d5ffc3d9c16ccf1af1e95a5f7a0fdc04160b471efe4c3b35ba1ae",
+                    "7e0dab73add40e73a132a1502f49e25ad13328eebbd91766d0aebc9cd5588d6e")),
+    "qrw2d": (("059f2a16c3380b80a882bbfaa4c91bee16b94e9c5cdbcaaea97e65c866e7477d",
+               "828320255bd3b7c98d69e82a6a347313b59446adadc04e773d4b66f25c783c51",
+               "b9601be57b0294f41a70063aa25796d2801a2b87b2b904e889ed9934920f759e"),
+              ("370db663050b15a17b07db3f8bd9aa406dc7f3754b4725480d2be41f48688a04",
+               "828320255bd3b7c98d69e82a6a347313b59446adadc04e773d4b66f25c783c51",
+               "b9601be57b0294f41a70063aa25796d2801a2b87b2b904e889ed9934920f759e")),
+    "fls": (("34d34f754ac4249bd025056aea48af4f4a89df73560705e760e9eb2b372af02d",
+             "1e6d4c06a9a0440eb9c998f065103c7fa25ed75bb7ff71c3618815c0bca89103",
+             "04e123677edea78f14b507a91c52d51359c4abd6f48e1c5b31f8db88cc34d511"),
+            ("0d225edb547d4ddb165b8d0fc0c45154425114f7552e96eb585c92bbb39b0eb0",
+             "7455dbc0305763edf801c5301e8b542dea72574550230cefd12ce065540668b9",
+             "04e123677edea78f14b507a91c52d51359c4abd6f48e1c5b31f8db88cc34d511")),
+    "superballot": (("d066d61e4ec0c4b332e65838f1f6a4b03cda0624444a6a70ebfb0f76a579ae07",
+                     "4f1066828a33d1969f501f41eea90a2f543d139e4296682d6fd4ce9110f7ff8f",
+                     "d066d61e4ec0c4b332e65838f1f6a4b03cda0624444a6a70ebfb0f76a579ae07"),
+                    ("38b1329103f76eb3123ba95fd8965bf7c21ca36f55585bb1f9bf56f0b8190d53",
+                     "4f1066828a33d1969f501f41eea90a2f543d139e4296682d6fd4ce9110f7ff8f",
+                     "d066d61e4ec0c4b332e65838f1f6a4b03cda0624444a6a70ebfb0f76a579ae07")),
+    "superballot-core": (("fd0a3fa87d029eaac632fb6c40190b30694c46c839a8b998a7f9fb55318d0a2a",
+                          "a572ac57065efe176ef8a9877bb3589abe8693bc271bc5cb45a089579a601b67",
+                          "ff1c679c86ef0902f5a49a9aa458e8890e462176a56ef0b7bf97c1ce5fc7abd9"),
+                         ("831abe23a703257d4a7506e8cd857fb7e26de0fcece49d384118882e2e6fbc8d",
+                          "a572ac57065efe176ef8a9877bb3589abe8693bc271bc5cb45a089579a601b67",
+                          "ff1c679c86ef0902f5a49a9aa458e8890e462176a56ef0b7bf97c1ce5fc7abd9")),
+}
 
 
 class TestGoldenOutput:
@@ -502,6 +543,18 @@ class TestGoldenOutput:
         assert _sha256(table_to_csv(exact, float_digits=17)) == exact_digest
         approx = expand(floated(spec), GOLDEN_ORDERS[name])
         assert _sha256(table_to_csv(approx, float_digits=17)) == float_digest
+
+    @pytest.mark.parametrize("kind", ["exact", "floated"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FORMATS))
+    def test_other_formats(self, name, kind):
+        from conepoint.specio import canonical_json, table_to_csv, table_to_json
+        spec = preset(name).spec
+        if kind == "floated":
+            spec = floated(spec)
+        texts = (table_to_csv, lambda t: canonical_json(table_to_json(t, 17)),
+                 lambda t: table_to_csv(t, 9))
+        digests = tuple(_sha256(text(expand(spec, GOLDEN_ORDERS[name]))) for text in texts)
+        assert digests == GOLDEN_FORMATS[name][kind == "floated"]
 
     @pytest.mark.parametrize("box", [None, ((3, 0, 2), (9, 8, 10))], ids=["table", "box"])
     def test_fls_float_within_1e_13_of_exact(self, box):
