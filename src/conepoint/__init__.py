@@ -9,14 +9,14 @@ import importlib
 _EXPORTS = {
     "polyseries": "DomainError MultiPoly NonUnitError TruncatedSeries log_compose_taylor",
     "oracle": "CoeffTable NotNormalizedError QuasiRationalSpec SpecError coefficient_at "
-              "empirical_decay expand expand_box naive_series normalize_laurent",
+              "empirical_decay expand expand_box normalize_laurent",
     "localgeo": "DegenerateError DirectionClass DirectionTag GeometryError QuadraticPointData "
                 "SignatureError classify_direction classify_quadratic dual_quadratic "
                 "homogeneous_part normalizer_absdet quadratic_point_data vanishing_degree",
     "asympt": "AsymptoticEstimate GammaPoleError PreparedPoint cone_constant "
-              "cone_plane_asymptotics decay_exponent double_residue dual_power_derivative "
-              "expansion_coefficients local_degree oriented_double_residue prepare "
-              "quadratic_asymptotics smooth_asymptotics total_asymptotics",
+              "cone_plane_asymptotics decay_exponent expansion_coefficients local_degree "
+              "oriented_double_residue prepare quadratic_asymptotics smooth_asymptotics "
+              "total_asymptotics",
     "presets": "Preset grove_relation_check preset qrw_simulate",
     "errors": "RefusalError",
 }

@@ -33,15 +33,12 @@ from .polyseries import Exponent, MultiPoly, TruncatedSeries, binomials
 from .oracle import QuasiRationalSpec, _as_int
 from .errors import RefusalError
 from .localgeo import (TOL, DegenerateError, DirectionTag, GeometryError, Matrix,
-                       QuadraticPointData, _bilinear, _gauss_jordan, _normalizer,
+                       QuadraticPointData, _gauss_jordan, _normalizer, _point_refusal,
                        classify_direction, homogeneous_part, quadratic_point_data)
 from .localgeo import log_compose_taylor  # noqa: F401  (perfbench traces it under this name)
 
 if TYPE_CHECKING:  # loads only where the search runs, never for `oracle`
     from .critpoints import CriticalPoint
-
-
-RESIDUE_TOL = 1e-12  # relative margin of the residue's zero-line and degeneracy tests
 
 
 class GammaPoleError(ValueError):
@@ -170,14 +167,6 @@ def _power_sum(terms: Dict[int, MultiPoly], alpha, r: Sequence, qval) -> float:
     return total
 
 
-def dual_power_derivative(dual_matrix: Matrix, alpha, m: Sequence[int], r: Sequence) -> float:
-    """Value of d^m/dr^m [ qdual(r,r)^alpha ] at r."""
-    a = Fraction(alpha) if not isinstance(alpha, float) else alpha
-    terms = _derivative_terms(dual_matrix, a, tuple(map(int, m)), {})
-    return _power_sum({j: MultiPoly(len(r), t) for j, t in terms.items()}, a, r,
-                      _bilinear(dual_matrix, r, r))
-
-
 # -- the quadratic-point series ----------------------------------------------------
 
 # One order l of the series at a bare quadratic point: (l, alpha = s + l - d/2,
@@ -225,42 +214,9 @@ def quadratic_asymptotics(data: QuadraticPointData, series: Sequence[SeriesOrder
 # -- double residue & the cone-plane formula ----------------------------------------
 
 
-def double_residue(qtilde: MultiPoly, ell: Sequence, alpha: Sequence):
-    """Iterated residue of the projective form along a common zero line.
-
-    Of the three coordinate-pair expressions (all equal where defined,
-    by the Euler relations on the zero line) the one with the largest
-    denominator is used.  Exact over the rationals.
-    """
-    if qtilde.arity != 3:
-        raise GeometryError("double residue is a 3-variable construction")
-    L = MultiPoly(3, {tuple(int(i == j) for i in range(3)): Fraction(ell[j])
-                      for j in range(3) if ell[j] != 0})
-    qa = qtilde.eval(list(alpha))
-    la = L.eval(list(alpha))
-    size = max(abs(float(x)) for x in alpha)
-    if (abs(complex(qa)) > RESIDUE_TOL * max(1.0, size ** 2)
-            or abs(complex(la)) > RESIDUE_TOL * max(1.0, size)):
-        raise GeometryError("representative point is not on the common zero line")
-    A = [qtilde.diff(i).eval(list(alpha)) for i in range(3)]
-    Lg = [L.diff(i).eval(list(alpha)) for i in range(3)]
-    x, y, z = alpha
-    cands = [
-        (z, A[0] * Lg[1] - A[1] * Lg[0]),
-        (x, A[1] * Lg[2] - A[2] * Lg[1]),
-        (y, A[2] * Lg[0] - A[0] * Lg[2]),
-    ]
-    num, den = max(cands, key=lambda t: abs(complex(t[1])))
-    if abs(complex(den)) <= RESIDUE_TOL * max(1.0, size):
-        raise DegenerateError("all three residue denominators are degenerate")
-    if isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
-        return Fraction(num, 1) / Fraction(den)
-    return num / den
-
-
 def oriented_double_residue(data: QuadraticPointData):
-    """Res2 = |det q * q*(ell, ell)|^(-1/2) / 2: the positive value of
-    double_residue on either line where q and the linear factor ell both
+    """Res2 = |det q * q*(ell, ell)|^(-1/2) / 2: the positive value of the
+    iterated residue on either line where q and the linear factor ell both
     vanish.  Exact when the product is a rational square.
 
     Let a, a' span the two null lines of q in ell^perp, with a'^T q a = 1,
@@ -426,8 +382,10 @@ def prepare(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None
 
     points may be supplied (e.g. from a preset); otherwise the singular
     points of every factor on the unit torus are discovered numerically.
-    A point with a complex coordinate is refused, since the formulas are
-    written for real points.
+    A point with a complex coordinate is refused, and so is every point of
+    a spec with a complex coefficient, since every polynomial of the spec
+    enters the local expansion at every point: the formulas are written for
+    real points and real series.
     Each bare quadratic point keeps the first order_terms orders of its series as one
     polynomial per (order, power offset j), so a direction only evaluates them.
     Order N reads the local series to degree 3N - 3 (c(m, N-1) needs
@@ -436,10 +394,14 @@ def prepare(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None
     number of directions.
     """
     points = _given_or_found(spec, points, seed)
+    polys = (spec.numerator, *(poly for poly, _ in spec.factors))
+    complex_expansion = any(isinstance(c, complex) for p in polys for c in p.terms.values())
     for Z in points:
         if any(isinstance(z, complex) for z in Z):
-            raise RefusalError(f"point ({', '.join(map(str, Z))}) has a complex coordinate: "
-                               "the formulas need a real point", {"point": list(map(str, Z))})
+            raise _point_refusal(Z, "has a complex coordinate: the formulas need a real point")
+        if complex_expansion:
+            raise _point_refusal(Z, "has a complex local expansion: the formulas need real "
+                                    "coefficients")
     local = point_data(spec, points, order=max(8, 3 * order_terms - 3))
     return tuple(PreparedPoint(data, _series_terms(data, order_terms) if data.k == 0 else None)
                  for data in local)

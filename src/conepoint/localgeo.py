@@ -98,11 +98,6 @@ def _gauss_jordan(M: Matrix) -> Tuple[Matrix, object]:
     return tuple(tuple(row[n:]) for row in A), det
 
 
-def mat_inverse(M: Matrix) -> Matrix:
-    """Exact Gauss-Jordan inverse (Fractions in, Fractions out)."""
-    return _gauss_jordan(M)[0]
-
-
 # -- quadratic classification -------------------------------------------------
 
 
@@ -186,7 +181,7 @@ def _symmetric_eigenvalues(M: Matrix) -> List[float]:
 
 def dual_quadratic(q_matrix: Matrix) -> Matrix:
     """Matrix of the dual quadratic form: the inverse matrix."""
-    return mat_inverse(q_matrix)
+    return _gauss_jordan(q_matrix)[0]
 
 
 def normalizer_absdet(q_matrix: Matrix):
@@ -358,7 +353,8 @@ def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence,
         raise SpecError(f"no factor vanishes at the given point "
                         f"({', '.join(map(str, Z))}); it is not on the pole variety")
     if q_series is None:
-        raise GeometryError("no quadratic factor vanishes at the point")
+        raise _point_refusal(Z, "is where only linear factors vanish: the contour formulas "
+                                "need a quadratic factor")
     q_matrix, flipped = classify_quadratic(homogeneous_part(q_series), u)
     dual, det = _gauss_jordan(q_matrix)
     return QuadraticPointData(
@@ -376,6 +372,11 @@ def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence,
         q_series=q_series,
         numerator_valuation=order + 1 if p_series.is_zero() else vanishing_degree(p_series),
     )
+
+
+def _point_refusal(Z: Sequence, why: str) -> RefusalError:
+    """A refusal that names the point Z, in its message and its diagnostics."""
+    return RefusalError(f"point ({', '.join(map(str, Z))}) {why}", {"point": list(map(str, Z))})
 
 
 def _linear_covector(h: MultiPoly, u: Sequence) -> Tuple[object, ...]:

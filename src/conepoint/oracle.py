@@ -54,7 +54,7 @@ from itertools import islice, product
 from operator import add, le, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .polyseries import MultiPoly, Record, TruncatedSeries, is_exact
+from .polyseries import MultiPoly, Record, is_exact
 
 Exponent = Tuple[int, ...]
 Runs = Dict[int, Tuple[Optional[int], int]]  # level -> (denominator, cell count)
@@ -666,16 +666,3 @@ def empirical_decay(spec: QuasiRationalSpec, direction: Sequence,
         mag = abs(float(a)) if not isinstance(a, complex) else abs(a)
         out.append((t, math.log(mag) / t if mag > 0 else float("-inf")))
     return out
-
-
-def naive_series(spec: QuasiRationalSpec, order: int) -> TruncatedSeries:
-    """Independent slow path: truncated-series inversion via binomial powers.
-
-    Only valid for orthant-supported specs; used to cross-check the graded
-    recurrences term by term.
-    """
-    total = TruncatedSeries.from_poly(spec.numerator, order)
-    for poly, power in spec.factors:
-        s = -Fraction(power) if not isinstance(power, float) else -power
-        total = total * TruncatedSeries.from_poly(poly, order).pow_real(s)
-    return total

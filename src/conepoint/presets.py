@@ -1,28 +1,26 @@
 """The five shipped applications as ready-made quasirational specs.
 
 Each preset bundles the spec, its known quadratic points on the unit
-torus and a closed-form reference evaluator for the final asymptotic
-answer (implemented directly from the constants here, independently of
-the formula engine).  Cross-model identities (creation rates,
-step-simulation of the quantum walk, superballot closed forms) live here
-too, as the honest checks that the machinery reproduces known
+torus, companion specs (creation rates, the other walk chiralities, the
+other superballot form) and notes.  Cross-model identities (creation
+rates, step-simulation of the quantum walk, superballot closed forms) live
+here too, as the honest checks that the machinery reproduces known
 combinatorics.
 
-Conventions fixed by simulation:
-
-* the quantum-walk amplitude generating functions are derived as
-  cofactors of I - M where M is the coin matrix with row xi scaled by
-  Z X^{v_xi}; starting state ((0,0), N) corresponds to column N.  Sign and
-  row/column orientation conventions vary between derivations of this
-  system, so the construction shipped here is matched exactly against the
-  step simulator for all positions, chiralities and t <= 16.
+The quantum-walk amplitude generating functions are written out as the
+cofactors of I - M, where M is the coin matrix with row xi scaled by
+Z X^{v_xi}; the starting state ((0,0), N) corresponds to column N, and
+det(I - M) = (1 - Z^2) Q.  Sign and row/column orientation conventions
+vary between derivations of this system, so the numerators shipped here
+are matched exactly against the step simulator qrw_walk for all
+positions, chiralities and t <= 16 (acceptance criterion 07).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from .polyseries import MultiPoly, Record
 from .oracle import CoeffTable, QuasiRationalSpec, SpecError, expand
@@ -57,34 +55,19 @@ _P_SUPER = _mp(3, (1, (0, 0, 0)), (-2, (1, 0, 0)))          # 1 - 2X
 
 
 class Preset(Record):
-    __slots__ = _fields = ("name", "spec", "known_points", "reference_formula",
-                           "companions", "notes")
+    __slots__ = _fields = ("name", "spec", "known_points", "companions", "notes")
 
     def __init__(self, name: str, spec: QuasiRationalSpec,
                  known_points: Tuple[Tuple[object, ...], ...],
-                 reference_formula: Optional[Callable[[Sequence[int]], object]],
                  companions: Optional[Dict[str, QuasiRationalSpec]] = None, notes: str = ""):
         self.name = name
         self.spec = spec
         self.known_points = known_points
-        self.reference_formula = reference_formula
         self.companions = {} if companions is None else companions
         self.notes = notes
 
 
 # -- Aztec diamond --------------------------------------------------------------
-
-
-def _aztec_reference(r: Sequence[int]):
-    """Closed-form northgoing-probability limit: zero at even total index,
-    else arctan(sqrt(t^2-2i^2-2j^2)/(t-2j))/pi on the interior."""
-    i, j, t = (int(x) for x in r)
-    if (i + j + t) % 2 == 0:
-        return 0.0
-    q = t * t - 2 * i * i - 2 * j * j
-    if q <= 0:
-        return None
-    return math.atan2(math.sqrt(q), t - 2 * j) / math.pi
 
 
 def _aztec() -> Preset:
@@ -94,8 +77,7 @@ def _aztec() -> Preset:
     # generating function is Z/Q rather than (Z/2)/Q
     creation = QuasiRationalSpec(3, _mp(3, (1, (0, 0, 1))), ((_Q_CHECKER, 1),),
                                  (0, 0, -1), name="aztec-creation")
-    return Preset("aztec", spec, ((1, 1, 1), (-1, -1, -1)), _aztec_reference,
-                  {"creation": creation},
+    return Preset("aztec", spec, ((1, 1, 1), (-1, -1, -1)), {"creation": creation},
                   "northgoing domino placement probabilities; indices (i,j,n), "
                   "support -n < i,j <= n with i+j+n odd")
 
@@ -103,28 +85,12 @@ def _aztec() -> Preset:
 # -- cube groves ----------------------------------------------------------------
 
 
-def _grove_dual(r: Sequence) -> float:
-    """2(ab+ac+bc) - (a^2+b^2+c^2): the dual form shared by the cube grove, the
-    graph-polynomial family and the superballot core."""
-    a, b, c = (float(x) for x in r)
-    return 2 * (a * b + a * c + b * c) - (a * a + b * b + c * c)
-
-
-def _grove_reference(r: Sequence[int]):
-    q = _grove_dual(r)
-    if q <= 0:
-        return None
-    a, b, c = (float(x) for x in r)
-    return math.atan2(math.sqrt(q), a + b - c) / math.pi
-
-
 def _cube_grove() -> Preset:
     spec = QuasiRationalSpec(3, _P_GROVE, ((_H_GROVE, 1), (_Q_GROVE, 1)),
                              (-1, -1, -1), name="cube_grove")
     creation = QuasiRationalSpec(3, _mp(3, (3, (0, 0, 1))), ((_Q_GROVE, 1),),
                                  (-1, -1, -1), name="cube_grove-creation")
-    return Preset("cube_grove", spec, ((1, 1, 1),), _grove_reference,
-                  {"creation": creation},
+    return Preset("cube_grove", spec, ((1, 1, 1),), {"creation": creation},
                   "horizontal-edge placement probabilities in barycentric indices")
 
 
@@ -157,22 +123,14 @@ def grove_relation_check(n: int, edge_table: Optional[CoeffTable] = None,
 
 
 def aztec_creation_check(n_max: int) -> bool:
-    """c(i,j,n) = 2 (p(i,j,n) - p(i,j-1,n-1)) for all levels <= n_max."""
+    """c(i,j,n) = 2 (p(i,j,n) - p(i,j-1,n-1)) for all levels <= n_max - 1,
+    checked at every cell where c or p is nonzero."""
     a = _aztec()
     p_table = expand(a.spec, n_max)
     c_table = expand(a.companions["creation"], n_max)
-    for (i, j, n), c in c_table.nonzero_items():
-        if n > n_max - 1:
-            continue
-        if c != 2 * (p_table.value_at((i, j, n)) - p_table.value_at((i, j - 1, n - 1))):
-            return False
-    for (i, j, n), p in p_table.nonzero_items():
-        if n > n_max - 1:
-            continue
-        lhs = c_table.value_at((i, j, n))
-        if lhs != 2 * (p - p_table.value_at((i, j - 1, n - 1))):
-            return False
-    return True
+    p, c = p_table.value_at, c_table.value_at
+    return all(c((i, j, n)) == 2 * (p((i, j, n)) - p((i, j - 1, n - 1)))
+               for i, j, n in p_table.cells.keys() | c_table.cells.keys() if n < n_max)
 
 
 # -- two-dimensional Hadamard quantum walk ----------------------------------------
@@ -183,50 +141,27 @@ _QRW_SIGN = tuple(tuple(1 if i == j else -1 for j in range(4)) for i in range(4)
 _QRW_START = 1  # chirality N
 
 
-def _det_poly(rows: List[List[MultiPoly]]) -> MultiPoly:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    out = MultiPoly.zero(rows[0][0].arity)
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _det_poly(minor)
-        out = out + (term if j % 2 == 0 else -term)
-    return out
-
-
-def _qrw_system() -> Tuple[List[List[MultiPoly]], MultiPoly]:
-    monos = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
-    I_minus_M = [[MultiPoly.const(3, 1 if i == j else 0)
-                  - _mp(3, (_HALF * _QRW_SIGN[i][j], monos[i])) for j in range(4)]
-                 for i in range(4)]
-    return I_minus_M, _det_poly(I_minus_M)
-
-
-def _qrw_numerators(rows: List[List[MultiPoly]]) -> List[MultiPoly]:
-    out = []
-    for xi in range(4):
-        sub = [r[:xi] + r[xi + 1:] for k, r in enumerate(rows) if k != _QRW_START]
-        c = _det_poly(sub)
-        if (_QRW_START + xi) % 2 == 1:
-            c = -c
-        out.append(c)
-    return out
+# the cofactors of I - M for the start column N, one numerator per ending chirality
+_QRW_NUMERATORS = {
+    "E": _mp(3, (-_HALF, (1, 0, 1)), (_HALF, (1, -1, 2)), (_HALF, (0, 0, 2)),
+             (-_HALF, (0, -1, 3))),
+    "N": _mp(3, (1, (0, 0, 0)), (-_HALF, (0, -1, 1)), (-_HALF, (-1, 0, 1)),
+             (-_HALF, (1, 0, 1)), (_HALF, (0, -1, 3))),
+    "W": _mp(3, (-_HALF, (-1, 0, 1)), (_HALF, (-1, -1, 2)), (_HALF, (0, 0, 2)),
+             (-_HALF, (0, -1, 3))),
+    "S": _mp(3, (_HALF, (-1, -1, 2)), (-_HALF, (0, -1, 1)), (-_HALF, (0, -1, 3)),
+             (_HALF, (1, -1, 2))),
+}
 
 
 def _qrw() -> Preset:
-    rows, det = _qrw_system()
     one_minus_z = _mp(3, (1, (0, 0, 0)), (-1, (0, 0, 1)))
     one_plus_z = _mp(3, (1, (0, 0, 0)), (1, (0, 0, 1)))
-    if det != _Q_CHECKER * one_minus_z * one_plus_z:
-        raise AssertionError("walk determinant does not factor as (1-Z^2) Q")
-    numerators = _qrw_numerators(rows)
-    specs = {ch: QuasiRationalSpec(3, numerators[i],
+    specs = {ch: QuasiRationalSpec(3, _QRW_NUMERATORS[ch],
                                    ((_Q_CHECKER, 1), (one_minus_z, 1), (one_plus_z, 1)),
                                    (0, 0, -1), name=f"qrw2d-{ch}")
-             for i, ch in enumerate(_QRW_STATES)}
-    return Preset("qrw2d", specs["N"], ((1, 1, 1), (-1, -1, -1)), None,
-                  dict(specs),
+             for ch in _QRW_STATES}
+    return Preset("qrw2d", specs["N"], ((1, 1, 1), (-1, -1, -1)), specs,
                   "amplitude generating functions per ending chirality, start ((0,0),N); "
                   "probabilities are the summed squared amplitudes")
 
@@ -268,26 +203,13 @@ def qrw_simulate(t: int) -> Dict[Tuple[int, int, int], Fraction]:
 # -- graph-polynomial fractional powers --------------------------------------------
 
 
-def _fls_reference_factory(beta):
-    bf = float(beta)
-    const = 4.0 ** (1.0 - bf) / (math.sqrt(math.pi) * math.gamma(bf) * math.gamma(bf - 0.5))
-
-    def ref(r: Sequence[int]):
-        q = _grove_dual(r)
-        if q <= 0:
-            return None
-        return const * q ** (bf - 1.5)
-
-    return ref
-
-
 def _fls(beta=Fraction(3, 4)) -> Preset:
     beta = Fraction(beta) if not isinstance(beta, float) else beta
     if not float(beta) > 0.5:
         raise SpecError("the graph-polynomial preset needs beta > 1/2")
     spec = QuasiRationalSpec(3, MultiPoly.const(3, 1), ((_Q_FLS, beta),),
                              (-1, -1, -1), name="fls")
-    return Preset("fls", spec, ((1, 1, 1),), _fls_reference_factory(beta),
+    return Preset("fls", spec, ((1, 1, 1),),
                   notes=f"fractional power beta = {beta}")
 
 
@@ -305,13 +227,6 @@ def superballot_number(n: int, k: int, r: int) -> int:
     return q
 
 
-def _superballot_core_reference(r: Sequence[int]):
-    q = _grove_dual(r)
-    if q <= 0:
-        return None
-    return (2.0 / math.pi) * q ** -0.5
-
-
 def _superballot(core: bool) -> Preset:
     full = QuasiRationalSpec(3, _P_SUPER, ((_Q_SUPER_SQRT, Fraction(1, 2)),
                                            (_Q_SUPER_POLE, 1)), (-1, -1, -1),
@@ -322,10 +237,9 @@ def _superballot(core: bool) -> Preset:
              "multiset-permutation counts N(a,b,c); the square-root spec is "
              "oracle-only (its algebraic factor is outside the contour formulas)")
     if core:
-        return Preset("superballot-core", core_spec, ((1, 1, 1),),
-                      _superballot_core_reference, {"full": full}, notes)
-    return Preset("superballot", full, ((Fraction(1, 2),) * 3,), None,
-                  {"core": core_spec}, notes)
+        return Preset("superballot-core", core_spec, ((1, 1, 1),), {"full": full}, notes)
+    return Preset("superballot", full, ((Fraction(1, 2),) * 3,), {"core": core_spec},
+                  notes)
 
 
 # -- registry ----------------------------------------------------------------------------

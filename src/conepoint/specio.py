@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from typing import List, Optional, Sequence
 
@@ -132,10 +133,10 @@ def canonical_json(obj) -> str:
 def format_value(v, float_digits: Optional[int] = None) -> str:
     if isinstance(v, Fraction) and float_digits is None:
         return scalar_to_json(v)
+    spec = "" if float_digits is None else f".{float_digits}g"  # "": the shortest repr
     if isinstance(v, complex):
-        return f"{v.real!r}{'+' if v.imag >= 0 else ''}{v.imag!r}j"
-    f = float(v)
-    return repr(f) if float_digits is None else f"{f:.{float_digits}g}"
+        return f"{v.real:{spec}}{v.imag:+{spec}}j"
+    return f"{float(v):{spec}}"
 
 
 def _table_rows(table: CoeffTable, float_digits: Optional[int], csv: bool) -> list:
@@ -144,15 +145,24 @@ def _table_rows(table: CoeffTable, float_digits: Optional[int], csv: bool) -> li
     A level's cell x is x/den before scale: an exact scale a/b gives
     x*a/(den*b) in lowest terms, or that int division's correctly rounded
     float, and a float scale s gives s * (x/den), the double that s times
-    the Fraction gives."""
+    the Fraction gives.  With float digits N, a JSON value is the number
+    that its N digits read back as (17 digits keep every double), and a
+    complex one the pair [re, im] of those."""
     s = table.scale
     exact = isinstance(s, (int, Fraction))
     a, b = (s.numerator, s.denominator) if exact else (1, 1)
     t = 1.0 if exact else s
-    real = (float if not csv else repr if float_digits is None else
-            f"{{:.{float_digits}g}}".format)
-    value = ((lambda v: format_value(v, float_digits)) if csv else
-             scalar_to_json if float_digits is None else float)
+    if csv:
+        real = repr if float_digits is None else f"{{:.{float_digits}g}}".format
+        value = partial(format_value, float_digits=float_digits)
+    elif float_digits is None:
+        real, value = float, scalar_to_json
+    else:
+        real = float if float_digits >= 17 else (
+            lambda x: float(f"{float(x):.{float_digits}g}"))
+
+        def value(v):
+            return [real(v.real), real(v.imag)] if isinstance(v, complex) else real(v)
     form = ",".join(["%d"] * table.arity) + ",%s"
     row = (lambda m, v: form % (*m, v)) if csv else (lambda m, v: {"r": list(m), "value": v})
     out = []

@@ -3,7 +3,9 @@
 This is the reference that tests compare `specio.table_to_csv` and
 `specio.table_to_json` against: it reads `CoeffTable.values`, which builds
 one Fraction per cell, multiplies each value by the scale and formats it
-through `format_value` and `scalar_to_json`.  Reading `values` converts the
+through `format_value` and `scalar_to_json`.  With float digits N, a JSON
+value is the float that its N-digit text reads back as, and a complex one
+the pair of those for its parts.  Reading `values` converts the
 table's cells in place, so give it a table that the printers under test
 have not read, or a fresh copy.
 """
@@ -37,6 +39,13 @@ def table_to_csv(table: CoeffTable, float_digits: Optional[int] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _rounded(v, float_digits: int):
+    """v to float_digits significant digits: a JSON number, or [re, im]."""
+    if isinstance(v, complex):
+        return [_rounded(v.real, float_digits), _rounded(v.imag, float_digits)]
+    return float(f"{float(v):.{float_digits}g}")
+
+
 def table_to_json(table: CoeffTable, float_digits: Optional[int] = None) -> dict:
     lo, hi = _bounds(table)
     return {
@@ -46,6 +55,7 @@ def table_to_json(table: CoeffTable, float_digits: Optional[int] = None) -> dict
         "bounds": {"min": list(lo), "max": list(hi)},
         "scale": scalar_to_json(table.scale),
         "coefficients": [
-            {"r": list(m), "value": scalar_to_json(v) if float_digits is None else float(v)}
+            {"r": list(m), "value": scalar_to_json(v) if float_digits is None
+             else _rounded(v, float_digits)}
             for m, v in _items(table)],
     }

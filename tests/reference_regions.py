@@ -12,7 +12,7 @@ import math
 from typing import Callable, Sequence, Tuple
 
 from conepoint.localgeo import DirectionTag
-from conepoint.presets import _grove_dual
+from references import grove_dual
 
 
 def hull_region(qdual: Callable[[Sequence[float]], float], ell: Tuple[float, ...],
@@ -59,7 +59,7 @@ def _aztec_dual(v: Sequence[float]) -> float:
     return v[2] ** 2 - 2 * v[0] ** 2 - 2 * v[1] ** 2
 
 
-_GROVE_HULL = hull_region(_grove_dual, (0.0, 0.0, 1.0), (-1.0, -1.0, -1.0))
+_GROVE_HULL = hull_region(grove_dual, (0.0, 0.0, 1.0), (-1.0, -1.0, -1.0))
 
 # preset name -> its validity region
 VALIDITY_REGION = {

@@ -9,14 +9,14 @@ from conepoint.localgeo import DirectionTag, quadratic_point_data
 from conepoint.critpoints import CriticalPoint, find_smooth_critical
 from conepoint import asympt, localgeo, polyseries
 from conepoint.asympt import (GammaPoleError, RefusalError, cone_constant,
-                              cone_plane_asymptotics, decay_exponent, double_residue,
-                              dual_power_derivative, expansion_coefficients,
-                              local_degree, oriented_double_residue, prepare,
-                              quadratic_asymptotics, smooth_asymptotics,
-                              total_asymptotics)
+                              cone_plane_asymptotics, decay_exponent,
+                              expansion_coefficients, local_degree,
+                              oriented_double_residue, prepare, quadratic_asymptotics,
+                              smooth_asymptotics, total_asymptotics)
 from conepoint.oracle import coefficient_at
 from conepoint.presets import preset
 from float_specs import floated
+from references import double_residue, dual_power_derivative, mat_inverse
 
 
 def mp(arity, *terms):
@@ -163,7 +163,7 @@ class TestDoubleResidue:
         while min(draws.values()) < 30:
             A = [[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
             try:
-                Ainv = localgeo.mat_inverse(A)
+                Ainv = mat_inverse(A)
             except localgeo.DegenerateError:
                 continue
             b = -Fraction(rng.randint(1, 5), rng.randint(1, 5))
@@ -173,7 +173,7 @@ class TestDoubleResidue:
             q = tuple(tuple(sum(Ainv[k][i] * G[k][k] * Ainv[k][j] for k in range(3))
                             for j in range(3)) for i in range(3))
             ell = tuple(sum(q[i][j] * A[j][2] for j in range(3)) for i in range(3))
-            data = replaced(base, q_matrix=q, dual_matrix=localgeo.mat_inverse(q),
+            data = replaced(base, q_matrix=q, dual_matrix=mat_inverse(q),
                             linear_factors=((ell, 1),))
             res = oriented_double_residue(data)
             qt = MultiPoly(3, {tuple((i == k) + (j == k) for k in range(3)):

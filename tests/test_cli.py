@@ -59,6 +59,38 @@ class TestOracle:
         N = int(num) * 2 ** 60 // int(den)
         assert abs(N - 2.547e16) < 0.0005e16
 
+    def test_float_digits_in_every_format(self, capsys):
+        # the JSON table printed every value as a full double whatever the digits
+        rc, out, _ = run(capsys, "oracle", "--preset", "fls", "--order", "1",
+                         "--format", "json", "--float", "3")
+        assert rc == 0
+        assert [c["value"] for c in json.loads(out)["coefficients"]] == [0.439, 0.219,
+                                                                         0.219, 0.219]
+        _, csv, _ = run(capsys, "oracle", "--preset", "fls", "--order", "1", "--float", "3")
+        assert csv.splitlines()[1:] == ["0,0,0,0.439", "0,0,1,0.219", "0,1,0,0.219",
+                                        "1,0,0,0.219"]
+
+    def test_float_digits_on_complex_values(self, capsys, tmp_path):
+        # fls times 1/(2i - X) has a complex scale: the JSON table raised TypeError,
+        # and the CSV table and --at printed every digit whatever the count
+        raw = json.loads((SPEC_DIR / "fls.json").read_text())
+        raw["factors"].append({"poly": [{"coeff": [0.0, 2.0], "exponents": [0, 0, 0]},
+                                        {"coeff": "-1", "exponents": [1, 0, 0]}],
+                               "power": "1"})
+        path = tmp_path / "fls-complex.json"
+        path.write_text(json.dumps(raw))
+        rc, out, _ = run(capsys, "oracle", "--spec", str(path), "--order", "1",
+                         "--format", "json", "--float", "3")
+        assert rc == 0
+        assert json.loads(out)["coefficients"][3] == {"r": [1, 0, 0], "value": [-0.11, -0.11]}
+        rc, out, _ = run(capsys, "oracle", "--spec", str(path), "--order", "1",
+                         "--format", "json", "--float")
+        assert rc == 0 and json.loads(out)["coefficients"][0]["value"][1] < 0
+        _, csv, _ = run(capsys, "oracle", "--spec", str(path), "--order", "1", "--float", "3")
+        assert csv.splitlines()[-1] == "1,0,0,-0.11-0.11j"
+        _, at, _ = run(capsys, "oracle", "--spec", str(path), "--at", "1,1,1", "--float", "3")
+        assert at == "-0.0366-0.0427j\n"
+
     def test_missing_order_and_at(self, capsys):
         rc, _, err = run(capsys, "oracle", "--preset", "fls")
         assert rc == 3
@@ -167,13 +199,37 @@ class TestRefusals:
         assert err == ("spec error: no factor vanishes at the given point (2, 2, 2); "
                        "it is not on the pole variety\n")
 
+    @pytest.mark.parametrize("command", ["asym", "classify"])
+    def test_point_where_only_linear_factors_vanish_exit_2(self, capsys, tmp_path, command):
+        # fls times 1/(1 - X) at (1, 2, 2): only the linear factor vanishes there, so
+        # the point is outside the contour formulas; it exited 4 without naming it
+        raw = json.loads((SPEC_DIR / "fls.json").read_text())
+        raw["factors"].append({"poly": [{"coeff": "1", "exponents": [0, 0, 0]},
+                                        {"coeff": "-1", "exponents": [1, 0, 0]}],
+                               "power": "1"})
+        raw["points"] = [["1", "2", "2"]]
+        path = tmp_path / "fls-linear.json"
+        path.write_text(json.dumps(raw))
+        rc, out, err = run(capsys, command, "--spec", str(path), "--r", "10,10,10")
+        assert rc == 2 and not out
+        assert err == ("refused: point (1, 2, 2) is where only linear factors vanish: the "
+                       "contour formulas need a quadratic factor\n"
+                       '{"point":["1","2","2"]}\n')
+
     @staticmethod
     def _complex_point_spec(tmp_path, kind):
-        """fls with its point written as the complex 1 + 0j, or fls with every
-        X-term coefficient times -i and no points, whose search finds (i, 1, 1)."""
+        """fls with its point written as the complex 1 + 0j; fls with every
+        X-term coefficient times -i and no points, whose search finds (i, 1, 1);
+        fls times 1/(2i - X), whose local expansion at (1, 1, 1) is complex; or
+        fls times 1/(1 - X) with 1 written as the complex 1 + 0j."""
         raw = json.loads((SPEC_DIR / "fls.json").read_text())
         if kind == "written":
             raw["points"] = [[[1.0, 0.0], "1", "1"]]
+        elif kind in ("expansion", "linear"):
+            one = [0.0, 2.0] if kind == "expansion" else [1.0, 0.0]
+            raw["factors"].append({"poly": [{"coeff": one, "exponents": [0, 0, 0]},
+                                            {"coeff": "-1", "exponents": [1, 0, 0]}],
+                                   "power": "1"})
         else:
             raw.pop("points")
             for term in raw["factors"][0]["poly"]:
@@ -183,16 +239,18 @@ class TestRefusals:
         path.write_text(json.dumps(raw))
         return str(path)
 
-    @pytest.mark.parametrize("kind", ["written", "found"])
+    @pytest.mark.parametrize("kind", ["written", "found", "expansion", "linear"])
     @pytest.mark.parametrize("argv", [("asym", "--r", "8,12,10"),
                                       ("compare", "--directions", "8,12,10")], ids=" ".join)
     def test_complex_point(self, capsys, tmp_path, kind, argv):
-        # these raised TypeError from the formulas and exited 1
+        # these raised TypeError from the formulas and exited 1 (but "linear" from
+        # asym, which exited 4 on fls's power 3/4: the linear factor is checked first)
         path = self._complex_point_spec(tmp_path, kind)
         rc, out, err = run(capsys, argv[0], "--spec", path, *argv[1:])
         assert rc == 2 and not out
         first, diagnostics = err.splitlines()
-        assert first.startswith("refused: point (") and "complex coordinate" in first
+        reason = "complex coordinate" if kind in ("written", "found") else "complex local expansion"
+        assert first.startswith("refused: point (") and reason in first
         assert len(json.loads(diagnostics)["point"]) == 3
 
     def test_classify_still_reports_a_complex_point(self, capsys, tmp_path):
@@ -200,6 +258,12 @@ class TestRefusals:
                          self._complex_point_spec(tmp_path, "written"), "--r", "8,12,10")
         assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (
             0, "9dc188738c32cfb0f72be020488b3551c41e1cf145733c1bb81ecccfc35dcb95")
+
+    def test_classify_still_reports_a_complex_expansion(self, capsys, tmp_path):
+        rc, out, _ = run(capsys, "classify", "--spec",
+                         self._complex_point_spec(tmp_path, "expansion"), "--r", "8,12,10")
+        assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (
+            0, "5bf864fa5f24003b485009e611b6f55d155cadfc52a086db95d9b68c59e4c3db")
 
 
 class TestCompare:

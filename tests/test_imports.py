@@ -34,7 +34,7 @@ HOMES = {
     "polyseries": ("DomainError", "MultiPoly", "NonUnitError", "TruncatedSeries",
                    "log_compose_taylor"),
     "oracle": ("CoeffTable", "NotNormalizedError", "QuasiRationalSpec", "SpecError",
-               "coefficient_at", "empirical_decay", "expand", "expand_box", "naive_series",
+               "coefficient_at", "empirical_decay", "expand", "expand_box",
                "normalize_laurent"),
     "localgeo": ("DegenerateError", "DirectionClass", "DirectionTag", "GeometryError",
                  "QuadraticPointData", "SignatureError", "classify_direction",
@@ -42,9 +42,8 @@ HOMES = {
                  "normalizer_absdet", "quadratic_point_data", "vanishing_degree"),
     "asympt": ("AsymptoticEstimate", "GammaPoleError", "PreparedPoint",
                "cone_constant", "cone_plane_asymptotics", "decay_exponent",
-               "double_residue", "dual_power_derivative", "expansion_coefficients",
-               "local_degree", "oriented_double_residue", "prepare", "quadratic_asymptotics",
-               "smooth_asymptotics", "total_asymptotics"),
+               "expansion_coefficients", "local_degree", "oriented_double_residue", "prepare",
+               "quadratic_asymptotics", "smooth_asymptotics", "total_asymptotics"),
     "presets": ("Preset", "grove_relation_check", "preset", "qrw_simulate"),
     "errors": ("RefusalError",),
 }
@@ -151,7 +150,7 @@ def test_cli_forwards_prediction_names_on_first_lookup():
 def test_public_names_are_pinned():
     assert sorted(conepoint.__all__) == sorted(
         [name for names in HOMES.values() for name in names] + list(SUBMODULES))
-    assert len(conepoint.__all__) == 53
+    assert len(conepoint.__all__) == 50
 
 
 def test_each_name_is_its_home_modules_object():

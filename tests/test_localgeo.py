@@ -10,9 +10,10 @@ from conepoint.polyseries import MultiPoly, TruncatedSeries, log_compose_taylor
 from conepoint.localgeo import (DegenerateError, DirectionTag, GeometryError, SignatureError,
                                 _symmetric_eigenvalues, classify_direction,
                                 classify_quadratic, dual_quadratic, homogeneous_part,
-                                mat_inverse, normalizer_absdet, quadratic_point_data,
+                                normalizer_absdet, quadratic_point_data,
                                 vanishing_degree)
 from reference_regions import hull_region, k0_region
+from references import mat_inverse
 
 
 def mp(arity, *terms):

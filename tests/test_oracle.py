@@ -10,8 +10,9 @@ from conepoint.presets import preset
 from conepoint.polyseries import MultiPoly, TruncatedSeries
 from conepoint.oracle import (NotNormalizedError, QuasiRationalSpec, SpecError,
                               coefficient_at, empirical_decay, expand, expand_box,
-                              naive_series, normalize_laurent)
+                              normalize_laurent)
 from float_specs import floated
+from references import naive_series
 
 
 def mp(arity, *terms):

@@ -15,10 +15,11 @@ from operator import mul
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conepoint.oracle import QuasiRationalSpec, expand, expand_box, naive_series
+from conepoint.oracle import QuasiRationalSpec, expand, expand_box
 from conepoint.polyseries import MultiPoly
 from conepoint.specio import canonical_json, spec_from_json, spec_to_json
 from float_specs import floated
+from references import naive_series
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])

@@ -15,6 +15,7 @@ from conepoint.presets import (PRESET_NAMES, aztec_creation_check, grove_relatio
                                superballot_number)
 from conepoint import specio
 from reference_regions import VALIDITY_REGION
+from references import REFERENCE_FORMULAS
 
 SPEC_DIR = Path(__file__).resolve().parents[1] / "specs"
 
@@ -52,7 +53,7 @@ class TestReferenceAgreement:
                 r = (rng.randint(-t // 2, t // 2), rng.randint(-t // 2, t // 2), t)
             else:
                 r = (rng.randint(1, 2 * t), rng.randint(1, 2 * t), t)
-            ref = pr.reference_formula(r)
+            ref = REFERENCE_FORMULAS[name](r)
             if ref is None or VALIDITY_REGION[name](r) is not DirectionTag.InteriorEllipticCone:
                 continue
             cls = classify_direction(points[0].data, r)

@@ -60,7 +60,7 @@ def _json(module):
 def _outcome(printer, table, float_digits):
     try:
         return printer(table, float_digits)
-    except (TypeError, OverflowError) as e:  # float() of a complex value, or a huge one
+    except OverflowError as e:  # float() of a huge value
         return type(e)
 
 
