@@ -311,10 +311,12 @@ def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence,
     Factors are split by their vanishing degree at Z: nonvanishing factors
     are absorbed into the numerator, degree-1 factors become linear
     covectors (sign-fixed against the cone direction), and exactly one
-    degree-2 factor supplies the Lorentzian quadratic.  A factor with float
-    coefficients vanishes to the degree its expansion shows once terms of
-    degree below 2 within TOL of its size at Z are dropped; an exact factor
-    vanishes where its terms are exactly zero.
+    degree-2 factor supplies the Lorentzian quadratic; a point that breaks
+    these rules is refused by name, but a singular quadratic raises
+    DegenerateError.  A factor with float coefficients vanishes to the
+    degree its expansion shows once terms of degree below 2 within TOL of
+    its size at Z are dropped; an exact factor vanishes where its terms are
+    exactly zero.
     """
     u = spec.cone_direction_u
     p_series = log_compose_taylor(spec.numerator, Z, order)
@@ -339,23 +341,23 @@ def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence,
             if n is None or n < 1:
                 raise RefusalError(f"linear factor with power {power}: the contour formulas "
                                    "need a positive integer power", {"power": str(power)})
-            ell = _linear_covector(homogeneous_part(series), u)
-            linear.append((ell, n))
+            linear.append((_fit_or_refuse(Z, _linear_covector, homogeneous_part(series), u), n))
         elif v == 2:
             if q_series is not None:
-                raise GeometryError("more than one quadratic factor vanishes at the point")
+                raise _point_refusal(Z, "is where more than one quadratic factor vanishes: "
+                                        "the contour formulas need exactly one")
             q_series = series
             s_quad = power
         else:
-            raise GeometryError(f"factor vanishes to order {v}; only quadratic cone points "
-                                "and smooth factors are supported")
+            raise _point_refusal(Z, f"is where a factor vanishes to order {v}: the contour "
+                                    "formulas need quadratic cone points and smooth factors")
     if q_series is None and not linear:
         raise SpecError(f"no factor vanishes at the given point "
                         f"({', '.join(map(str, Z))}); it is not on the pole variety")
     if q_series is None:
         raise _point_refusal(Z, "is where only linear factors vanish: the contour formulas "
                                 "need a quadratic factor")
-    q_matrix, flipped = classify_quadratic(homogeneous_part(q_series), u)
+    q_matrix, flipped = _fit_or_refuse(Z, classify_quadratic, homogeneous_part(q_series), u)
     dual, det = _gauss_jordan(q_matrix)
     return QuadraticPointData(
         arity=spec.arity,
@@ -377,6 +379,17 @@ def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence,
 def _point_refusal(Z: Sequence, why: str) -> RefusalError:
     """A refusal that names the point Z, in its message and its diagnostics."""
     return RefusalError(f"point ({', '.join(map(str, Z))}) {why}", {"point": list(map(str, Z))})
+
+
+def _fit_or_refuse(Z: Sequence, fit, h: MultiPoly, u: Sequence):
+    """fit(h, u), its GeometryError a refusal at Z: the local form is outside
+    the contour formulas.  A singular form (DegenerateError) stays numeric."""
+    try:
+        return fit(h, u)
+    except DegenerateError:
+        raise
+    except GeometryError as e:
+        raise _point_refusal(Z, f"is outside the contour formulas: {e}") from None
 
 
 def _linear_covector(h: MultiPoly, u: Sequence) -> Tuple[object, ...]:

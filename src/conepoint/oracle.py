@@ -73,23 +73,19 @@ class QuasiRationalSpec(Record):
 
     cone_direction_u is a reference direction interior to the
     series-convergence component (componentwise <= 0, e.g. (-1,...,-1) for
-    an ordinary power series).  laurent_shift records monomial
-    normalization: coefficients of the original function at r equal this
-    spec's coefficients at r + laurent_shift.
+    an ordinary power series).  Laurent specs need no normalization: the
+    sweeps expand them as given, graded along -cone_direction_u.
     """
 
-    __slots__ = _fields = ("arity", "numerator", "factors", "cone_direction_u",
-                           "laurent_shift", "name")
+    __slots__ = _fields = ("arity", "numerator", "factors", "cone_direction_u", "name")
 
     def __init__(self, arity: int, numerator: MultiPoly,
                  factors: Tuple[Tuple[MultiPoly, object], ...],
-                 cone_direction_u: Tuple[object, ...],
-                 laurent_shift: Optional[Tuple[int, ...]] = None, name: str = ""):
+                 cone_direction_u: Tuple[object, ...], name: str = ""):
         self.arity = arity
         self.numerator = numerator
         self.factors = factors
         self.cone_direction_u = cone_direction_u
-        self.laurent_shift = laurent_shift
         self.name = name
         self.__post_init__()
 
@@ -102,15 +98,11 @@ class QuasiRationalSpec(Record):
                 raise SpecError("factor arity mismatch")
             if poly.is_zero():
                 raise SpecError("zero polynomial factor")
-            if power == 0:
-                raise SpecError("factor powers must be nonzero")
+            if power == 0 or isinstance(power, complex):
+                raise SpecError("factor powers must be nonzero reals")
             facs.append((poly, power))
         self.factors = tuple(facs)
         self.cone_direction_u = tuple(self.cone_direction_u)
-        if self.laurent_shift is None:
-            self.laurent_shift = (0,) * self.arity
-        else:
-            self.laurent_shift = tuple(int(e) for e in self.laurent_shift)
 
     def all_integer_powers(self) -> bool:
         return all(_as_int(p) is not None and _as_int(p) > 0 for _, p in self.factors)
@@ -140,42 +132,6 @@ def grading_vector(u: Sequence, arity: int) -> Tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def normalize_laurent(spec: QuasiRationalSpec) -> QuasiRationalSpec:
-    """Clear negative exponents factor by factor with minimal monomials.
-
-    Each factor (and the numerator) is multiplied by the smallest monomial
-    making its exponents nonnegative; the accumulated monomial is recorded
-    in laurent_shift so that original coefficients at r are the normalized
-    spec's coefficients at r + laurent_shift.  A factor that needs a shift
-    while carrying a non-integer power is rejected (the shifted spec would
-    not be quasirational).
-    """
-    kappa = [0] * spec.arity
-    new_factors = []
-    for poly, power in spec.factors:
-        lo = poly.min_exponents()
-        sigma = tuple(max(0, -e) for e in lo)
-        if any(sigma):
-            n = _as_int(power)
-            if n is None:
-                raise SpecError("fractional power on a factor with negative exponents "
-                                "is unsupported")
-            for i in range(spec.arity):
-                kappa[i] -= n * sigma[i]
-            poly = poly.shift(sigma)
-        new_factors.append((poly, power))
-    lo = spec.numerator.min_exponents()
-    sigma_p = tuple(max(0, -e) for e in lo)
-    numer = spec.numerator
-    if any(sigma_p):
-        numer = numer.shift(sigma_p)
-        for i in range(spec.arity):
-            kappa[i] += sigma_p[i]
-    shift = tuple(k + s for k, s in zip(kappa, spec.laurent_shift))
-    return QuasiRationalSpec(spec.arity, numer, tuple(new_factors), spec.cone_direction_u,
-                             shift, spec.name)
-
-
 class CoeffTable(Record):
     """Graded coefficient table: value_at(r) is the series coefficient at r.
 
@@ -183,13 +139,13 @@ class CoeffTable(Record):
     index, level by level, to a scaled int, and runs holds one
     (denominator, cell count) pair per level, keyed by the level, in the
     same order; the value before scale is the int over its level's
-    denominator.  A denominator of None means the values are kept as they
-    are: the doubles of specs with float coefficients or powers, or
-    Fractions already built.  A value becomes a canonical Fraction only
-    where it is read: value_at builds one, and the first read of values
-    converts every cell in place; the printers in specio read the cells and
-    runs and build none unless scale is complex.  scale is the only
-    possibly irrational part, coming from fractional powers of non-unit
+    denominator.  A denominator of None means the cells are the values
+    themselves, as specs with inexact coefficients or powers compute them.
+    A value becomes a canonical Fraction only where it is read: value_at
+    builds one, and each read of values builds a new dict of them, so the
+    table never changes after the sweep; the printers in specio read the
+    cells and runs and build none unless scale is complex.  scale is the
+    only possibly irrational part, coming from fractional powers of non-unit
     constant terms.  A table is complete for every index r with
     0 <= grading_w . r <= max_level (for expand_box, every such index
     inside the box).
@@ -217,23 +173,14 @@ class CoeffTable(Record):
 
     @property
     def values(self) -> Dict[Exponent, object]:
-        """The cells as values before scale, in cell order.  The first read
-        turns every scaled int into its Fraction in place, and each run's
-        denominator becomes None."""
-        if any(den is not None for den, _ in self.runs.values()):
-            items = iter(self.cells.items())
-            for den, n in self.runs.values():
-                self.cells.update([(m, x if den is None else Fraction(x, den))
-                                   for m, x in islice(items, n)])
-            self.runs = {g: (None, n) for g, (_, n) in self.runs.items()}
-        return self.cells
+        """A new dict of the cells as values before scale, in cell order."""
+        items = iter(self.cells.items())
+        return {m: x if den is None else Fraction(x, den)
+                for den, n in self.runs.values() for m, x in islice(items, n)}
 
     def bounds(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         axes = list(zip(*self.cells)) or [(0,)] * self.arity
         return tuple(map(min, axes)), tuple(map(max, axes))
-
-    def nonzero_items(self):
-        return self.values.items()
 
 
 def _grade_of(m: Exponent, w: Tuple[int, ...]) -> int:

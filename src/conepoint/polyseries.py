@@ -219,11 +219,6 @@ class MultiPoly(_Terms):
         self._check(other)
         return MultiPoly(self.arity, _mul_terms(self.terms, other.terms))
 
-    def shift(self, monomial: Sequence[int]) -> "MultiPoly":
-        """Multiply by the monomial X^monomial (integer exponents)."""
-        mono = tuple(int(e) for e in monomial)
-        return MultiPoly(self.arity, {tuple(map(add, m, mono)): c for m, c in self.terms.items()})
-
     def pow(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative polynomial power")

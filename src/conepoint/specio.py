@@ -45,7 +45,7 @@ def scalar_from_json(obj, where: str = "coeff"):
         raise SpecFormatError(f"{where}: booleans are not scalars")
     if isinstance(obj, (int, float)):
         return float(obj) if isinstance(obj, float) else Fraction(obj)
-    if isinstance(obj, list) and len(obj) == 2:
+    if isinstance(obj, list) and len(obj) == 2 and all(type(x) in (int, float) for x in obj):
         return complex(float(obj[0]), float(obj[1]))
     raise SpecFormatError(f"{where}: unrecognized scalar {obj!r}")
 
@@ -61,10 +61,12 @@ def poly_from_json(arity: int, items, where: str = "poly") -> MultiPoly:
     terms = []
     for i, t in enumerate(items):
         try:
-            exps = [int(e) for e in t["exponents"]]
+            exps = t["exponents"]
             coeff = scalar_from_json(t["coeff"], f"{where}[{i}].coeff")
         except (KeyError, TypeError) as e:
             raise SpecFormatError(f"{where}[{i}]: missing field {e}") from None
+        if not isinstance(exps, list) or any(type(e) is not int for e in exps):
+            raise SpecFormatError(f"{where}[{i}].exponents: expected integers, got {exps!r}")
         if len(exps) != arity:
             raise SpecFormatError(f"{where}[{i}]: exponent length {len(exps)} != arity {arity}")
         terms.append((exps, coeff))
@@ -80,7 +82,6 @@ def spec_to_json(spec: QuasiRationalSpec, points: Optional[Sequence] = None) -> 
         "factors": [{"poly": poly_to_json(poly), "power": scalar_to_json(power)}
                     for poly, power in spec.factors],
         "cone_direction_u": [scalar_to_json(x) for x in spec.cone_direction_u],
-        "laurent_shift": list(spec.laurent_shift),
     }
     if spec.name:
         out["name"] = spec.name
@@ -99,31 +100,36 @@ def spec_from_json(obj: dict) -> QuasiRationalSpec:
         raise SpecFormatError("variables: need at least one")
     numer = poly_from_json(d, obj.get("numerator", [{"coeff": "1", "exponents": [0] * d}]),
                            "numerator")
-    factors = []
-    for i, f in enumerate(obj.get("factors", [])):
+    factors, items = [], obj.get("factors", [])
+    if not isinstance(items, list):
+        raise SpecFormatError("factors: expected a list of factors")
+    for i, f in enumerate(items):
         try:
             poly = poly_from_json(d, f["poly"], f"factors[{i}].poly")
             power = scalar_from_json(f["power"], f"factors[{i}].power")
         except (KeyError, TypeError) as e:
             raise SpecFormatError(f"factors[{i}]: missing field {e}") from None
         factors.append((poly, power))
-    u = obj.get("cone_direction_u", [-1] * d)
-    if len(u) != d:
-        raise SpecFormatError("cone_direction_u: wrong length")
-    u = tuple(scalar_from_json(x, "cone_direction_u") if isinstance(x, str) else x
-              for x in u)
-    shift = obj.get("laurent_shift", [0] * d)
-    return QuasiRationalSpec(d, numer, tuple(factors), u, tuple(int(e) for e in shift),
-                             name=obj.get("name", ""))
+    u = _vector(obj.get("cone_direction_u", [-1] * d), d, "cone_direction_u")
+    if any(isinstance(x, complex) for x in u):
+        raise SpecFormatError("cone_direction_u: the direction must be real")
+    return QuasiRationalSpec(d, numer, tuple(factors), u, name=obj.get("name", ""))
 
 
 def spec_points_from_json(obj: dict) -> Optional[List[tuple]]:
     pts = obj.get("points")
     if pts is None:
         return None
-    return [tuple(scalar_from_json(z, "points") if isinstance(z, str) else
-                  (complex(z[0], z[1]) if isinstance(z, list) else z) for z in Z)
-            for Z in pts]
+    if not isinstance(pts, list):
+        raise SpecFormatError("points: expected a list of points")
+    return [_vector(Z, len(obj["variables"]), f"points[{i}]") for i, Z in enumerate(pts)]
+
+
+def _vector(items, d: int, where: str) -> tuple:
+    """A JSON list of d scalars, each read by scalar_from_json."""
+    if not isinstance(items, list) or len(items) != d:
+        raise SpecFormatError(f"{where}: expected a list of {d} scalars, got {items!r}")
+    return tuple(scalar_from_json(x, f"{where}[{i}]") for i, x in enumerate(items))
 
 
 def canonical_json(obj) -> str:
@@ -140,14 +146,16 @@ def format_value(v, float_digits: Optional[int] = None) -> str:
 
 
 def _table_rows(table: CoeffTable, float_digits: Optional[int], csv: bool) -> list:
-    """The table's CSV lines or JSON coefficients, one per cell in index order.
+    """The table's CSV lines or JSON coefficients, one per cell in index order,
+    built from the cells and runs without reading values.
 
-    A level's cell x is x/den before scale: an exact scale a/b gives
-    x*a/(den*b) in lowest terms, or that int division's correctly rounded
-    float, and a float scale s gives s * (x/den), the double that s times
-    the Fraction gives.  With float digits N, a JSON value is the number
-    that its N digits read back as (17 digits keep every double), and a
-    complex one the pair [re, im] of those."""
+    A level's cell x is x/den before scale (x itself when den is None):
+    an exact scale a/b gives x*a/(den*b) in lowest terms, or that int
+    division's correctly rounded float, and a float scale s gives
+    s * (x/den), the double that s times the Fraction gives.  With float
+    digits N, a JSON value is the number that its N digits read back as
+    (17 digits keep every double), and a complex one the pair [re, im] of
+    those."""
     s = table.scale
     exact = isinstance(s, (int, Fraction))
     a, b = (s.numerator, s.denominator) if exact else (1, 1)
@@ -169,7 +177,7 @@ def _table_rows(table: CoeffTable, float_digits: Optional[int], csv: bool) -> li
     items = iter(table.cells.items())
     for den, n in table.runs.values():
         level = zip(range(n), items)
-        if den is None or isinstance(t, complex):  # value by value, as values reads them
+        if den is None or isinstance(t, complex):
             out += [(m, row(m, value(v if s == 1 else s * v))) for _, (m, x) in level
                     for v in [x if den is None else Fraction(x, den)]]
             continue

@@ -13,4 +13,4 @@ def floated(spec: QuasiRationalSpec) -> QuasiRationalSpec:
     """spec with every coefficient and every power rebuilt as a float."""
     return QuasiRationalSpec(spec.arity, _floated_poly(spec.numerator),
                              tuple((_floated_poly(p), float(s)) for p, s in spec.factors),
-                             spec.cone_direction_u, spec.laurent_shift, spec.name)
+                             spec.cone_direction_u, spec.name)

@@ -216,6 +216,31 @@ class TestRefusals:
                        "contour formulas need a quadratic factor\n"
                        '{"point":["1","2","2"]}\n')
 
+    @pytest.mark.parametrize("kind", ["non-lorentzian", "two-quadratics"])
+    @pytest.mark.parametrize("argv", [("asym", "--r", "10,10,10"),
+                                      ("classify", "--r", "10,10,10"),
+                                      ("compare", "--directions", "10,10,10")], ids=" ".join)
+    def test_point_outside_the_contour_formulas_exit_2(self, capsys, tmp_path, kind, argv):
+        # (X-1)^2 + (Y-1)^2 - (Z-1)^2 has signature (2,1), and fls's factor split
+        # into powers 1/2 and 1/4 puts two quadratic factors through (1, 1, 1);
+        # both exited 4 as numeric failures without naming the point
+        raw = json.loads((SPEC_DIR / "fls.json").read_text())
+        if kind == "non-lorentzian":
+            raw["factors"] = [{"poly": [{"coeff": c, "exponents": e} for c, e in [
+                ("1", [0, 0, 0]), ("-2", [1, 0, 0]), ("-2", [0, 1, 0]), ("2", [0, 0, 1]),
+                ("1", [2, 0, 0]), ("1", [0, 2, 0]), ("-1", [0, 0, 2])]], "power": "1"}]
+            why = "is outside the contour formulas: signature (2,1) is not Lorentzian"
+        else:
+            raw["factors"] = [dict(raw["factors"][0], power=p) for p in ("1/2", "1/4")]
+            why = "is where more than one quadratic factor vanishes"
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(raw))
+        rc, out, err = run(capsys, argv[0], "--spec", str(path), *argv[1:])
+        assert rc == 2 and not out
+        first, diagnostics = err.splitlines()
+        assert first.startswith(f"refused: point (1, 1, 1) {why}")
+        assert json.loads(diagnostics) == {"point": ["1", "1", "1"]}
+
     @staticmethod
     def _complex_point_spec(tmp_path, kind):
         """fls with its point written as the complex 1 + 0j; fls with every
@@ -346,13 +371,15 @@ class TestDeterminismAndErrors:
         assert rc1 == rc2 == 0 and out1 == out2
 
     def test_spec_roundtrip_canonical(self, tmp_path):
-        for name in ("aztec", "fls", "superballot"):
-            raw = (SPEC_DIR / f"{name}.json").read_text()
+        paths = sorted(SPEC_DIR.glob("*.json"))
+        assert len(paths) == 8
+        for path in paths:
+            raw = path.read_text()
             obj = json.loads(raw)
             spec = specio.spec_from_json(obj)
             again = specio.canonical_json(
                 specio.spec_to_json(spec, points=specio.spec_points_from_json(obj)))
-            assert again == raw
+            assert again == raw, path.name
 
     def test_malformed_spec_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -520,7 +547,7 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("query", [("--order", "3"), ("--at", "1,1,1")], ids=" ".join)
     def test_laurent_factor_under_fractional_power_exit_3(self, capsys, tmp_path, query):
-        # the message named normalize_laurent, which a CLI user cannot run
+        # the message told the user to run a library function, which a CLI user cannot
         raw = json.loads((SPEC_DIR / "fls.json").read_text())
         raw["factors"][0]["poly"].append({"coeff": "1", "exponents": [0, -2, 1]})
         path = tmp_path / "fls-laurent.json"
@@ -530,6 +557,38 @@ class TestInputErrors:
         assert err == ("spec error: factors[0]: the term (0, -2, 1) has the negative "
                        "exponent -2; the real-power recurrence needs factors with "
                        "nonnegative exponents\n")
+
+    @pytest.mark.parametrize("where,value,message", [
+        (("factors", 0, "poly", 1, "exponents", 2), 1.5,
+         "factors[0].poly[1].exponents: expected integers, got [0, 0, 1.5]"),
+        (("factors", 0, "poly", 1, "exponents", 2), True,
+         "factors[0].poly[1].exponents: expected integers, got [0, 0, True]"),
+        (("factors",), None, "factors: expected a list of factors"),
+        (("factors", 0, "power"), [0.5, 0], "factor powers must be nonzero reals"),
+        (("cone_direction_u", 2), [1, 0], "cone_direction_u: the direction must be real"),
+        (("points", 0, 1), None, "points[0][1]: unrecognized scalar None"),
+        (("points", 0, 1), True, "points[0][1]: booleans are not scalars"),
+        (("points", 0, 1), [None, 0], "points[0][1]: unrecognized scalar [None, 0]"),
+        (("points", 0), ["1", "1"], "points[0]: expected a list of 3 scalars, got ['1', '1']"),
+    ], ids=["exponent-1.5", "exponent-true", "factors-null", "complex-power",
+            "complex-cone-direction", "point-null", "point-true", "point-complex-null",
+            "point-length"])
+    @pytest.mark.parametrize("argv", [("oracle", "--order", "3"), ("asym", "--r", "10,10,10")],
+                             ids=" ".join)
+    def test_malformed_value_exit_3(self, capsys, tmp_path, where, value, message, argv):
+        # each value was read some other way: 1.5 and true as exponent 1, a point's
+        # true as 1; the null factors, the complex power and direction and the null
+        # coordinates crashed with a traceback, and the short point exited 4
+        raw = json.loads((SPEC_DIR / "fls.json").read_text())
+        *keys, last = where
+        target = raw
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(raw))
+        rc, out, err = run(capsys, argv[0], "--spec", str(path), *argv[1:])
+        assert (rc, out, err) == (3, "", f"spec error: {message}\n")
 
     def test_space_separated_negative_index(self, capsys):
         rc, out, _ = run(capsys, "oracle", "--preset", "aztec", "--at", "-1,1,5")

@@ -34,8 +34,7 @@ HOMES = {
     "polyseries": ("DomainError", "MultiPoly", "NonUnitError", "TruncatedSeries",
                    "log_compose_taylor"),
     "oracle": ("CoeffTable", "NotNormalizedError", "QuasiRationalSpec", "SpecError",
-               "coefficient_at", "empirical_decay", "expand", "expand_box",
-               "normalize_laurent"),
+               "coefficient_at", "empirical_decay", "expand", "expand_box"),
     "localgeo": ("DegenerateError", "DirectionClass", "DirectionTag", "GeometryError",
                  "QuadraticPointData", "SignatureError", "classify_direction",
                  "classify_quadratic", "dual_quadratic", "homogeneous_part",
@@ -150,7 +149,7 @@ def test_cli_forwards_prediction_names_on_first_lookup():
 def test_public_names_are_pinned():
     assert sorted(conepoint.__all__) == sorted(
         [name for names in HOMES.values() for name in names] + list(SUBMODULES))
-    assert len(conepoint.__all__) == 50
+    assert len(conepoint.__all__) == 49
 
 
 def test_each_name_is_its_home_modules_object():

@@ -51,8 +51,7 @@ def transformed(spec: QuasiRationalSpec, lam=LAM, perm=(0, 1, 2)) -> QuasiRation
 
     return QuasiRationalSpec(spec.arity, move(spec.numerator),
                              tuple((move(p), s) for p, s in spec.factors),
-                             permuted(spec.cone_direction_u, perm),
-                             permuted(spec.laurent_shift, perm), spec.name)
+                             permuted(spec.cone_direction_u, perm), spec.name)
 
 
 @pytest.mark.parametrize("name", sorted(DIRECTIONS))

@@ -9,8 +9,7 @@ import pytest
 from conepoint.presets import preset
 from conepoint.polyseries import MultiPoly, TruncatedSeries
 from conepoint.oracle import (NotNormalizedError, QuasiRationalSpec, SpecError,
-                              coefficient_at, empirical_decay, expand, expand_box,
-                              normalize_laurent)
+                              coefficient_at, empirical_decay, expand, expand_box)
 from float_specs import floated
 from references import naive_series
 
@@ -39,51 +38,12 @@ class TestSpecConstruction:
         p2 = mp(2, (1, (0, 0)), (-1, (1, 0)))
         spec = QuasiRationalSpec(2, MultiPoly.const(2, 1), [(p2, 1)], [-1, -1], name="s")
         assert spec.factors == ((p2, 1),) and spec.cone_direction_u == (-1, -1)
-        assert spec.laurent_shift == (0, 0) and spec.name == "s"
-        same = QuasiRationalSpec(2, MultiPoly.const(2, 1), ((p2, 1),), (-1, -1), (0, 0), "s")
-        shifted = QuasiRationalSpec(2, MultiPoly.const(2, 1), ((p2, 1),), (-1, -1), (1, 0), "s")
-        assert spec == same and spec != shifted
+        assert spec.name == "s"
+        same = QuasiRationalSpec(2, MultiPoly.const(2, 1), ((p2, 1),), (-1, -1), "s")
+        renamed = QuasiRationalSpec(2, MultiPoly.const(2, 1), ((p2, 1),), (-1, -1), "t")
+        assert spec == same and spec != renamed
         with pytest.raises(TypeError):
             hash(spec)
-
-
-class TestNormalizeLaurent:
-    def test_aztec_factor_cleared_by_xy(self, aztec):
-        norm = normalize_laurent(aztec.spec)
-        q_norm = norm.factors[0][0]
-        assert q_norm.min_exponents() == (0, 0, 0)
-        # original factor times X Y
-        assert q_norm == aztec.spec.factors[0][0].shift((1, 1, 0))
-        assert norm.laurent_shift == (-1, -1, 0)
-
-    def test_orthant_factor_unchanged(self, cube_grove):
-        norm = normalize_laurent(cube_grove.spec)
-        assert norm.factors == cube_grove.spec.factors
-        assert norm.laurent_shift == (0, 0, 0)
-
-    def test_qrw_factor_cleared(self, qrw):
-        norm = normalize_laurent(qrw.spec)
-        for poly, _ in norm.factors:
-            assert all(e >= 0 for m in poly.terms for e in m)
-        assert all(e >= 0 for m in norm.numerator.terms for e in m)
-
-    def test_shift_consistency_of_coefficients(self):
-        # 1/(2 - 1/X) = -X - 2X^2 - 4X^3 - ...; the normalized factor is 2X - 1
-        f = mp(1, (2, (0,)), (-1, (-1,)))
-        spec = QuasiRationalSpec(1, MultiPoly.const(1, 1), ((f, 1),), (-1,))
-        norm = normalize_laurent(spec)
-        assert norm.factors[0][0] == mp(1, (2, (1,)), (-1, (0,)))
-        assert norm.laurent_shift == (-1,)
-        table = expand(norm, 6)
-        for r in range(1, 6):
-            a_r = table.value_at((r + norm.laurent_shift[0],))
-            assert a_r == -(2 ** (r - 1))
-
-    def test_fractional_power_with_shift_rejected(self):
-        p = mp(2, (1, (0, 0)), (1, (-1, 1)))
-        spec = QuasiRationalSpec(2, MultiPoly.const(2, 1), ((p, HALF),), (0, -1))
-        with pytest.raises(SpecError):
-            normalize_laurent(spec)
 
 
 class TestExpand:
@@ -164,7 +124,9 @@ class TestCoefficientAt:
         monkeypatch.undo()
         assert len(table.cells) == 7661
         assert len(built) < 100, len(built)
+        cells, runs = dict(table.cells), dict(table.runs)
         assert value == table.values[(3, 1, 39)] == Fraction(9151361887, 2 ** 35)
+        assert table.cells == cells and table.runs == runs  # reading values changes nothing
 
 
 class TestOracleInvariants:
@@ -191,7 +153,7 @@ class TestOracleInvariants:
             ns = naive_series(spec, N)
             for m, c in ns.terms.items():
                 assert table.value_at(m) == c, f"trial {trial} at {m}"
-            for m, v in table.nonzero_items():
+            for m, v in table.values.items():
                 assert ns.coeff(m) == v
 
     def test_real_power_recurrence_matches_integer_at_s1(self):
@@ -206,9 +168,9 @@ class TestOracleInvariants:
             spec = QuasiRationalSpec(2, MultiPoly.const(2, 1), ((q, 1),), (-1, -1))
             t_int = expand(spec, 6, engine="integer")
             t_real = expand(spec, 6, engine="real")
-            for m, v in t_int.nonzero_items():
+            for m, v in t_int.values.items():
                 assert t_real.value_at(m) == v
-            for m, v in t_real.nonzero_items():
+            for m, v in t_real.values.items():
                 assert t_int.value_at(m) == t_real.scale * v
 
     def test_scaled_sweeps_on_edge_case_specs(self):
@@ -244,7 +206,7 @@ class TestOracleInvariants:
             ns = naive_series(spec, N)
             for m, c in ns.terms.items():
                 assert table.value_at(m) == c, f"trial {trial} at {m}"
-            for m, v in table.nonzero_items():
+            for m, v in table.values.items():
                 assert type(v) is Fraction
                 assert ns.coeff(m) == table.scale * v, f"trial {trial} at {m}"
 
@@ -266,7 +228,7 @@ class TestOracleInvariants:
             t_int = expand(spec, 6, engine="integer")
             t_real = expand(spec, 6, engine="real")
             assert set(t_int.values) == set(t_real.values), f"trial {trial}"
-            for m, v in t_int.nonzero_items():
+            for m, v in t_int.values.items():
                 assert t_real.value_at(m) == v, f"trial {trial} at {m}"
 
     @pytest.mark.parametrize("u,lo,hi", [((-1,), (2,), (9,)), ((-1, -2), (1, 0), (5, 3))])
@@ -312,7 +274,7 @@ class TestOracleInvariants:
         spec = fls.spec
         N = 6
         table = expand(spec, N)
-        f = TruncatedSeries(3, N, {m: v for m, v in table.nonzero_items()})
+        f = TruncatedSeries(3, N, {m: v for m, v in table.values.items()})
         P = TruncatedSeries.from_poly(spec.numerator, N)
         Q = TruncatedSeries.from_poly(spec.factors[0][0], N)
         s = spec.factors[0][1]
@@ -327,7 +289,7 @@ class TestOracleInvariants:
 
     def test_aztec_parity_and_range(self, aztec):
         table = expand(aztec.spec, 30)
-        for (i, j, n), v in table.nonzero_items():
+        for (i, j, n), v in table.values.items():
             assert (i + j + n) % 2 == 1
             assert 0 <= v <= 1
 
@@ -391,7 +353,7 @@ class TestSerialization:
     def test_float_mode_close_to_exact(self, cube_grove):
         exact = expand(cube_grove.spec, 8)
         approx = expand(floated(cube_grove.spec), 8)
-        for m, v in exact.nonzero_items():
+        for m, v in exact.values.items():
             assert abs(approx.value_at(m) - float(v)) <= 1e-12 * (1 + abs(float(v)))
 
 
