@@ -95,10 +95,7 @@ def expansion_coefficients(p_series: TruncatedSeries, q_series: TruncatedSeries,
     p * q^(-s) = sum c(m,l) y^m qtilde(y)^(-s-l), by binomial re-expansion of the
     remainder of q.  c(m,l) vanishes unless |m| >= 3l; the mapping is complete
     for all |m| - 2l < N."""
-    qt = homogeneous_part(q_series)
-    if qt.total_degree() != 2:
-        raise GeometryError("quadratic factor must vanish to order exactly 2")
-    Rq = q_series - TruncatedSeries.from_poly(qt, q_series.order)
+    Rq = q_series - TruncatedSeries.from_poly(homogeneous_part(q_series), q_series.order)
     entries: Dict[Tuple[Tuple[int, ...], int], object] = {}
     # truncated products are exact within their order, so entries beyond the
     # available local order are simply absent rather than wrong
@@ -195,17 +192,16 @@ def _series_terms(data: QuadraticPointData, N: int) -> Tuple[SeriesOrder, ...]:
 
 def quadratic_asymptotics(data: QuadraticPointData, series: Sequence[SeriesOrder],
                           r: Sequence[int]):
-    """Contribution of a bare quadratic point (no linear factors) at direction r,
-    from the series orders that prepare builds:
-    Z^(-r) sum_l K(s+l) sum_j R_(l,j)(r) qdual(r,r)^(alpha_l - j)."""
-    if data.k != 0:
-        raise GeometryError("quadratic-point series requires k = 0")
-    cls = classify_direction(data, r)
-    if cls.tag is not DirectionTag.InteriorEllipticCone:
-        raise RefusalError(f"direction {tuple(r)} is {cls.tag.value}",
-                           {"class": cls.tag.value, "margin": cls.margin})
+    """Contribution of a bare quadratic point (no linear factors) at a direction r
+    inside its elliptic cone, from the series orders that prepare builds:
+    Z^(-r) sum_l K(s+l) sum_j R_(l,j)(r) qdual(r,r)^(alpha_l - j).  A power s
+    that puts K(s) on a Gamma pole is refused, naming the point."""
     d, s, absdet = data.arity, data.s, data.normalizer_absdet
-    C = cone_constant(s, d, absdet)  # a Gamma pole at s + l would be one at s too
+    try:
+        C = cone_constant(s, d, absdet)  # a Gamma pole at s + l would be one at s too
+    except GammaPoleError as e:
+        raise _point_refusal(data.point_Z, f"has the quadratic to power {s} in {d} variables: "
+                                           f"the constant K(s) meets a {e}", power=str(s))
     zr, qval = z_power_neg(data.point_Z, r), data.dual_eval(r, r)
     return sum((zr * (cone_constant(s + ell, d, absdet) if ell else C)
                 * _power_sum(polys, alpha, r, qval) for ell, alpha, polys in series), 0.0)
@@ -233,33 +229,20 @@ def oriented_double_residue(data: QuadraticPointData):
     return _normalizer(product) / 2
 
 
-def cone_plane_asymptotics(data: QuadraticPointData, r: Sequence[int]):
-    """Leading contribution with one quadratic and one smooth factor (d=3, s=1)."""
-    if data.arity != 3:
-        raise GeometryError("cone-plane formula is three-dimensional")
-    if _as_int(data.s) != 1:
-        raise GeometryError("cone-plane formula needs the quadratic to first power")
-    if data.k != 1 or data.linear_factors[0][1] != 1:
-        raise GeometryError("cone-plane formula needs exactly one simple smooth factor")
+def cone_plane_asymptotics(data: QuadraticPointData, r: Sequence[int], tag: DirectionTag):
+    """Leading contribution of a cone-plane point (d = 3, the quadratic and its one
+    smooth factor to the first power) at a direction r that classify_direction
+    tags InteriorEllipticCone (the arctangent) or InteriorE (the flange).  A
+    vanishing numerator is refused, naming the point."""
     if data.numerator_value == 0:
-        raise RefusalError("numerator vanishes at the point; only a decay bound is available",
-                           {"numerator_valuation": data.numerator_valuation})
-    ell, qll = data.linear_factors[0][0], data.qll
-    cls = classify_direction(data, r)  # refuses an ell inside the closed dual cone
-    res2 = data.residue
-    zr = z_power_neg(data.point_Z, r)
-    pz = data.numerator_value
-    if cls.tag is DirectionTag.InteriorEllipticCone:
-        qrr = data.dual_eval(r, r)
-        qrl = data.dual_eval(r, ell)
-        theta = math.atan2(math.sqrt(float(qrr)) * math.sqrt(-float(qll)), float(qrl))
-        return zr * pz * float(res2) / math.pi * theta, cls
-    if cls.tag is DirectionTag.InteriorE:
-        return zr * pz * float(res2), cls
-    if cls.tag is DirectionTag.OutsideNormalCone:
-        return 0 * zr, cls
-    raise RefusalError(f"direction {tuple(r)} is {cls.tag.value}; no asymptotics on "
-                       "the obstructed arc", {"class": cls.tag.value, "margin": cls.margin})
+        raise _point_refusal(data.point_Z, "has a vanishing numerator: only a decay bound "
+                             "is available", numerator_valuation=data.numerator_valuation)
+    value = z_power_neg(data.point_Z, r) * data.numerator_value * float(data.residue)
+    if tag is DirectionTag.InteriorE:
+        return value
+    theta = math.atan2(math.sqrt(float(data.dual_eval(r, r))) * math.sqrt(-float(data.qll)),
+                       float(data.dual_eval(r, data.linear_factors[0][0])))
+    return value / math.pi * theta
 
 
 # -- smooth (simple-pole) contributions ----------------------------------------------
@@ -322,8 +305,6 @@ def local_degree(spec: QuasiRationalSpec, Z: Sequence):
 def decay_exponent(spec: QuasiRationalSpec, points: Sequence[Tuple[Sequence, object]]) -> float:
     """Upper-bound decay exponent: a_r = O(|Z|^-r |r|^-alpha) with
     alpha = d + max over contributing points of the local degree."""
-    if not points:
-        raise ValueError("need at least one point")
     return float(spec.arity + max(float(deg) for _, deg in points))
 
 
@@ -358,6 +339,9 @@ def _given_or_found(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]
     """points when given; otherwise the singular points of every factor on
     the unit torus, discovered numerically."""
     if points is not None:
+        if not points:
+            raise RefusalError('the spec gives an empty point list: list its points, or '
+                               'leave "points" out to have them found')
         return points
     from .critpoints import find_singular_points
     x = [0.0] * spec.arity
@@ -385,7 +369,9 @@ def prepare(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None
     A point with a complex coordinate is refused, and so is every point of
     a spec with a complex coefficient, since every polynomial of the spec
     enters the local expansion at every point: the formulas are written for
-    real points and real series.
+    real points and real series.  So is a point with a linear factor that is
+    not the cone-plane shape (d = 3, the quadratic and the linear factor each
+    to the first power): no formula covers it.
     Each bare quadratic point keeps the first order_terms orders of its series as one
     polynomial per (order, power offset j), so a direction only evaluates them.
     Order N reads the local series to degree 3N - 3 (c(m, N-1) needs
@@ -403,8 +389,23 @@ def prepare(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None
             raise _point_refusal(Z, "has a complex local expansion: the formulas need real "
                                     "coefficients")
     local = point_data(spec, points, order=max(8, 3 * order_terms - 3))
+    for data in local:
+        if data.k and (data.arity, _as_int(data.s), data.linear_factors[0][1]) != (3, 1, 1):
+            raise _point_refusal(data.point_Z, f"has the quadratic to power {data.s} and a linear "
+                                 f"factor to power {data.linear_factors[0][1]} in {data.arity} "
+                                 "variables: the cone-plane formula needs both powers 1 in 3 "
+                                 "variables")
     return tuple(PreparedPoint(data, _series_terms(data, order_terms) if data.k == 0 else None)
                  for data in local)
+
+
+# the formula each contribution names, by the point's k and the direction's tag; the
+# other pairs, obstructed or indeterminate directions, have none
+_FORMULAS = {(0, DirectionTag.InteriorEllipticCone): "quadratic-point-series",
+             (0, DirectionTag.OutsideNormalCone): "quadratic-point-series",
+             (1, DirectionTag.InteriorEllipticCone): "cone-plane-arctan",
+             (1, DirectionTag.InteriorE): "cone-plane-flange",
+             (1, DirectionTag.OutsideNormalCone): "outside"}
 
 
 def total_asymptotics(spec: QuasiRationalSpec, r: Sequence[int],
@@ -412,56 +413,39 @@ def total_asymptotics(spec: QuasiRationalSpec, r: Sequence[int],
     """Sum the quadratic-point contributions over the critical set.
 
     points are the result of prepare; raw points or None are first given
-    to prepare with its defaults.
-    Directions outside the normal cone at every point yield a zero estimate
-    flagged as exponentially small; obstructed directions raise
-    RefusalError.
+    to prepare with its defaults, which refuses any point that no formula
+    covers.  Each point classifies r once, and its k and that tag pick one
+    formula: inside the normal cone, the series at a bare quadratic point
+    (k = 0) and the arctangent or the flange value at a cone-plane point
+    (k = 1); outside it, a zero contribution.  A direction outside the
+    normal cone at every point yields a zero estimate flagged as
+    exponentially small; an obstructed or indeterminate direction at any
+    point raises RefusalError.
     """
     r = tuple(int(e) for e in r)
-    if points is None or not all(isinstance(p, PreparedPoint) for p in points):
+    if not (points and all(isinstance(p, PreparedPoint) for p in points)):
         points = prepare(spec, points)
     contribs: List[PointContribution] = []
-    notes: List[str] = []
     total = 0
-    any_interior = False
     for pt in points:
-        data = pt.data
-        if data.k == 0:
-            # quadratic_asymptotics classifies r; outside the normal cone its
-            # refusal means an exponentially small contribution
-            try:
-                val = quadratic_asymptotics(data, pt.series, r)
-            except RefusalError as e:
-                if e.diagnostics.get("class") != DirectionTag.OutsideNormalCone.value:
-                    raise
-                val, tag = 0, e.diagnostics["class"]
-            else:
-                tag = DirectionTag.InteriorEllipticCone.value
-                any_interior = True
-                total = total + val
-            contribs.append(PointContribution(data.point_Z, "quadratic-point-series", tag,
-                                              val))
-        elif data.k == 1:
-            val, cls = cone_plane_asymptotics(data, r)
-            tag = ("cone-plane-arctan" if cls.tag is DirectionTag.InteriorEllipticCone
-                   else "cone-plane-flange" if cls.tag is DirectionTag.InteriorE
-                   else "outside")
-            contribs.append(PointContribution(data.point_Z, tag, cls.tag.value, val))
-            if cls.tag is not DirectionTag.OutsideNormalCone:
-                any_interior = True
-                total = total + val
-        else:
-            raise RefusalError("more than one smooth factor through a quadratic point "
-                               "is unsupported", {"k": data.k})
-    if not any_interior:
-        notes.append("direction outside every normal cone: coefficients are "
-                     "exponentially small")
-        tag = "exponential-decay"
+        data, (tag, margin) = pt.data, classify_direction(pt.data, r)
+        if (data.k, tag) not in _FORMULAS:
+            raise _point_refusal(data.point_Z, f"sees direction {r} as {tag.value}: no formula "
+                                 "holds there", **{"class": tag.value, "margin": margin})
+        val = 0
+        if tag is not DirectionTag.OutsideNormalCone:
+            val = (quadratic_asymptotics(data, pt.series, r) if data.k == 0
+                   else cone_plane_asymptotics(data, r, tag))
+            total = total + val
+        contribs.append(PointContribution(data.point_Z, _FORMULAS[data.k, tag], tag.value, val))
+    notes: Tuple[str, ...] = ()
+    if all(c.direction_class == DirectionTag.OutsideNormalCone.value for c in contribs):
+        notes = ("direction outside every normal cone: coefficients are exponentially small",)
+        formula = "exponential-decay"
     else:
-        tag = contribs[0].formula if len({c.formula for c in contribs if c.value != 0}) <= 1 \
-            else "mixed"
-    alpha = (decay_exponent(spec, [(pt.data.point_Z, pt.data.degree) for pt in points])
-             if points else float(spec.arity))
+        formula = contribs[0].formula \
+            if len({c.formula for c in contribs if c.value != 0}) <= 1 else "mixed"
+    alpha = decay_exponent(spec, [(pt.data.point_Z, pt.data.degree) for pt in points])
     if isinstance(total, complex) and abs(total.imag) < 1e-12 * (1 + abs(total)):
         total = total.real
-    return AsymptoticEstimate(r, total, alpha, tuple(contribs), tag, tuple(notes))
+    return AsymptoticEstimate(r, total, alpha, tuple(contribs), formula, notes)

@@ -242,8 +242,6 @@ def _grid(args, spec, prepared: Sequence[PreparedPoint]) -> List[Tuple[int, ...]
     """The integer points of the slices r = (floor(lam_1 t), ...,
     floor(lam_{d-1} t), t) that lie well inside the dual cone of the first
     prepared point."""
-    if not prepared:
-        raise specio.SpecFormatError("a slice grid needs a point; give --directions")
     data = prepared[0].data
     lam_lo, lam_hi = args.lambda_min, args.lambda_max
     if lam_lo is None:
@@ -290,7 +288,7 @@ def _cmd_compare(args) -> int:
             cls = e.diagnostics.get("class", "refused")
             lines.append(",".join(map(str, r)) + f",{oracle_v!r},,,{cls}")
             continue
-        pred, cls = est.value, est.per_point[0].direction_class if est.per_point else "?"
+        pred, cls = est.value, est.per_point[0].direction_class
         pred_f = float(pred.real if isinstance(pred, complex) else pred)
         if oracle_v == 0.0 and pred_f == 0.0:
             rel = 0.0

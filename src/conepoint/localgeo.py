@@ -310,8 +310,8 @@ def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence,
 
     Factors are split by their vanishing degree at Z: nonvanishing factors
     are absorbed into the numerator, degree-1 factors become linear
-    covectors (sign-fixed against the cone direction), and exactly one
-    degree-2 factor supplies the Lorentzian quadratic; a point that breaks
+    covectors (sign-fixed against the cone direction; at most one), and exactly
+    one degree-2 factor supplies the Lorentzian quadratic; a point that breaks
     these rules is refused by name, but a singular quadratic raises
     DegenerateError.  A factor with float coefficients vanishes to the
     degree its expansion shows once terms of degree below 2 within TOL of
@@ -339,8 +339,9 @@ def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence,
         elif v == 1:
             n = _as_int(power)
             if n is None or n < 1:
-                raise RefusalError(f"linear factor with power {power}: the contour formulas "
-                                   "need a positive integer power", {"power": str(power)})
+                raise _point_refusal(Z, f"has a linear factor with power {power}: the contour "
+                                        "formulas need a positive integer power",
+                                     power=str(power))
             linear.append((_fit_or_refuse(Z, _linear_covector, homogeneous_part(series), u), n))
         elif v == 2:
             if q_series is not None:
@@ -357,6 +358,9 @@ def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence,
     if q_series is None:
         raise _point_refusal(Z, "is where only linear factors vanish: the contour formulas "
                                 "need a quadratic factor")
+    if len(linear) > 1:
+        raise _point_refusal(Z, "is where more than one linear factor vanishes: the contour "
+                                "formulas need at most one")
     q_matrix, flipped = _fit_or_refuse(Z, classify_quadratic, homogeneous_part(q_series), u)
     dual, det = _gauss_jordan(q_matrix)
     return QuadraticPointData(
@@ -376,9 +380,10 @@ def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence,
     )
 
 
-def _point_refusal(Z: Sequence, why: str) -> RefusalError:
+def _point_refusal(Z: Sequence, why: str, **diagnostics) -> RefusalError:
     """A refusal that names the point Z, in its message and its diagnostics."""
-    return RefusalError(f"point ({', '.join(map(str, Z))}) {why}", {"point": list(map(str, Z))})
+    return RefusalError(f"point ({', '.join(map(str, Z))}) {why}",
+                        {"point": list(map(str, Z)), **diagnostics})
 
 
 def _fit_or_refuse(Z: Sequence, fit, h: MultiPoly, u: Sequence):
@@ -422,11 +427,10 @@ def classify_direction(data: QuadraticPointData, r: Sequence) -> DirectionClass:
     linear factor, directions outside the elliptic cone may still be
     reachable as r = lambda*ell + w with w interior to the cone; whether
     the concave quadratic lambda -> q*(r - lambda*ell) admits such a
-    lambda is decided in closed form.  Within TOL of any decision surface
-    the answer is Indeterminate rather than a guess.
+    lambda is decided in closed form (quadratic_point_data refuses a point
+    with more).  Within TOL of any decision surface the answer is
+    Indeterminate rather than a guess.
     """
-    if data.k > 1:
-        raise GeometryError("direction classification supports at most one linear factor")
     r = tuple(r)
     u = data.cone_direction_u
     rn2 = float(sum(float(x) * float(x) for x in r))
@@ -450,9 +454,9 @@ def classify_direction(data: QuadraticPointData, r: Sequence) -> DirectionClass:
     ln2 = sum(float(x) * float(x) for x in ell)
     qll = data.qll
     if float(qll) >= -TOL * ln2:
-        raise RefusalError("linear factor lies inside the closed dual cone; the "
-                           "intersection points are not real and distinct",
-                           {"dual_ll": str(qll)})
+        raise _point_refusal(data.point_Z, "has a linear factor inside the closed dual cone: "
+                                           "the intersection lines are not real and distinct",
+                             dual_ll=str(qll))
     qrl = data.dual_eval(r, ell)
     if inside:
         return DirectionClass(DirectionTag.InteriorEllipticCone, float(qrr) / rn2)

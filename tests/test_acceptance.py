@@ -13,7 +13,7 @@ from fractions import Fraction
 from conepoint.polyseries import MultiPoly
 from conepoint.oracle import (QuasiRationalSpec, coefficient_at, empirical_decay,
                               expand, expand_box)
-from conepoint.localgeo import dual_quadratic, quadratic_point_data
+from conepoint.localgeo import DirectionTag, dual_quadratic, quadratic_point_data
 from conepoint.critpoints import find_smooth_critical
 from conepoint.asympt import (cone_constant, cone_plane_asymptotics, oriented_double_residue,
                               prepare, smooth_asymptotics, total_asymptotics)
@@ -255,7 +255,7 @@ def test_criterion_09_property_suites(fls, aztec, scoreboard):
         assert all(table.value_at(mm) == c for mm, c in ns.terms.items())
     # arctan branch continuity: exactly pi/2 on the crossing surface
     data_a = quadratic_point_data(aztec.spec, (1, 1, 1))
-    val, _ = cone_plane_asymptotics(data_a, (0, 10000, 20000))
+    val = cone_plane_asymptotics(data_a, (0, 10000, 20000), DirectionTag.InteriorEllipticCone)
     theta = val * math.pi / (0.5 * 1.0)
     assert abs(theta - math.pi / 2) <= 1e-9
     # d=3, s=1 constant reduction

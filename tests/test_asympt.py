@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from conepoint.polyseries import MultiPoly, TruncatedSeries
-from conepoint.localgeo import DirectionTag, quadratic_point_data
+from conepoint.localgeo import DirectionTag, classify_direction, quadratic_point_data
 from conepoint.critpoints import CriticalPoint, find_smooth_critical
 from conepoint import asympt, localgeo, polyseries
-from conepoint.asympt import (GammaPoleError, RefusalError, cone_constant,
+from conepoint.asympt import (GammaPoleError, PreparedPoint, RefusalError, cone_constant,
                               cone_plane_asymptotics, decay_exponent,
                               expansion_coefficients, local_degree,
                               oriented_double_residue, prepare, quadratic_asymptotics,
@@ -190,63 +190,77 @@ class TestDoubleResidue:
                 assert all(abs(abs(v) - res) <= 1e-13 * res for v in vals)
 
 
+def cone_plane(data, r):
+    """The cone-plane contribution at r, for the tag classify_direction gives r."""
+    return cone_plane_asymptotics(data, r, classify_direction(data, r).tag)
+
+
 class TestConePlane:
     def test_aztec_axis_value(self, aztec):
         data = quadratic_point_data(aztec.spec, (1, 1, 1))
-        val, cls = cone_plane_asymptotics(data, (0, 0, 9))
-        assert cls.tag is DirectionTag.InteriorEllipticCone
-        assert abs(val - 0.125) < 1e-15
+        tag = classify_direction(data, (0, 0, 9)).tag
+        assert tag is DirectionTag.InteriorEllipticCone
+        assert abs(cone_plane_asymptotics(data, (0, 0, 9), tag) - 0.125) < 1e-15
 
     def test_grove_center_value(self, cube_grove):
         data = quadratic_point_data(cube_grove.spec, (1, 1, 1))
-        val, _ = cone_plane_asymptotics(data, (7, 7, 7))
-        assert abs(val - 1 / 3) < 1e-14
+        assert abs(cone_plane(data, (7, 7, 7)) - 1 / 3) < 1e-14
 
     def test_angle_is_right_angle_on_crossing_surface(self, aztec):
         data = quadratic_point_data(aztec.spec, (1, 1, 1))
         # q*(r, ell) = t - 2s = 0 with q*(r,r) > 0: angle pi/2, value P Res2 / 2
-        val, _ = cone_plane_asymptotics(data, (1, 10, 20))
-        assert abs(val - 0.5 * 0.5) < 1e-14
+        assert abs(cone_plane(data, (1, 10, 20)) - 0.5 * 0.5) < 1e-14
 
     def test_arctan_branch_continuity(self, aztec):
         data = quadratic_point_data(aztec.spec, (1, 1, 1))
         # walk across the crossing surface q*(r,ell) = 0 (s = t/2) inside the cone
-        vals = []
-        for s in (9998, 9999, 10000, 10001, 10002):
-            val, _ = cone_plane_asymptotics(data, (1, s, 20000))
-            vals.append(val)
+        vals = [cone_plane(data, (1, s, 20000)) for s in (9998, 9999, 10000, 10001, 10002)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert vals[-1] - vals[0] < 1e-3  # continuous, no branch jump
-        mid, _ = cone_plane_asymptotics(data, (0, 10000, 20000))
+        mid = cone_plane(data, (0, 10000, 20000))
         # exactly the right angle there: value = P(Z) Res2 / 2
         assert abs(mid - 0.5 * 1.0 / 2) < 1e-9
 
     def test_covector_inside_dual_cone_refused(self, aztec):
+        # the classification that picks the formula refuses the point, by name
         data = quadratic_point_data(aztec.spec, (1, 1, 1))
         inside = replaced(data, linear_factors=(((0, 0, 1), 1),))
         with pytest.raises(RefusalError) as err:
-            cone_plane_asymptotics(inside, (0, 0, 9))
-        assert err.value.diagnostics == {"dual_ll": "1"}
+            total_asymptotics(aztec.spec, (0, 0, 9), points=[PreparedPoint(inside, None)])
+        assert err.value.diagnostics == {"dual_ll": "1", "point": ["1", "1", "1"]}
         with pytest.raises(localgeo.GeometryError, match="not real and distinct"):
             oriented_double_residue(inside)
 
     def test_obstructed_refusal(self, aztec):
-        data = quadratic_point_data(aztec.spec, (1, 1, 1))
-        with pytest.raises(RefusalError):
-            cone_plane_asymptotics(data, (0, 5, math.sqrt(50)))
+        # 2 r^2 + 2 s^2 = t^2 with q*(r, ell) = t - 2s < 0: on the obstructed arc
+        points = prepare(aztec.spec, [(1, 1, 1)])
+        with pytest.raises(RefusalError) as err:
+            total_asymptotics(aztec.spec, (1, 7, 10), points=points)
+        assert err.value.diagnostics == {"class": "ObstructedBoundary", "margin": 0.0,
+                                         "point": ["1", "1", "1"]}
+
+    def test_vanishing_numerator_refused(self, cube_grove):
+        data = quadratic_point_data(cube_grove.spec, (1, 1, 1))
+        zero = replaced(data, numerator_value=0)
+        for tag in (DirectionTag.InteriorEllipticCone, DirectionTag.InteriorE):
+            with pytest.raises(RefusalError) as err:
+                cone_plane_asymptotics(zero, (7, 7, 7), tag)
+            assert str(err.value).startswith("point (1, 1, 1) has a vanishing numerator")
+            assert err.value.diagnostics == {"numerator_valuation": 0,
+                                             "point": ["1", "1", "1"]}
 
     def test_scale_invariance_of_value(self, cube_grove):
         # replacing q by lam q (and the implied dual change) leaves the
         # arctan argument and the residue-numerator combination unchanged
         data = quadratic_point_data(cube_grove.spec, (1, 1, 1))
         lam = Fraction(5, 2)
-        v1, _ = cone_plane_asymptotics(data, (3, 4, 5))
+        v1 = cone_plane(data, (3, 4, 5))
         # data.residue is cached by now; the copy must recompute it
         scaled = replaced(
             data, q_matrix=tuple(tuple(lam * x for x in row) for row in data.q_matrix),
             dual_matrix=tuple(tuple(x / lam for x in row) for row in data.dual_matrix),
             numerator_value=data.numerator_value * lam)
-        v2, _ = cone_plane_asymptotics(scaled, (3, 4, 5))
+        v2 = cone_plane(scaled, (3, 4, 5))
         assert abs(v1 - v2) < 1e-13 * abs(v1)
 
 
@@ -373,13 +387,21 @@ class TestTotals:
         assert est.value == 0.0
         assert est.formula_tag == "exponential-decay"
 
-    def test_quadratic_requires_interior(self, superballot_core):
+    def test_quadratic_requires_interior(self, monkeypatch, superballot_core):
+        # the series is written for directions inside the elliptic cone, so
+        # total_asymptotics classifies first and never evaluates it outside
         pt, = prepare(superballot_core.spec, [(1, 1, 1)])
-        with pytest.raises(RefusalError) as err:
-            quadratic_asymptotics(pt.data, pt.series, (1, 0, 0))
-        assert str(err.value) == "direction (1, 0, 0) is OutsideNormalCone"
-        assert err.value.diagnostics["class"] == "OutsideNormalCone"
-        assert err.value.diagnostics["margin"] < 0
+        cls = classify_direction(pt.data, (1, 0, 0))
+        assert cls.tag is DirectionTag.OutsideNormalCone and cls.margin < 0
+
+        def series(*args):
+            raise AssertionError("the series evaluated outside the elliptic cone")
+
+        monkeypatch.setattr(asympt, "quadratic_asymptotics", series)
+        est = total_asymptotics(superballot_core.spec, (1, 0, 0), points=[pt])
+        assert est.value == 0 and est.formula_tag == "exponential-decay"
+        assert [(c.direction_class, c.value) for c in est.per_point] == \
+            [("OutsideNormalCone", 0)]
 
     def test_superballot_prediction(self, superballot_core):
         est = total_asymptotics(superballot_core.spec, (10, 20, 30), points=[(1, 1, 1)])

@@ -162,15 +162,18 @@ class TestRefusals:
     def test_superballot_linear_square_root_factor(self, capsys, argv):
         rc, out, err = run(capsys, argv[0], "--preset", "superballot", *argv[1:])
         assert rc == 2 and not out
-        assert err.startswith("refused: linear factor with power 1/2:")
-        assert json.loads(err.splitlines()[1]) == {"power": "1/2"}
+        assert err.startswith("refused: point (1/2, 1/2, 1/2) has a linear factor with power "
+                              "1/2:")
+        assert json.loads(err.splitlines()[1]) == {"point": ["1/2", "1/2", "1/2"],
+                                                   "power": "1/2"}
 
     def test_qrw2d_linear_factor_inside_dual_cone(self, capsys):
         # the point is outside the contour formulas; this exited 4 as a numeric failure
         rc, out, err = run(capsys, "classify", "--preset", "qrw2d", "--r", "5,6,7")
         assert rc == 2 and not out
-        assert err.startswith("refused: linear factor lies inside the closed dual cone")
-        assert json.loads(err.splitlines()[1]) == {"dual_ll": "1"}
+        assert err.startswith("refused: point (1, 1, 1) has a linear factor inside the closed "
+                              "dual cone")
+        assert json.loads(err.splitlines()[1]) == {"dual_ll": "1", "point": ["1", "1", "1"]}
 
     @pytest.mark.parametrize("command", ["asym", "classify"])
     def test_aztec_with_linear_factor_inside_dual_cone(self, capsys, tmp_path, command):
@@ -183,8 +186,58 @@ class TestRefusals:
         path.write_text(json.dumps(raw))
         rc, out, err = run(capsys, command, "--spec", str(path), "--r", "1,2,9")
         assert rc == 2 and not out
-        assert err.startswith("refused: linear factor lies inside the closed dual cone")
-        assert json.loads(err.splitlines()[1]) == {"dual_ll": "1"}
+        assert err.startswith("refused: point (1, 1, 1) has a linear factor inside the closed "
+                              "dual cone")
+        assert json.loads(err.splitlines()[1]) == {"dual_ll": "1", "point": ["1", "1", "1"]}
+
+    # cube_grove times 1/(1 - X) puts two linear factors through (1, 1, 1), which no
+    # formula covers, so classify refuses it too; with either of its factors squared
+    # the point is a k = 1 point that is not the cone-plane shape, which classify
+    # still reports.  Each exited 4 (or 0 from compare, with refused rows).
+    @pytest.mark.parametrize("shape,why,classified", [
+        ("two-linear", "is where more than one linear factor vanishes", False),
+        ("quadratic-squared", "has the quadratic to power 2 and a linear factor to power 1 "
+                              "in 3 variables: the cone-plane formula needs", True),
+        ("linear-squared", "has the quadratic to power 1 and a linear factor to power 2 "
+                           "in 3 variables: the cone-plane formula needs", True),
+    ])
+    @pytest.mark.parametrize("argv", [("asym", "--r", "5,6,7"), ("classify", "--r", "5,6,7"),
+                                      ("compare", "--directions", "5,6,7;7,7,7"),
+                                      ("compare", "--t-list", "9")], ids=" ".join)
+    def test_point_no_formula_covers_exit_2(self, capsys, tmp_path, shape, why, classified,
+                                            argv):
+        raw = json.loads((SPEC_DIR / "cube_grove.json").read_text())
+        if shape == "two-linear":
+            raw["factors"].append({"poly": [{"coeff": "1", "exponents": [0, 0, 0]},
+                                            {"coeff": "-1", "exponents": [1, 0, 0]}],
+                                   "power": "1"})
+        else:
+            raw["factors"][{"linear-squared": 0, "quadratic-squared": 1}[shape]]["power"] = "2"
+        path = tmp_path / f"grove-{shape}.json"
+        path.write_text(json.dumps(raw))
+        rc, out, err = run(capsys, argv[0], "--spec", str(path), *argv[1:])
+        if argv[0] == "classify" and classified:
+            assert rc == 0 and not err
+            assert json.loads(out)["points"][0]["class"] == "InteriorEllipticCone"
+            return
+        assert rc == 2 and not out
+        assert err.startswith(f"refused: point (1, 1, 1) {why}")
+        assert json.loads(err.splitlines()[1]) == {"point": ["1", "1", "1"]}
+
+    @pytest.mark.parametrize("argv", [("asym", "--r", "5,6,7"), ("classify", "--r", "5,6,7"),
+                                      ("compare", "--directions", "5,6,7"),
+                                      ("compare", "--t-list", "5")], ids=" ".join)
+    def test_empty_point_list_exit_2(self, capsys, tmp_path, argv):
+        # "points": [] is not "find the points": asym answered exponential-decay from
+        # no point at all, and a slice grid exited 3 for want of a point
+        raw = json.loads((SPEC_DIR / "superballot-core.json").read_text())
+        raw["points"] = []
+        path = tmp_path / "core.json"
+        path.write_text(json.dumps(raw))
+        rc, out, err = run(capsys, argv[0], "--spec", str(path), *argv[1:])
+        assert rc == 2 and not out
+        assert err == ('refused: the spec gives an empty point list: list its points, or '
+                       'leave "points" out to have them found\n')
 
 
     @pytest.mark.parametrize("command", ["asym", "classify"])
@@ -395,9 +448,10 @@ class TestDeterminismAndErrors:
             assert rc == 3, path
             assert err.startswith("spec error:"), path
 
-    def test_gamma_pole_exit_4(self, tmp_path, capsys):
-        # s + 1 - d/2 = 0 is a pole of the constant, refused only on a direction
-        # that reaches it: outside the normal cone the estimate is exponential decay
+    def test_gamma_pole_refused_exit_2(self, tmp_path, capsys):
+        # s + 1 - d/2 = 0 is a pole of the constant, refused (it exited 4) only on a
+        # direction that reaches it: outside the normal cone the estimate is
+        # exponential decay
         spec = {
             "variables": ["X", "Y", "Z"],
             "numerator": [{"coeff": "1", "exponents": [0, 0, 0]}],
@@ -415,12 +469,19 @@ class TestDeterminismAndErrors:
         path = tmp_path / "pole.json"
         path.write_text(json.dumps(spec))
         for terms in ("1", "3"):
-            rc, _, err = run(capsys, "asym", "--spec", str(path), "--r", "5,5,5", "--terms", terms)
-            assert rc == 4, terms
-            assert "numeric failure" in err
+            rc, out, err = run(capsys, "asym", "--spec", str(path), "--r", "5,5,5",
+                               "--terms", terms)
+            assert rc == 2 and not out, terms
+            assert err == ("refused: point (1, 1, 1) has the quadratic to power 1/2 in 3 "
+                           "variables: the constant K(s) meets a gamma pole at 0.0\n"
+                           '{"point":["1","1","1"],"power":"1/2"}\n')
             rc, out, err = run(capsys, "asym", "--spec", str(path), "--r", "1,0,0", "--terms", terms)
             assert rc == 2 and not err, terms
             assert json.loads(out)["formula"] == "exponential-decay"
+        rc, out, _ = run(capsys, "compare", "--spec", str(path), "--directions", "5,5,5;1,0,0")
+        assert rc == 0
+        assert [row.split(",")[-1] for row in out.splitlines()[1:3]] == \
+            ["OutsideNormalCone", "refused"]
 
     def test_generic_spec_discovers_points(self, tmp_path, capsys):
         # spec JSON with no 'points' field: the singular point is found numerically
@@ -503,15 +564,6 @@ class TestInputErrors:
             rc, out, err = run(capsys, *argv)
             assert rc == 3 and not out, argv
             assert "3 variables" in err
-
-    def test_slice_grid_without_points_exit_3(self, capsys, tmp_path):
-        raw = json.loads((SPEC_DIR / "superballot-core.json").read_text())
-        raw["points"] = []
-        path = tmp_path / "core.json"
-        path.write_text(json.dumps(raw))
-        rc, out, err = run(capsys, "compare", "--spec", str(path), "--t-list", "5")
-        assert rc == 3 and not out
-        assert "--directions" in err
 
     @pytest.mark.parametrize("terms", ["0", "-1"])
     def test_nonpositive_terms_exit_3(self, capsys, terms):

@@ -14,6 +14,11 @@ search would take most of the time this test has.  Whatever the spec,
   or `numeric failure: ` (`asym` also exits 2, with its estimate on stdout,
   for a direction outside every normal cone);
 * on exit 0, stdout parses as what the command prints.
+
+A second draw puts a Lorentzian quadratic and one or two linear factors
+through (1, ..., 1), each to a drawn power, in 2 or 3 variables: the point
+shapes that no formula covers, and that exited 4 before they were refused
+by name.  The prediction commands on those never exit 4.
 """
 
 import contextlib
@@ -105,12 +110,29 @@ def specs(draw):
 
 
 @st.composite
-def commands(draw, d):
+def cone_point_specs(draw):
+    """A Lorentzian quadratic and one or two linear factors sum_i w_i (X_i - 1) through
+    (1, ..., 1), each to a drawn power."""
+    d = draw(st.integers(2, 3))
+    factors = [{"poly": specio.poly_to_json(draw(lorentzian(d))), "power": draw(POWER)}]
+    for _ in range(draw(st.integers(1, 2))):
+        w = draw(st.tuples(*[st.integers(-2, 2)] * d).filter(any))
+        ell = MultiPoly.from_terms(d, [((0,) * d, Fraction(-sum(w)))] + [
+            (tuple(int(i == j) for i in range(d)), Fraction(x)) for j, x in enumerate(w)])
+        factors.append({"poly": specio.poly_to_json(ell), "power": draw(POWER)})
+    return {"variables": ["X", "Y", "Z"][:d], "factors": factors,
+            "numerator": specio.poly_to_json(draw(polys(d, False))), "points": [["1"] * d]}
+
+
+@st.composite
+def commands(draw, d, predict=False):
+    """A command line; predict keeps to asym, classify and compare."""
     def vec(lo, hi):
         return ",".join(map(str, draw(st.tuples(*[st.integers(lo, hi)] * d).filter(any))))
 
     digits = draw(st.sampled_from([(), ("--float",), ("--float", "3")]))
-    kind = draw(st.sampled_from(["order", "at", "asym", "classify", "compare"]))
+    kinds = ["order", "at", "asym", "classify", "compare"]
+    kind = draw(st.sampled_from(kinds[2:] if predict else kinds))
     if kind == "order":
         fmt = draw(st.sampled_from([(), ("--format", "json")]))
         return ["oracle", "--order", str(draw(st.integers(0, 4))), *fmt, *digits]
@@ -154,9 +176,9 @@ def _check_stdout(argv, out, arity):
 
 
 @st.composite
-def cases(draw):
-    raw = draw(specs())
-    return raw, draw(commands(len(raw["variables"])))
+def cases(draw, spec_strategy=specs(), predict=False):
+    raw = draw(spec_strategy)
+    return raw, draw(commands(len(raw["variables"]), predict))
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +196,42 @@ def spec_path(tmp_path_factory):
 @example((LINEAR_ONLY, ["classify", "--r", "10,10,10"]))
 @example((FLS, ["oracle", "--order", "1", "--format", "json", "--float", "3"]))
 def test_every_input_gets_an_answer_or_a_refusal(spec_path, case):
-    raw, argv = case
+    _check_contract(spec_path, *case)
+
+
+def _grove(squared=None, extra=()):
+    """specs/cube_grove.json with its factor number squared to power 2 and the
+    extra factors appended."""
+    raw = json.loads((SPEC_DIR / "cube_grove.json").read_text())
+    if squared is not None:
+        raw["factors"][squared]["power"] = "2"
+    raw["factors"] += extra
+    return raw
+
+
+X_MINUS_ONE = {"poly": [{"coeff": "1", "exponents": [0, 0, 0]},
+                        {"coeff": "-1", "exponents": [1, 0, 0]}], "power": "1"}
+PLANE_2D = {"variables": ["X", "Y"], "numerator": [{"coeff": "1", "exponents": [0, 0]}],
+            "points": [["1", "1"]], "factors": [
+                {"poly": [{"coeff": c, "exponents": m} for c, m in [  # (X-1)^2 - 2(Y-1)^2
+                    ("-1", [0, 0]), ("-2", [1, 0]), ("4", [0, 1]), ("1", [2, 0]),
+                    ("-2", [0, 2])]], "power": "1"},
+                {"poly": [{"coeff": "1", "exponents": [0, 0]},
+                          {"coeff": "-1", "exponents": [1, 0]}], "power": "1"}]}
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(cases(cone_point_specs(), predict=True))
+@example((_grove(squared=1), ["asym", "--r", "5,6,7"]))  # the quadratic squared
+@example((_grove(squared=0), ["compare", "--directions", "5,6,7;7,7,7"]))
+@example((_grove(extra=[X_MINUS_ONE]), ["classify", "--r", "5,6,7"]))
+@example((PLANE_2D, ["asym", "--r", "5,7"]))
+def test_points_no_formula_covers_never_exit_4(spec_path, case):
+    assert _check_contract(spec_path, *case) != 4
+
+
+def _check_contract(spec_path, raw, argv):
+    """Run argv on the spec raw and check the contract; returns the exit code."""
     spec_path.write_text(json.dumps(raw))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -187,3 +244,4 @@ def test_every_input_gets_an_answer_or_a_refusal(spec_path, case):
         assert argv[0] == "asym" and json.loads(out)["formula"] == "exponential-decay"
     else:
         assert err.startswith(PREFIX[rc]) and not out, (rc, err)
+    return rc

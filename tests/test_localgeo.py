@@ -7,7 +7,7 @@ import pytest
 from conepoint import localgeo
 from conepoint.errors import RefusalError
 from conepoint.polyseries import MultiPoly, TruncatedSeries, log_compose_taylor
-from conepoint.localgeo import (DegenerateError, DirectionTag, GeometryError, SignatureError,
+from conepoint.localgeo import (DegenerateError, DirectionTag, SignatureError,
                                 _symmetric_eigenvalues, classify_direction,
                                 classify_quadratic, dual_quadratic, homogeneous_part,
                                 normalizer_absdet, quadratic_point_data,
@@ -252,11 +252,17 @@ class TestClassifyDirection:
             t2 = classify_direction(data, tuple(17 * x for x in r)).tag
             assert t1 is t2
 
-    def test_two_linear_factors_unsupported(self, aztec):
-        data = quadratic_point_data(aztec.spec, (1, 1, 1))
-        bad = replaced(data, linear_factors=(((0, 1, 1), 1), ((1, 0, 1), 1)))
-        with pytest.raises(GeometryError):
-            classify_direction(bad, (0, 0, 1))
+    def test_two_linear_factors_unsupported(self, cube_grove):
+        # no formula covers a point with two linear factors, so its local data is
+        # refused by name and never reaches classify_direction
+        spec = cube_grove.spec
+        two = replaced(spec, factors=spec.factors + ((mp(3, (1, (0, 0, 0)), (-1, (1, 0, 0))),
+                                                      1),))
+        with pytest.raises(RefusalError) as err:
+            quadratic_point_data(two, (1, 1, 1))
+        assert str(err.value) == ("point (1, 1, 1) is where more than one linear factor "
+                                  "vanishes: the contour formulas need at most one")
+        assert err.value.diagnostics == {"point": ["1", "1", "1"]}
 
     def test_covector_inside_dual_cone_refused(self, aztec):
         # q*(ell, ell) = 1 > 0: the intersection lines are not real, so the point is
@@ -265,7 +271,9 @@ class TestClassifyDirection:
         inside = replaced(data, linear_factors=(((0, 0, 1), 1),))
         with pytest.raises(RefusalError) as err:
             classify_direction(inside, (0, 0, 1))
-        assert err.value.diagnostics == {"dual_ll": "1"}
+        assert str(err.value).startswith("point (1, 1, 1) has a linear factor inside the "
+                                         "closed dual cone")
+        assert err.value.diagnostics == {"dual_ll": "1", "point": ["1", "1", "1"]}
 
 
 def _random_lorentzian_point(rng, base):
