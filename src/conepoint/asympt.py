@@ -166,14 +166,14 @@ def _power_sum(terms: Dict[int, MultiPoly], alpha, r: Sequence, qval) -> float:
 
 # -- the quadratic-point series ----------------------------------------------------
 
-# One order l of the series at a bare quadratic point: (l, alpha = s + l - d/2,
+# One order l of the series at a bare quadratic point: (K(s+l), alpha = s + l - d/2,
 # {j: R_(l,j)}), R_(l,j) = sum_m c(m,l) (-1)^|m| P_(m,j) for d^m/dr^m qdual^alpha
-SeriesOrder = Tuple[int, object, Dict[int, MultiPoly]]
+SeriesOrder = Tuple[float, object, Dict[int, MultiPoly]]
 
 
 def _series_terms(data: QuadraticPointData, N: int) -> Tuple[SeriesOrder, ...]:
-    """The direction-free part of the first N orders of the series.  The
-    terms of one order share its exponent, so each order is summed into one
+    """The direction-free part of the first N orders of the series.  The terms
+    of one order share K(s+l) and alpha, so each order keeps K(s+l) and one
     polynomial per power offset j."""
     d, s = data.arity, Fraction(data.s) if not isinstance(data.s, float) else data.s
     orders: Dict[int, Tuple[Dict[int, Terms], dict]] = {}  # l: (R_(l,j) terms, memo)
@@ -186,7 +186,8 @@ def _series_terms(data: QuadraticPointData, N: int) -> Tuple[SeriesOrder, ...]:
             acc = sums.setdefault(j, {})
             for mono, v in poly.items():
                 acc[mono] = acc.get(mono, 0) + c * v
-    return tuple((ell, s + ell - Fraction(d, 2), {j: MultiPoly(d, sums[j]) for j in sorted(sums)})
+    return tuple((cone_constant(s + ell, d, data.normalizer_absdet), s + ell - Fraction(d, 2),
+                  {j: MultiPoly(d, sums[j]) for j in sorted(sums)})
                  for ell, (sums, _) in orders.items())
 
 
@@ -194,17 +195,9 @@ def quadratic_asymptotics(data: QuadraticPointData, series: Sequence[SeriesOrder
                           r: Sequence[int]):
     """Contribution of a bare quadratic point (no linear factors) at a direction r
     inside its elliptic cone, from the series orders that prepare builds:
-    Z^(-r) sum_l K(s+l) sum_j R_(l,j)(r) qdual(r,r)^(alpha_l - j).  A power s
-    that puts K(s) on a Gamma pole is refused, naming the point."""
-    d, s, absdet = data.arity, data.s, data.normalizer_absdet
-    try:
-        C = cone_constant(s, d, absdet)  # a Gamma pole at s + l would be one at s too
-    except GammaPoleError as e:
-        raise _point_refusal(data.point_Z, f"has the quadratic to power {s} in {d} variables: "
-                                           f"the constant K(s) meets a {e}", power=str(s))
+    Z^(-r) sum_l K(s+l) sum_j R_(l,j)(r) qdual(r,r)^(alpha_l - j)."""
     zr, qval = z_power_neg(data.point_Z, r), data.dual_eval(r, r)
-    return sum((zr * (cone_constant(s + ell, d, absdet) if ell else C)
-                * _power_sum(polys, alpha, r, qval) for ell, alpha, polys in series), 0.0)
+    return sum((zr * K * _power_sum(polys, alpha, r, qval) for K, alpha, polys in series), 0.0)
 
 
 # -- double residue & the cone-plane formula ----------------------------------------
@@ -231,12 +224,9 @@ def oriented_double_residue(data: QuadraticPointData):
 
 def cone_plane_asymptotics(data: QuadraticPointData, r: Sequence[int], tag: DirectionTag):
     """Leading contribution of a cone-plane point (d = 3, the quadratic and its one
-    smooth factor to the first power) at a direction r that classify_direction
-    tags InteriorEllipticCone (the arctangent) or InteriorE (the flange).  A
-    vanishing numerator is refused, naming the point."""
-    if data.numerator_value == 0:
-        raise _point_refusal(data.point_Z, "has a vanishing numerator: only a decay bound "
-                             "is available", numerator_valuation=data.numerator_valuation)
+    smooth factor to the first power, its numerator nonzero there) at a direction
+    r that classify_direction tags InteriorEllipticCone (the arctangent) or
+    InteriorE (the flange)."""
     value = z_power_neg(data.point_Z, r) * data.numerator_value * float(data.residue)
     if tag is DirectionTag.InteriorE:
         return value
@@ -355,9 +345,18 @@ def _given_or_found(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]
 def point_data(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None, *,
                order: int = 8, seed: int = 0) -> Tuple[QuadraticPointData, ...]:
     """The local data at each point, to the given local order: what classify
-    reports.  points are taken as prepare takes them."""
-    return tuple(quadratic_point_data(spec, Z, order=order)
-                 for Z in _given_or_found(spec, points, seed))
+    reports.  points are taken as prepare takes them.  A point whose linear
+    factor lies inside the closed dual cone (q*(ell, ell) >= 0 within TOL) is
+    refused by name: no direction has a formula there."""
+    local = tuple(quadratic_point_data(spec, Z, order=order)
+                  for Z in _given_or_found(spec, points, seed))
+    for data in local:
+        if data.k and float(data.qll) >= -TOL * sum(float(x) * float(x)
+                                                    for x in data.linear_factors[0][0]):
+            raise _point_refusal(data.point_Z, "has a linear factor inside the closed dual "
+                                 "cone: the intersection lines are not real and distinct",
+                                 dual_ll=str(data.qll))
+    return local
 
 
 def prepare(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None, *,
@@ -366,14 +365,16 @@ def prepare(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None
 
     points may be supplied (e.g. from a preset); otherwise the singular
     points of every factor on the unit torus are discovered numerically.
-    A point with a complex coordinate is refused, and so is every point of
-    a spec with a complex coefficient, since every polynomial of the spec
-    enters the local expansion at every point: the formulas are written for
-    real points and real series.  So is a point with a linear factor that is
-    not the cone-plane shape (d = 3, the quadratic and the linear factor each
-    to the first power): no formula covers it.
-    Each bare quadratic point keeps the first order_terms orders of its series as one
-    polynomial per (order, power offset j), so a direction only evaluates them.
+    A point that no formula covers inside its cone is refused here, once,
+    by name: what point_data refuses; a point with a complex coordinate, and
+    every point of a spec with a complex coefficient (every polynomial of the
+    spec enters every local expansion, and the formulas need real ones); a
+    point with a linear factor that is not the cone-plane shape (d = 3, the
+    quadratic and the linear factor each to the first power) or whose
+    numerator vanishes there; a bare quadratic point whose K(s) meets a
+    Gamma pole.  Each bare quadratic point keeps the first order_terms orders
+    of its series, each as K(s+l) and one polynomial per power offset j, so
+    a direction only evaluates them.
     Order N reads the local series to degree 3N - 3 (c(m, N-1) needs
     |m| = 3(N-1)), so points expand to that order, and never below 8.
     The result can be passed as `points` to total_asymptotics for any
@@ -388,15 +389,25 @@ def prepare(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None
         if complex_expansion:
             raise _point_refusal(Z, "has a complex local expansion: the formulas need real "
                                     "coefficients")
-    local = point_data(spec, points, order=max(8, 3 * order_terms - 3))
-    for data in local:
-        if data.k and (data.arity, _as_int(data.s), data.linear_factors[0][1]) != (3, 1, 1):
-            raise _point_refusal(data.point_Z, f"has the quadratic to power {data.s} and a linear "
-                                 f"factor to power {data.linear_factors[0][1]} in {data.arity} "
-                                 "variables: the cone-plane formula needs both powers 1 in 3 "
-                                 "variables")
-    return tuple(PreparedPoint(data, _series_terms(data, order_terms) if data.k == 0 else None)
-                 for data in local)
+    prepared = []
+    for data in point_data(spec, points, order=max(8, 3 * order_terms - 3)):
+        Z, d, s, series = data.point_Z, data.arity, data.s, None
+        if data.k and (d, _as_int(s), data.linear_factors[0][1]) != (3, 1, 1):
+            raise _point_refusal(Z, f"has the quadratic to power {s} and a linear factor to "
+                                 f"power {data.linear_factors[0][1]} in {d} variables: the "
+                                 "cone-plane formula needs both powers 1 in 3 variables")
+        if data.k and data.numerator_value == 0:
+            raise _point_refusal(Z, "has a vanishing numerator: only a decay bound is "
+                                 "available", numerator_valuation=data.numerator_valuation)
+        if not data.k:
+            try:  # a Gamma pole of K(s + l) is one of K(s) too
+                cone_constant(s, d, data.normalizer_absdet)
+            except GammaPoleError as e:
+                raise _point_refusal(Z, f"has the quadratic to power {s} in {d} variables: "
+                                     f"the constant K(s) meets a {e}", power=str(s)) from None
+            series = _series_terms(data, order_terms)
+        prepared.append(PreparedPoint(data, series))
+    return tuple(prepared)
 
 
 # the formula each contribution names, by the point's k and the direction's tag; the
@@ -446,6 +457,4 @@ def total_asymptotics(spec: QuasiRationalSpec, r: Sequence[int],
         formula = contribs[0].formula \
             if len({c.formula for c in contribs if c.value != 0}) <= 1 else "mixed"
     alpha = decay_exponent(spec, [(pt.data.point_Z, pt.data.degree) for pt in points])
-    if isinstance(total, complex) and abs(total.imag) < 1e-12 * (1 + abs(total)):
-        total = total.real
     return AsymptoticEstimate(r, total, alpha, tuple(contribs), formula, notes)

@@ -216,7 +216,7 @@ def _cmd_asym(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    from .asympt import point_data
+    from .asympt import decay_exponent, point_data
     from .localgeo import classify_direction
     spec, points = _load(args)
     r = _parse_direction(args.r, spec.arity)
@@ -228,7 +228,7 @@ def _cmd_classify(args) -> int:
             "class": cls.tag.value,
             "margin": cls.margin,
             "dual_rr": specio.scalar_to_json(data.dual_eval(r, r)),
-            "decay_exponent_bound": float(spec.arity) + float(data.degree),
+            "decay_exponent_bound": decay_exponent(spec, [(data.point_Z, data.degree)]),
         })
         if data.k == 1:
             ell = data.linear_factors[0][0]
@@ -285,11 +285,9 @@ def _cmd_compare(args) -> int:
         try:
             est = total_asymptotics(spec, r, points=prepared)
         except RefusalError as e:
-            cls = e.diagnostics.get("class", "refused")
-            lines.append(",".join(map(str, r)) + f",{oracle_v!r},,,{cls}")
+            lines.append(",".join(map(str, r)) + f",{oracle_v!r},,,{e.diagnostics['class']}")
             continue
-        pred, cls = est.value, est.per_point[0].direction_class
-        pred_f = float(pred.real if isinstance(pred, complex) else pred)
+        pred_f, cls = float(est.value), est.per_point[0].direction_class
         if oracle_v == 0.0 and pred_f == 0.0:
             rel = 0.0
         elif oracle_v == 0.0:

@@ -427,9 +427,10 @@ def classify_direction(data: QuadraticPointData, r: Sequence) -> DirectionClass:
     linear factor, directions outside the elliptic cone may still be
     reachable as r = lambda*ell + w with w interior to the cone; whether
     the concave quadratic lambda -> q*(r - lambda*ell) admits such a
-    lambda is decided in closed form (quadratic_point_data refuses a point
-    with more).  Within TOL of any decision surface the answer is
-    Indeterminate rather than a guess.
+    lambda is decided in closed form.  That needs q*(ell, ell) < 0, which
+    asympt.point_data ensures by refusing the point otherwise; a linear
+    factor inside the closed dual cone raises GeometryError here.  Within TOL
+    of any decision surface the answer is Indeterminate rather than a guess.
     """
     r = tuple(r)
     u = data.cone_direction_u
@@ -454,9 +455,7 @@ def classify_direction(data: QuadraticPointData, r: Sequence) -> DirectionClass:
     ln2 = sum(float(x) * float(x) for x in ell)
     qll = data.qll
     if float(qll) >= -TOL * ln2:
-        raise _point_refusal(data.point_Z, "has a linear factor inside the closed dual cone: "
-                                           "the intersection lines are not real and distinct",
-                             dual_ll=str(qll))
+        raise GeometryError("linear factor inside the closed dual cone")
     qrl = data.dual_eval(r, ell)
     if inside:
         return DirectionClass(DirectionTag.InteriorEllipticCone, float(qrr) / rn2)

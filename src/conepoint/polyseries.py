@@ -204,11 +204,6 @@ class MultiPoly(_Terms):
             return (0,) * self.arity
         return tuple(min(m[i] for m in self.terms) for i in range(self.arity))
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(m) for m in self.terms)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":

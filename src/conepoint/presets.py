@@ -1,8 +1,8 @@
 """The five shipped applications as ready-made quasirational specs.
 
 Each preset bundles the spec, its known quadratic points on the unit
-torus, companion specs (creation rates, the other walk chiralities, the
-other superballot form) and notes.  Cross-model identities (creation
+torus and companion specs (creation rates, the other walk chiralities,
+the other superballot form).  Cross-model identities (creation
 rates, step-simulation of the quantum walk, superballot closed forms) live
 here too, as the honest checks that the machinery reproduces known
 combinatorics.
@@ -55,43 +55,42 @@ _P_SUPER = _mp(3, (1, (0, 0, 0)), (-2, (1, 0, 0)))          # 1 - 2X
 
 
 class Preset(Record):
-    __slots__ = _fields = ("name", "spec", "known_points", "companions", "notes")
+    __slots__ = _fields = ("name", "spec", "known_points", "companions")
 
     def __init__(self, name: str, spec: QuasiRationalSpec,
                  known_points: Tuple[Tuple[object, ...], ...],
-                 companions: Optional[Dict[str, QuasiRationalSpec]] = None, notes: str = ""):
+                 companions: Optional[Dict[str, QuasiRationalSpec]] = None):
         self.name = name
         self.spec = spec
         self.known_points = known_points
         self.companions = {} if companions is None else companions
-        self.notes = notes
 
 
 # -- Aztec diamond --------------------------------------------------------------
 
 
 def _aztec() -> Preset:
+    # northgoing domino placement probabilities at indices (i, j, n), supported
+    # on -n < i, j <= n with i + j + n odd
     spec = QuasiRationalSpec(3, _P_AZTEC, ((_Q_CHECKER, 1), (_H_AZTEC, 1)),
                              (0, 0, -1), name="aztec")
     # the creation rates carry a factor 2 in their definition, so their
     # generating function is Z/Q rather than (Z/2)/Q
     creation = QuasiRationalSpec(3, _mp(3, (1, (0, 0, 1))), ((_Q_CHECKER, 1),),
                                  (0, 0, -1), name="aztec-creation")
-    return Preset("aztec", spec, ((1, 1, 1), (-1, -1, -1)), {"creation": creation},
-                  "northgoing domino placement probabilities; indices (i,j,n), "
-                  "support -n < i,j <= n with i+j+n odd")
+    return Preset("aztec", spec, ((1, 1, 1), (-1, -1, -1)), {"creation": creation})
 
 
 # -- cube groves ----------------------------------------------------------------
 
 
 def _cube_grove() -> Preset:
+    # horizontal-edge placement probabilities, in barycentric indices
     spec = QuasiRationalSpec(3, _P_GROVE, ((_H_GROVE, 1), (_Q_GROVE, 1)),
                              (-1, -1, -1), name="cube_grove")
     creation = QuasiRationalSpec(3, _mp(3, (3, (0, 0, 1))), ((_Q_GROVE, 1),),
                                  (-1, -1, -1), name="cube_grove-creation")
-    return Preset("cube_grove", spec, ((1, 1, 1),), {"creation": creation},
-                  "horizontal-edge placement probabilities in barycentric indices")
+    return Preset("cube_grove", spec, ((1, 1, 1),), {"creation": creation})
 
 
 def grove_relation_check(n: int, edge_table: Optional[CoeffTable] = None,
@@ -155,15 +154,15 @@ _QRW_NUMERATORS = {
 
 
 def _qrw() -> Preset:
+    # amplitudes per ending chirality from ((0,0), N); a probability is the sum
+    # of the squared amplitudes
     one_minus_z = _mp(3, (1, (0, 0, 0)), (-1, (0, 0, 1)))
     one_plus_z = _mp(3, (1, (0, 0, 0)), (1, (0, 0, 1)))
     specs = {ch: QuasiRationalSpec(3, _QRW_NUMERATORS[ch],
                                    ((_Q_CHECKER, 1), (one_minus_z, 1), (one_plus_z, 1)),
                                    (0, 0, -1), name=f"qrw2d-{ch}")
              for ch in _QRW_STATES}
-    return Preset("qrw2d", specs["N"], ((1, 1, 1), (-1, -1, -1)), specs,
-                  "amplitude generating functions per ending chirality, start ((0,0),N); "
-                  "probabilities are the summed squared amplitudes")
+    return Preset("qrw2d", specs["N"], ((1, 1, 1), (-1, -1, -1)), specs)
 
 
 def qrw_walk(times: Iterable[int]) -> Iterator[Tuple[int, Dict[Tuple[int, int, int], Fraction]]]:
@@ -209,8 +208,7 @@ def _fls(beta=Fraction(3, 4)) -> Preset:
         raise SpecError("the graph-polynomial preset needs beta > 1/2")
     spec = QuasiRationalSpec(3, MultiPoly.const(3, 1), ((_Q_FLS, beta),),
                              (-1, -1, -1), name="fls")
-    return Preset("fls", spec, ((1, 1, 1),),
-                  notes=f"fractional power beta = {beta}")
+    return Preset("fls", spec, ((1, 1, 1),))
 
 
 # -- superballot numbers --------------------------------------------------------------
@@ -233,13 +231,12 @@ def _superballot(core: bool) -> Preset:
                              name="superballot")
     core_spec = QuasiRationalSpec(3, MultiPoly.const(3, 2), ((_Q_SUPER_CORE, 1),),
                                   (-1, -1, -1), name="superballot-core")
-    notes = ("core coefficients of 2/(2-X-Y-Z+XYZ) are 2^-(a+b+c) times the "
-             "multiset-permutation counts N(a,b,c); the square-root spec is "
-             "oracle-only (its algebraic factor is outside the contour formulas)")
+    # the core coefficients of 2/(2-X-Y-Z+XYZ) are 2^-(a+b+c) times the
+    # multiset-permutation counts N(a,b,c); the square-root spec is oracle-only,
+    # its algebraic factor outside the contour formulas
     if core:
-        return Preset("superballot-core", core_spec, ((1, 1, 1),), {"full": full}, notes)
-    return Preset("superballot", full, ((Fraction(1, 2),) * 3,), {"core": core_spec},
-                  notes)
+        return Preset("superballot-core", core_spec, ((1, 1, 1),), {"full": full})
+    return Preset("superballot", full, ((Fraction(1, 2),) * 3,), {"core": core_spec})
 
 
 # -- registry ----------------------------------------------------------------------------

@@ -209,14 +209,9 @@ def table_to_json(table: CoeffTable, float_digits: Optional[int] = None) -> dict
 
 
 def estimate_to_json(est) -> dict:
-    def num(v):
-        if isinstance(v, complex):
-            return [v.real, v.imag]
-        return float(v)
-
     return {
         "direction": list(est.direction),
-        "value": num(est.value),
+        "value": float(est.value),
         "decay_exponent": est.decay_exponent,
         "formula": est.formula_tag,
         "notes": list(est.notes),
@@ -224,7 +219,7 @@ def estimate_to_json(est) -> dict:
             {"point": [scalar_to_json(z) for z in c.Z],
              "formula": c.formula,
              "direction_class": c.direction_class,
-             "value": num(c.value)} for c in est.per_point],
+             "value": float(c.value)} for c in est.per_point],
     }
 
 

@@ -8,7 +8,7 @@ from conepoint.polyseries import MultiPoly, TruncatedSeries
 from conepoint.localgeo import DirectionTag, classify_direction, quadratic_point_data
 from conepoint.critpoints import CriticalPoint, find_smooth_critical
 from conepoint import asympt, localgeo, polyseries
-from conepoint.asympt import (GammaPoleError, PreparedPoint, RefusalError, cone_constant,
+from conepoint.asympt import (GammaPoleError, RefusalError, cone_constant,
                               cone_plane_asymptotics, decay_exponent,
                               expansion_coefficients, local_degree,
                               oriented_double_residue, prepare, quadratic_asymptotics,
@@ -221,12 +221,14 @@ class TestConePlane:
         # exactly the right angle there: value = P(Z) Res2 / 2
         assert abs(mid - 0.5 * 1.0 / 2) < 1e-9
 
-    def test_covector_inside_dual_cone_refused(self, aztec):
-        # the classification that picks the formula refuses the point, by name
+    def test_covector_inside_dual_cone_refused(self, monkeypatch, aztec):
+        # a property of the point, so prepare refuses it once, by name, and no
+        # direction is classified
         data = quadratic_point_data(aztec.spec, (1, 1, 1))
         inside = replaced(data, linear_factors=(((0, 0, 1), 1),))
+        monkeypatch.setattr(asympt, "quadratic_point_data", lambda *args, **kwargs: inside)
         with pytest.raises(RefusalError) as err:
-            total_asymptotics(aztec.spec, (0, 0, 9), points=[PreparedPoint(inside, None)])
+            prepare(aztec.spec, [(1, 1, 1)])
         assert err.value.diagnostics == {"dual_ll": "1", "point": ["1", "1", "1"]}
         with pytest.raises(localgeo.GeometryError, match="not real and distinct"):
             oriented_double_residue(inside)
@@ -240,14 +242,16 @@ class TestConePlane:
                                          "point": ["1", "1", "1"]}
 
     def test_vanishing_numerator_refused(self, cube_grove):
-        data = quadratic_point_data(cube_grove.spec, (1, 1, 1))
-        zero = replaced(data, numerator_value=0)
+        # the cone-plane value is P(Z) times the angle term, so with P(Z) = 0 only a
+        # decay bound is left: prepare refuses the point, and the formula only computes
+        spec = replaced(cube_grove.spec, numerator=mp(3, (2, (0, 0, 2)), (-2, (1, 0, 0))))
+        with pytest.raises(RefusalError) as err:
+            prepare(spec, [(1, 1, 1)])
+        assert str(err.value).startswith("point (1, 1, 1) has a vanishing numerator")
+        assert err.value.diagnostics == {"numerator_valuation": 1, "point": ["1", "1", "1"]}
+        zero = replaced(quadratic_point_data(cube_grove.spec, (1, 1, 1)), numerator_value=0)
         for tag in (DirectionTag.InteriorEllipticCone, DirectionTag.InteriorE):
-            with pytest.raises(RefusalError) as err:
-                cone_plane_asymptotics(zero, (7, 7, 7), tag)
-            assert str(err.value).startswith("point (1, 1, 1) has a vanishing numerator")
-            assert err.value.diagnostics == {"numerator_valuation": 0,
-                                             "point": ["1", "1", "1"]}
+            assert cone_plane_asymptotics(zero, (7, 7, 7), tag) == 0
 
     def test_scale_invariance_of_value(self, cube_grove):
         # replacing q by lam q (and the implied dual change) leaves the
@@ -346,9 +350,15 @@ class TestDecay:
     def test_prepared_degree_on_preset_points(self, name, companion, degree):
         pr = preset(name)
         spec = pr.companions[companion] if companion else pr.spec
-        for pt in prepare(spec, pr.known_points):
-            assert pt.data.degree == degree
-            assert local_degree(spec, pt.data.point_Z) == degree
+        for Z in pr.known_points:
+            assert quadratic_point_data(spec, Z).degree == degree
+            assert local_degree(spec, Z) == degree
+        if name == "qrw2d":  # its linear factors lie inside the closed dual cone
+            with pytest.raises(RefusalError, match="closed dual cone"):
+                prepare(spec, pr.known_points)
+        else:
+            assert [pt.data.degree for pt in prepare(spec, pr.known_points)] == \
+                [degree] * len(pr.known_points)
 
     @pytest.mark.parametrize("name", ["aztec", "cube_grove", "qrw2d", "fls"])
     def test_prepare_log_composes_each_factor_once(self, monkeypatch, name):
@@ -363,7 +373,11 @@ class TestDecay:
         for mod in (polyseries, localgeo, asympt):
             if hasattr(mod, "log_compose_taylor"):
                 monkeypatch.setattr(mod, "log_compose_taylor", counted)
-        prepare(pr.spec, pr.known_points)
+        if name == "qrw2d":  # refused once the data of both its points is built
+            with pytest.raises(RefusalError, match="closed dual cone"):
+                prepare(pr.spec, pr.known_points)
+        else:
+            prepare(pr.spec, pr.known_points)
         assert len(calls) == len(pr.known_points) * (1 + len(pr.spec.factors))
 
 
@@ -468,9 +482,10 @@ class TestTotals:
         def per_point_work(*args, **kwargs):
             raise AssertionError("per-point work repeated for a prepared point")
 
-        # the series' derivative polynomials included: a direction only evaluates them
+        # the series' derivative polynomials and constants included: a direction only
+        # evaluates them
         for fn in ("quadratic_point_data", "local_degree", "expansion_coefficients",
-                   "_derivative_terms"):
+                   "_derivative_terms", "cone_constant"):
             monkeypatch.setattr(f"conepoint.asympt.{fn}", per_point_work)
         calls = {"classify_direction": 0, "oriented_double_residue": 0}
         for fn in calls:

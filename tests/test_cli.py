@@ -449,9 +449,9 @@ class TestDeterminismAndErrors:
             assert err.startswith("spec error:"), path
 
     def test_gamma_pole_refused_exit_2(self, tmp_path, capsys):
-        # s + 1 - d/2 = 0 is a pole of the constant, refused (it exited 4) only on a
-        # direction that reaches it: outside the normal cone the estimate is
-        # exponential decay
+        # s + 1 - d/2 = 0 is a pole of the constant K(s): no formula covers a
+        # direction inside the cone, so prepare refuses the point (it exited 4)
+        # whatever the direction, as it refuses any point without a formula
         spec = {
             "variables": ["X", "Y", "Z"],
             "numerator": [{"coeff": "1", "exponents": [0, 0, 0]}],
@@ -468,20 +468,17 @@ class TestDeterminismAndErrors:
         }
         path = tmp_path / "pole.json"
         path.write_text(json.dumps(spec))
+        refusal = ("refused: point (1, 1, 1) has the quadratic to power 1/2 in 3 variables: "
+                   "the constant K(s) meets a gamma pole at 0.0\n"
+                   '{"point":["1","1","1"],"power":"1/2"}\n')
         for terms in ("1", "3"):
-            rc, out, err = run(capsys, "asym", "--spec", str(path), "--r", "5,5,5",
-                               "--terms", terms)
-            assert rc == 2 and not out, terms
-            assert err == ("refused: point (1, 1, 1) has the quadratic to power 1/2 in 3 "
-                           "variables: the constant K(s) meets a gamma pole at 0.0\n"
-                           '{"point":["1","1","1"],"power":"1/2"}\n')
-            rc, out, err = run(capsys, "asym", "--spec", str(path), "--r", "1,0,0", "--terms", terms)
-            assert rc == 2 and not err, terms
-            assert json.loads(out)["formula"] == "exponential-decay"
-        rc, out, _ = run(capsys, "compare", "--spec", str(path), "--directions", "5,5,5;1,0,0")
-        assert rc == 0
-        assert [row.split(",")[-1] for row in out.splitlines()[1:3]] == \
-            ["OutsideNormalCone", "refused"]
+            for r in ("5,5,5", "1,0,0"):  # inside and outside the normal cone
+                rc, out, err = run(capsys, "asym", "--spec", str(path), "--r", r,
+                                   "--terms", terms)
+                assert (rc, out, err) == (2, "", refusal), (terms, r)
+        rc, out, err = run(capsys, "compare", "--spec", str(path), "--directions",
+                           "5,5,5;1,0,0")
+        assert (rc, out, err) == (2, "", refusal)
 
     def test_generic_spec_discovers_points(self, tmp_path, capsys):
         # spec JSON with no 'points' field: the singular point is found numerically
@@ -667,9 +664,10 @@ GOLDEN_STDOUT = {
         (0, "ec957bd5d46f6d27d39eddee251231e771c5149f43e30c4248db9a0218f2d171"),
     ("compare", "--preset", "superballot-core", "--directions", "10,20,30;12,12,12;5,9,11"):
         (0, "8b9876f2a7589f6f4501d67d9f02351965bfb9ae6012175f53a1cb39874904a7"),
-    # every row is refused: the numerator vanishes at (1,1,1)
+    # refused before any row: the linear factor 1 - Z lies inside the closed dual cone
+    # at (1,1,1)
     ("compare", "--preset", "qrw2d", "--t-list", "9", "--slice-step", "0.5"):
-        (0, "0d63b4b04e76e56076e464deb6a399747d4bf7608a138f25efdc11f9983d8d5c"),
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("asym", "--preset", "aztec", "--r", "0,0,9"):
         (0, "155d156314f95b9dd7ead061ef0b18f9d8a45f80b848f3d8e3f80ce73e5e4e40"),
     ("asym", "--preset", "cube_grove", "--r", "5,6,7"):

@@ -19,6 +19,14 @@ A second draw puts a Lorentzian quadratic and one or two linear factors
 through (1, ..., 1), each to a drawn power, in 2 or 3 variables: the point
 shapes that no formula covers, and that exited 4 before they were refused
 by name.  The prediction commands on those never exit 4.
+
+A point is refused once, when it is prepared, and never per direction:
+`classify_direction` tags every direction at a point that `point_data`
+returned, and no `compare` row is a refusal.  A third draw gives points
+that no formula covers inside their cone, a Lorentzian quadratic to the
+power 1/2 in 3 variables (K(s) on a Gamma pole) and a cone-plane point
+whose numerator vanishes there: `asym` and `compare` refuse them by name,
+whatever the direction.
 """
 
 import contextlib
@@ -31,11 +39,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conepoint import specio
+from conepoint.asympt import point_data
 from conepoint.cli import main
+from conepoint.errors import RefusalError
+from conepoint.localgeo import DirectionTag, classify_direction
+from conepoint.oracle import SpecError
 from conepoint.polyseries import MultiPoly
 
 SPEC_DIR = Path(__file__).resolve().parents[1] / "specs"
 PREFIX = {2: "refused: ", 3: "spec error: ", 4: "numeric failure: "}
+CLASSES = {tag.value for tag in DirectionTag}
 
 RATIONAL = st.builds(lambda p, q: str(Fraction(p, q)), st.integers(-3, 3),
                      st.sampled_from((1, 2, 3)))
@@ -62,29 +75,41 @@ FLS = _spec()
 
 
 @st.composite
-def polys(draw, d, through_one):
+def polys(draw, d, through_one, coeff=COEFF):
     """A polynomial; through_one gives it a constant term that makes it vanish
     at (1, ..., 1)."""
     exps = st.tuples(*[st.integers(0, 2)] * d)
     monos = draw(st.lists(exps.filter(any) if through_one else exps, min_size=1, max_size=4,
                           unique=True))
-    terms = [(m, specio.scalar_from_json(draw(COEFF))) for m in monos]
+    terms = [(m, specio.scalar_from_json(draw(coeff))) for m in monos]
     if through_one:
         terms.append(((0,) * d, -sum(c for _, c in terms)))
     return MultiPoly.from_terms(d, terms)
 
 
 @st.composite
-def lorentzian(draw, d):
+def lorentzian(draw, d, coeff=COEFF, timelike=False):
     """c (a (X_1 - 1)^2 - b_2 (X_2 - 1)^2 - ...): a quadratic cone point at
-    (1, ..., 1), with a complex, float or rational c."""
+    (1, ..., 1), with a complex, float or rational c.  timelike raises a above
+    b_2 + ... + b_d and takes |c|, so that the form is Lorentzian with the
+    default cone direction (-1, ..., -1) inside its cone."""
     shifted = [MultiPoly.from_terms(d, [((0,) * d, -1), (tuple(int(i == j) for i in range(d)),
                                                         1)]) for j in range(d)]
-    weights = [draw(st.sampled_from(["1", "2", "1/2", "3"])) for _ in range(d)]
+    weights = [Fraction(draw(st.sampled_from(["1", "2", "1/2", "3"]))) for _ in range(d)]
+    if timelike:
+        weights[0] += sum(weights[1:])
     q = MultiPoly.zero(d)
     for j, (x, w) in enumerate(zip(shifted, weights)):
-        q = q + x * x * MultiPoly.const(d, Fraction(w) if j == 0 else -Fraction(w))
-    return q * MultiPoly.const(d, draw(COEFF.map(specio.scalar_from_json).filter(bool)))
+        q = q + x * x * MultiPoly.const(d, w if j == 0 else -w)
+    c = draw(coeff.map(specio.scalar_from_json).filter(bool))
+    return q * MultiPoly.const(d, abs(c) if timelike else c)
+
+
+def _linear(w):
+    """sum_i w_i (X_i - 1)."""
+    d = len(w)
+    return MultiPoly.from_terms(d, [((0,) * d, Fraction(-sum(w)))] + [
+        (tuple(int(i == j) for i in range(d)), Fraction(x)) for j, x in enumerate(w)])
 
 
 @st.composite
@@ -110,18 +135,42 @@ def specs(draw):
 
 
 @st.composite
-def cone_point_specs(draw):
+def cone_point_specs(draw, timelike=False):
     """A Lorentzian quadratic and one or two linear factors sum_i w_i (X_i - 1) through
-    (1, ..., 1), each to a drawn power."""
+    (1, ..., 1), each to a drawn power.  timelike draws rational coefficients, a
+    timelike quadratic and zero or one linear factor to the power 1 or 2: the
+    shapes that point_data returns unless the factor lies inside the closed dual
+    cone."""
     d = draw(st.integers(2, 3))
-    factors = [{"poly": specio.poly_to_json(draw(lorentzian(d))), "power": draw(POWER)}]
-    for _ in range(draw(st.integers(1, 2))):
-        w = draw(st.tuples(*[st.integers(-2, 2)] * d).filter(any))
-        ell = MultiPoly.from_terms(d, [((0,) * d, Fraction(-sum(w)))] + [
-            (tuple(int(i == j) for i in range(d)), Fraction(x)) for j, x in enumerate(w)])
-        factors.append({"poly": specio.poly_to_json(ell), "power": draw(POWER)})
+    coeff = RATIONAL if timelike else COEFF
+    factors = [{"poly": specio.poly_to_json(draw(lorentzian(d, coeff, timelike))),
+                "power": draw(POWER)}]
+    for _ in range(draw(st.integers(0, 1) if timelike else st.integers(1, 2))):
+        ell = _linear(draw(st.tuples(*[st.integers(-2, 2)] * d).filter(any)))
+        power = st.sampled_from(["1", "2"]) if timelike else POWER
+        factors.append({"poly": specio.poly_to_json(ell), "power": draw(power)})
     return {"variables": ["X", "Y", "Z"][:d], "factors": factors,
-            "numerator": specio.poly_to_json(draw(polys(d, False))), "points": [["1"] * d]}
+            "numerator": specio.poly_to_json(draw(polys(d, False, coeff))),
+            "points": [["1"] * d]}
+
+
+@st.composite
+def pointwise_refused_specs(draw):
+    """A point at (1, 1, 1) that no formula covers inside its cone, with rational
+    coefficients and a timelike quadratic: the quadratic to the power 1/2
+    (s + 1 - d/2 = 0, a Gamma pole of K(s)) and a numerator that vanishes at the
+    point or not, or the quadratic and a linear factor, each to the first power,
+    and a numerator that vanishes at the point."""
+    pole = draw(st.booleans())
+    vanishing = not pole or draw(st.booleans())
+    factors = [{"poly": specio.poly_to_json(draw(lorentzian(3, RATIONAL, timelike=True))),
+                "power": "1/2" if pole else "1"}]
+    if not pole:
+        ell = _linear(draw(st.tuples(*[st.integers(-2, 2)] * 3).filter(any)))
+        factors.append({"poly": specio.poly_to_json(ell), "power": "1"})
+    numerator = draw(polys(3, vanishing, RATIONAL).filter(lambda p: any(p.terms.values())))
+    return {"variables": ["X", "Y", "Z"], "factors": factors,
+            "numerator": specio.poly_to_json(numerator), "points": [["1", "1", "1"]]}
 
 
 @st.composite
@@ -168,7 +217,7 @@ def _check_stdout(argv, out, arity):
         fields = row.split(",")
         [int(x) for x in fields[:arity]]
         if command == "compare":
-            assert len(fields) == arity + 4
+            assert len(fields) == arity + 4 and fields[-1] in CLASSES
             float(fields[arity])
         else:
             assert len(fields) == arity + 1
@@ -230,13 +279,57 @@ def test_points_no_formula_covers_never_exit_4(spec_path, case):
     assert _check_contract(spec_path, *case) != 4
 
 
-def _check_contract(spec_path, raw, argv):
-    """Run argv on the spec raw and check the contract; returns the exit code."""
+GROVE_VANISHING = _grove()  # the numerator 2Z^2 - 2X, zero at (1, 1, 1)
+GROVE_VANISHING["numerator"] = [{"coeff": "2", "exponents": [0, 0, 2]},
+                                {"coeff": "-2", "exponents": [1, 0, 0]}]
+FLS_POLE = _spec()
+FLS_POLE["factors"][0]["power"] = "1/2"
+FLS_POLE_VANISHING = json.loads(json.dumps(FLS_POLE))  # the numerator X - 1
+FLS_POLE_VANISHING["numerator"] = [{"coeff": "-1", "exponents": [0, 0, 0]},
+                                   {"coeff": "1", "exponents": [1, 0, 0]}]
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(cone_point_specs(timelike=True), st.data())
+def test_classify_direction_never_refuses_a_point_that_point_data_returns(raw, data):
+    try:
+        local = point_data(specio.spec_from_json(raw), specio.spec_points_from_json(raw))
+    except (RefusalError, specio.SpecFormatError, SpecError, ArithmeticError, ValueError):
+        return
+    vectors = st.tuples(*[st.integers(-2, 8)] * len(raw["variables"])).filter(any)
+    for r in data.draw(st.lists(vectors, min_size=1, max_size=4)):
+        for pt in local:
+            assert classify_direction(pt, r).tag.value in CLASSES
+
+
+DIRECTION_3D = st.tuples(*[st.integers(-2, 8)] * 3).filter(any).map(
+    lambda r: ",".join(map(str, r)))
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(pointwise_refused_specs(), DIRECTION_3D, DIRECTION_3D)
+@example(GROVE_VANISHING, "7,7,7", "1,0,0")
+@example(FLS_POLE, "7,7,7", "1,0,0")
+@example(FLS_POLE_VANISHING, "5,5,5", "1,0,0")
+def test_points_without_a_formula_are_refused_for_every_direction(spec_path, raw, a, b):
+    for argv in (["asym", "--r", a], ["compare", "--directions", f"{a};{b}"]):
+        rc, out, err = _run(spec_path, raw, argv)
+        assert (rc, out) == (2, ""), (argv, err)
+        assert err.startswith("refused: point (1, 1, 1) "), err
+
+
+def _run(spec_path, raw, argv):
+    """argv on the spec raw, in process: (exit code, stdout, stderr)."""
     spec_path.write_text(json.dumps(raw))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main([argv[0], "--spec", str(spec_path), *argv[1:]])
-    out, err = out.getvalue(), err.getvalue()
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _check_contract(spec_path, raw, argv):
+    """Run argv on the spec raw and check the contract; returns the exit code."""
+    rc, out, err = _run(spec_path, raw, argv)
     assert rc in (0, 2, 3, 4), (rc, err)
     if rc == 0:
         _check_stdout(argv, out, len(raw["variables"]))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conepoint import localgeo
+from conepoint.asympt import point_data
 from conepoint.errors import RefusalError
 from conepoint.polyseries import MultiPoly, TruncatedSeries, log_compose_taylor
 from conepoint.localgeo import (DegenerateError, DirectionTag, SignatureError,
@@ -264,13 +265,17 @@ class TestClassifyDirection:
                                   "vanishes: the contour formulas need at most one")
         assert err.value.diagnostics == {"point": ["1", "1", "1"]}
 
-    def test_covector_inside_dual_cone_refused(self, aztec):
-        # q*(ell, ell) = 1 > 0: the intersection lines are not real, so the point is
-        # outside the contour formulas, which is a refusal and not a numeric failure
-        data = quadratic_point_data(aztec.spec, (1, 1, 1))
-        inside = replaced(data, linear_factors=(((0, 0, 1), 1),))
+    def test_covector_inside_dual_cone_refused(self, qrw):
+        # q*(ell, ell) = 1 > 0 for qrw2d's 1 - Z at (1, 1, 1): the intersection lines
+        # are not real, so the point is outside the contour formulas, which is a
+        # refusal and not a numeric failure; it is refused with the point's data,
+        # before any direction reaches classify_direction, which needs q*(ell, ell) < 0
+        data = quadratic_point_data(qrw.spec, (1, 1, 1))
+        assert data.qll == 1
+        with pytest.raises(localgeo.GeometryError):
+            classify_direction(data, (1, 2, 9))
         with pytest.raises(RefusalError) as err:
-            classify_direction(inside, (0, 0, 1))
+            point_data(qrw.spec, qrw.known_points)
         assert str(err.value).startswith("point (1, 1, 1) has a linear factor inside the "
                                          "closed dual cone")
         assert err.value.diagnostics == {"dual_ll": "1", "point": ["1", "1", "1"]}
