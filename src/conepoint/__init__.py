@@ -13,7 +13,7 @@ _EXPORTS = {
     "localgeo": "DegenerateError DirectionClass DirectionTag GeometryError QuadraticPointData "
                 "SignatureError classify_direction classify_quadratic dual_quadratic "
                 "homogeneous_part normalizer_absdet quadratic_point_data vanishing_degree",
-    "asympt": "AsymptoticEstimate GammaPoleError PreparedPoint cone_constant "
+    "asympt": "AsymptoticEstimate PreparedPoint cone_constant "
               "cone_plane_asymptotics decay_exponent expansion_coefficients local_degree "
               "oriented_double_residue prepare quadratic_asymptotics smooth_asymptotics "
               "total_asymptotics",

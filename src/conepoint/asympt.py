@@ -9,6 +9,8 @@ interior directions r behave like
 
 where qdual is the inverse-matrix dual form, |M| = |det q|^(-1/2), and the
 c(m,l) come from re-expanding the local series in falling powers of q.
+Where s or s+1-d/2 is a nonpositive integer, K(s) = 0 (1/Gamma is entire) and
+every order vanishes inside the cone: a lacuna.
 With one additional smooth factor l (d=3, s=1) the leading term instead
 involves the iterated residue Res2 = |det q qdual(l,l)|^(-1/2) / 2 and the angle
 
@@ -41,35 +43,19 @@ if TYPE_CHECKING:  # loads only where the search runs, never for `oracle`
     from .critpoints import CriticalPoint
 
 
-class GammaPoleError(ValueError):
-    """The power s hits a pole of the explicit constant."""
-
-
-def gamma_strict(x: float) -> float:
-    xf = float(x)
-    if abs(xf - round(xf)) < 1e-9 and round(xf) <= 0:
-        raise GammaPoleError(f"gamma pole at {x}")
-    return math.gamma(xf)
-
-
 def cone_constant(s, d: int, absdet) -> float:
     """|M| / (2^(2s-1) pi^(d/2-1) Gamma(s) Gamma(s+1-d/2)).
 
-    The d=3, s=1 case reduces to |M|/(2 pi) by the Gamma identities; that
-    reduction is applied exactly and asserted against the general formula
-    at import time.
+    1/Gamma is entire: the constant is 0 where s or s+1-d/2 is within 1e-9 of a
+    nonpositive integer.  At d=3, s=1 it reduces to |M|/(2 pi).
     """
     sf = float(s)
-    g1 = gamma_strict(sf)
-    g2 = gamma_strict(sf + 1.0 - d / 2.0)
+    if any(abs(x - round(x)) < 1e-9 and round(x) <= 0 for x in (sf, sf + 1.0 - d / 2.0)):
+        return 0.0
     if d == 3 and sf == 1.0:
         return float(absdet) / (2.0 * math.pi)
-    return float(absdet) / (2.0 ** (2.0 * sf - 1.0) * math.pi ** (d / 2.0 - 1.0) * g1 * g2)
-
-
-# the simplified d=3, s=1 constant must agree with the general expression
-assert abs(2.0 ** 1 * math.pi ** 0.5 * gamma_strict(1.0) * gamma_strict(0.5)
-           - 2.0 * math.pi) < 1e-13 * 2.0 * math.pi
+    return float(absdet) / (2.0 ** (2.0 * sf - 1.0) * math.pi ** (d / 2.0 - 1.0)
+                            * math.gamma(sf) * math.gamma(sf + 1.0 - d / 2.0))
 
 
 def z_power_neg(Z: Sequence, r: Sequence[int]):
@@ -321,7 +307,7 @@ class PreparedPoint(NamedTuple):
     """What total_asymptotics needs at one point, whatever the direction."""
 
     data: QuadraticPointData
-    series: Optional[Tuple[SeriesOrder, ...]]  # bare quadratic points (k = 0) only
+    series: Optional[Tuple[SeriesOrder, ...]]  # None if k = 1 or K(s) = 0 (a lacuna)
 
 
 def _given_or_found(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]],
@@ -371,10 +357,12 @@ def prepare(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None
     spec enters every local expansion, and the formulas need real ones); a
     point with a linear factor that is not the cone-plane shape (d = 3, the
     quadratic and the linear factor each to the first power) or whose
-    numerator vanishes there; a bare quadratic point whose K(s) meets a
-    Gamma pole.  Each bare quadratic point keeps the first order_terms orders
-    of its series, each as K(s+l) and one polynomial per power offset j, so
-    a direction only evaluates them.
+    numerator vanishes there; a bare quadratic point whose numerator
+    vanishes beyond the local order.  A bare quadratic point whose K(s) is 0,
+    a lacuna, keeps no series: every order is 0.  Every other one keeps the
+    first order_terms orders of its series (v + 1 if more, since a numerator
+    vanishing to degree v empties the first v), each as K(s+l) and one
+    polynomial per power offset j, so a direction only evaluates them.
     Order N reads the local series to degree 3N - 3 (c(m, N-1) needs
     |m| = 3(N-1)), so points expand to that order, and never below 8.
     The result can be passed as `points` to total_asymptotics for any
@@ -389,8 +377,8 @@ def prepare(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None
         if complex_expansion:
             raise _point_refusal(Z, "has a complex local expansion: the formulas need real "
                                     "coefficients")
-    prepared = []
-    for data in point_data(spec, points, order=max(8, 3 * order_terms - 3)):
+    prepared, order = [], max(8, 3 * order_terms - 3)
+    for data in point_data(spec, points, order=order):
         Z, d, s, series = data.point_Z, data.arity, data.s, None
         if data.k and (d, _as_int(s), data.linear_factors[0][1]) != (3, 1, 1):
             raise _point_refusal(Z, f"has the quadratic to power {s} and a linear factor to "
@@ -399,13 +387,11 @@ def prepare(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None
         if data.k and data.numerator_value == 0:
             raise _point_refusal(Z, "has a vanishing numerator: only a decay bound is "
                                  "available", numerator_valuation=data.numerator_valuation)
-        if not data.k:
-            try:  # a Gamma pole of K(s + l) is one of K(s) too
-                cone_constant(s, d, data.normalizer_absdet)
-            except GammaPoleError as e:
-                raise _point_refusal(Z, f"has the quadratic to power {s} in {d} variables: "
-                                     f"the constant K(s) meets a {e}", power=str(s)) from None
-            series = _series_terms(data, order_terms)
+        if not data.k and cone_constant(s, d, data.normalizer_absdet):
+            if data.numerator_valuation > order:
+                raise _point_refusal(Z, f"has a numerator that vanishes beyond the local order "
+                                     f"{order}: its leading term is not known", order=order)
+            series = _series_terms(data, max(order_terms, data.numerator_valuation + 1))
         prepared.append(PreparedPoint(data, series))
     return tuple(prepared)
 
@@ -413,7 +399,7 @@ def prepare(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None
 # the formula each contribution names, by the point's k and the direction's tag; the
 # other pairs, obstructed or indeterminate directions, have none
 _FORMULAS = {(0, DirectionTag.InteriorEllipticCone): "quadratic-point-series",
-             (0, DirectionTag.OutsideNormalCone): "quadratic-point-series",
+             (0, DirectionTag.OutsideNormalCone): "outside",
              (1, DirectionTag.InteriorEllipticCone): "cone-plane-arctan",
              (1, DirectionTag.InteriorE): "cone-plane-flange",
              (1, DirectionTag.OutsideNormalCone): "outside"}
@@ -427,11 +413,13 @@ def total_asymptotics(spec: QuasiRationalSpec, r: Sequence[int],
     to prepare with its defaults, which refuses any point that no formula
     covers.  Each point classifies r once, and its k and that tag pick one
     formula: inside the normal cone, the series at a bare quadratic point
-    (k = 0) and the arctangent or the flange value at a cone-plane point
-    (k = 1); outside it, a zero contribution.  A direction outside the
-    normal cone at every point yields a zero estimate flagged as
-    exponentially small; an obstructed or indeterminate direction at any
-    point raises RefusalError.
+    (k = 0), a zero `lacuna` contribution at a bare point that prepare left
+    without a series, and the arctangent or the flange value at a cone-plane
+    point (k = 1); outside it, a zero `outside` contribution.  The estimate
+    names the formula of the contributions that predict, or `mixed` if they
+    differ; with none, it is a zero estimate flagged as a lacuna if a point
+    has one, and as exponentially small otherwise.  An obstructed or
+    indeterminate direction at any point raises RefusalError.
     """
     r = tuple(int(e) for e in r)
     if not (points and all(isinstance(p, PreparedPoint) for p in points)):
@@ -443,18 +431,24 @@ def total_asymptotics(spec: QuasiRationalSpec, r: Sequence[int],
         if (data.k, tag) not in _FORMULAS:
             raise _point_refusal(data.point_Z, f"sees direction {r} as {tag.value}: no formula "
                                  "holds there", **{"class": tag.value, "margin": margin})
-        val = 0
-        if tag is not DirectionTag.OutsideNormalCone:
+        val, formula = 0, _FORMULAS[data.k, tag]
+        if formula == "quadratic-point-series" and pt.series is None:
+            formula = "lacuna"
+        elif formula != "outside":
             val = (quadratic_asymptotics(data, pt.series, r) if data.k == 0
                    else cone_plane_asymptotics(data, r, tag))
             total = total + val
-        contribs.append(PointContribution(data.point_Z, _FORMULAS[data.k, tag], tag.value, val))
+        contribs.append(PointContribution(data.point_Z, formula, tag.value, val))
+    predicted = {c.formula for c in contribs} - {"outside", "lacuna"}
     notes: Tuple[str, ...] = ()
-    if all(c.direction_class == DirectionTag.OutsideNormalCone.value for c in contribs):
+    if predicted:
+        formula = predicted.pop() if len(predicted) == 1 else "mixed"
+    elif any(c.formula == "lacuna" for c in contribs):
+        notes = ("direction inside a lacuna: coefficients are smaller than every power "
+                 "of |r| times |Z^-r|",)
+        formula = "lacuna"
+    else:
         notes = ("direction outside every normal cone: coefficients are exponentially small",)
         formula = "exponential-decay"
-    else:
-        formula = contribs[0].formula \
-            if len({c.formula for c in contribs if c.value != 0}) <= 1 else "mixed"
     alpha = decay_exponent(spec, [(pt.data.point_Z, pt.data.degree) for pt in points])
     return AsymptoticEstimate(r, total, alpha, tuple(contribs), formula, notes)

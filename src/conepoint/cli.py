@@ -40,6 +40,7 @@ EXIT_OK = 0
 EXIT_REFUSAL = 2
 EXIT_SPEC = 3
 EXIT_NUMERIC = 4
+NO_PREDICTION = ("exponential-decay", "lacuna")  # estimates whose 0 stands for a smaller order
 
 
 class _Parser(argparse.ArgumentParser):
@@ -210,7 +211,7 @@ def _cmd_asym(args) -> int:
     prepared = prepare(spec, points, order_terms=args.terms, seed=args.seed)
     est = total_asymptotics(spec, r, points=prepared)
     _emit(specio.canonical_json(specio.estimate_to_json(est)), args.out)
-    if est.formula_tag == "exponential-decay":
+    if est.formula_tag in NO_PREDICTION:
         return EXIT_REFUSAL
     return EXIT_OK
 
@@ -288,14 +289,14 @@ def _cmd_compare(args) -> int:
             lines.append(",".join(map(str, r)) + f",{oracle_v!r},,,{e.diagnostics['class']}")
             continue
         pred_f, cls = float(est.value), est.per_point[0].direction_class
-        if oracle_v == 0.0 and pred_f == 0.0:
-            rel = 0.0
+        if est.formula_tag in NO_PREDICTION:  # 0 by convention: no error to measure
+            rel = ""
         elif oracle_v == 0.0:
-            rel = float("inf")
+            rel = repr(0.0 if pred_f == 0.0 else float("inf"))
         else:
-            rel = abs(pred_f - oracle_v) / abs(oracle_v)
-            errors.append(rel)
-        lines.append(",".join(map(str, r)) + f",{oracle_v!r},{pred_f!r},{rel!r},{cls}")
+            errors.append(abs(pred_f - oracle_v) / abs(oracle_v))
+            rel = repr(errors[-1])
+        lines.append(",".join(map(str, r)) + f",{oracle_v!r},{pred_f!r},{rel},{cls}")
     if errors:
         errors.sort()
         median = errors[len(errors) // 2]

@@ -8,12 +8,12 @@ from conepoint.polyseries import MultiPoly, TruncatedSeries
 from conepoint.localgeo import DirectionTag, classify_direction, quadratic_point_data
 from conepoint.critpoints import CriticalPoint, find_smooth_critical
 from conepoint import asympt, localgeo, polyseries
-from conepoint.asympt import (GammaPoleError, RefusalError, cone_constant,
+from conepoint.asympt import (RefusalError, cone_constant,
                               cone_plane_asymptotics, decay_exponent,
                               expansion_coefficients, local_degree,
                               oriented_double_residue, prepare, quadratic_asymptotics,
                               smooth_asymptotics, total_asymptotics)
-from conepoint.oracle import coefficient_at
+from conepoint.oracle import QuasiRationalSpec, coefficient_at
 from conepoint.presets import preset
 from float_specs import floated
 from references import double_residue, dual_power_derivative, mat_inverse
@@ -38,11 +38,12 @@ class TestConstants:
         general = 2 / (2.0 ** 1 * math.pi ** 0.5 * math.gamma(1.0) * math.gamma(0.5))
         assert abs(cone_constant(1, 3, 2) - general) < 1e-13
 
-    def test_gamma_poles_rejected(self):
-        with pytest.raises(GammaPoleError):
-            cone_constant(0, 3, 1)
-        with pytest.raises(GammaPoleError):
-            cone_constant(Fraction(1, 2), 3, 1)  # s + 1 - d/2 = 0
+    def test_gamma_poles_give_zero(self):
+        # 1/Gamma is entire and vanishes at the poles of Gamma, within 1e-9 of them
+        for s, d in ((0, 3), (-1, 3), (HALF, 3), (0.5 + 1e-12, 3), (-HALF, 3), (1, 4)):
+            assert cone_constant(s, d, 1) == 0.0, (s, d)
+        for s, d in ((0.5 + 1e-6, 3), (Fraction(3, 2), 3), (Fraction(3, 2), 4)):
+            assert cone_constant(s, d, 1) > 0, (s, d)
 
 
 class TestExpansionCoefficients:
@@ -498,3 +499,47 @@ class TestTotals:
         # one classification per (point, direction), one residue per cone-plane point
         assert calls == {"classify_direction": len(prepared) * len(directions),
                          "oriented_double_residue": sum(p.data.k == 1 for p in prepared)}
+
+
+def fls_half() -> QuasiRationalSpec:
+    """fls at power 1/2, which the preset does not take: s + 1 - d/2 = 0, so K(s) = 0."""
+    spec = preset("fls").spec
+    (poly, _), = spec.factors
+    return QuasiRationalSpec(spec.arity, spec.numerator, ((poly, HALF),),
+                             spec.cone_direction_u, spec.name)
+
+
+class TestLacuna:
+    def test_oracle_decays_faster_than_a_power(self):
+        spec = fls_half()
+        scaled = [n ** 8 * float(coefficient_at(spec, (n, n, n))) for n in (16, 32)]
+        assert 0 < scaled[1] < scaled[0], scaled
+
+    def test_every_order_vanishes(self):
+        # K(s) is 0 at order 0, and the falling factorial of alpha_l in each derivative
+        # empties every polynomial of the orders l >= 1: no order needs K(s) as a limit
+        data = quadratic_point_data(fls_half(), (1, 1, 1), order=9)
+        for N in (1, 2, 3, 4):
+            for K, _, polys in asympt._series_terms(data, N):
+                assert K == 0 or not any(p.terms for p in polys.values()), (N, K)
+
+    def test_prepare_keeps_no_series_and_names_the_lacuna(self):
+        spec = fls_half()
+        pt, = prepare(spec, [(1, 1, 1)], order_terms=4)
+        assert pt.data.k == 0 and pt.series is None
+        est = total_asymptotics(spec, (5, 5, 5), points=[pt])
+        assert (est.value, est.formula_tag) == (0, "lacuna")
+        assert [(c.formula, c.value) for c in est.per_point] == [("lacuna", 0)]
+        assert "smaller than every power" in est.notes[0]
+        est = total_asymptotics(spec, (1, 0, 0), points=[pt])
+        assert (est.value, est.formula_tag) == (0, "exponential-decay")
+        assert [c.formula for c in est.per_point] == ["outside"]
+
+    def test_a_predicting_point_names_the_estimate(self, fls):
+        # the estimate takes the formula of the contributions that predict
+        lacuna = prepare(fls_half(), [(1, 1, 1)])
+        series = prepare(fls.spec, fls.known_points)
+        alone = total_asymptotics(fls.spec, (10, 10, 10), points=series)
+        est = total_asymptotics(fls.spec, (10, 10, 10), points=lacuna + series)
+        assert (est.value, est.formula_tag, est.notes) == (alone.value, alone.formula_tag, ())
+        assert [c.formula for c in est.per_point] == ["lacuna", "quadratic-point-series"]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,12 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+FLS_HALF = json.loads((SPEC_DIR / "fls.json").read_text())
+FLS_HALF["factors"][0]["power"] = "1/2"
+LACUNA_NOTE = ("direction inside a lacuna: coefficients are smaller than every power of "
+               "|r| times |Z^-r|")
 
 
 class TestOracle:
@@ -115,6 +122,49 @@ class TestAsym:
         report = json.loads(out)
         assert report["formula"] == "exponential-decay"
         assert any("exponentially small" in note for note in report["notes"])
+        # every point names its zero contribution outside the cone the same way
+        for preset_name, r in (("aztec", "1,0,1"), ("fls", "1,0,0"), ("cube_grove", "1,0,0")):
+            rc, out, _ = run(capsys, "asym", "--preset", preset_name, "--r", r)
+            report = json.loads(out)
+            assert (rc, report["formula"]) == (2, "exponential-decay"), preset_name
+            assert {c["formula"] for c in report["per_point"]} == {"outside"}, preset_name
+
+    @pytest.mark.parametrize("numerator,v", [
+        ([("-1", [0, 0, 0]), ("1", [1, 0, 0])], 1),  # X - 1
+        ([("2", [0, 0, 0]), ("-2", [1, 0, 0]), ("-2", [0, 1, 0]), ("1", [2, 0, 0]),
+          ("1", [0, 2, 0])], 2),  # (X - 1)^2 + (Y - 1)^2
+    ])
+    def test_vanishing_numerator_reaches_the_leading_order(self, capsys, tmp_path,
+                                                           numerator, v):
+        # a numerator vanishing to degree v leaves the first v orders empty, so --terms
+        # N keeps v + 1 orders at least (--terms 1 answered 0.0)
+        raw = json.loads((SPEC_DIR / "fls.json").read_text())
+        raw["numerator"] = [{"coeff": c, "exponents": m} for c, m in numerator]
+        path = tmp_path / "vanishing.json"
+        path.write_text(json.dumps(raw))
+        values = []
+        for terms in range(1, v + 2):
+            rc, out, _ = run(capsys, "asym", "--spec", str(path), "--r", "20,20,20",
+                             "--terms", str(terms))
+            assert rc == 0
+            values.append(json.loads(out)["value"])
+        rc, out, _ = run(capsys, "oracle", "--spec", str(path), "--at", "20,20,20")
+        exact = float(Fraction(out))
+        assert values == [values[0]] * (v + 1)
+        assert abs(values[0] - exact) < 0.1 * v * exact, (values, exact)
+
+    def test_numerator_vanishing_beyond_the_local_order_exit_2(self, capsys, tmp_path):
+        # (X - 1)^9: its leading term lies past the local order 8 that --terms 1 expands to
+        raw = json.loads((SPEC_DIR / "fls.json").read_text())
+        raw["numerator"] = [{"coeff": str(math.comb(9, k) * (-1) ** (9 - k)),
+                             "exponents": [k, 0, 0]} for k in range(10)]
+        path = tmp_path / "vanishing.json"
+        path.write_text(json.dumps(raw))
+        rc, out, err = run(capsys, "asym", "--spec", str(path), "--r", "20,20,20")
+        assert (rc, out) == (2, "")
+        assert err == ("refused: point (1, 1, 1) has a numerator that vanishes beyond the "
+                       'local order 8: its leading term is not known\n{"order":8,"point":'
+                       '["1","1","1"]}\n')
 
 
 class TestClassify:
@@ -369,6 +419,17 @@ class TestCompare:
         assert rc == 0
         assert "median rel error" in out
 
+    def test_summary_counts_only_predicted_rows(self, capsys):
+        # rows outside every normal cone predict 0 by convention: no relative error
+        rc, out, _ = run(capsys, "compare", "--preset", "fls", "--directions",
+                         "1,0,0;10,10,10;0,0,12")
+        *rows, summary = out.splitlines()[1:]
+        rel = {row.split(",")[2]: row.split(",")[5] for row in rows}  # by r3
+        assert rc == 0 and (rel["0"], rel["12"]) == ("", "")
+        assert summary == (f"# interior points: 1, max rel error {rel['10']}, "
+                           f"median rel error {rel['10']}")
+        assert 0 < float(rel["10"]) < 0.05
+
     def test_grid_uses_the_spec_point(self, capsys, tmp_path):
         # X -> 2X, Y -> 2Y, Z -> 2Z moves the point to (1/2,1/2,1/2) and scales
         # both a_r and Z^(-r) by 2^|r|: the grid and the relative errors stay
@@ -448,37 +509,48 @@ class TestDeterminismAndErrors:
             assert rc == 3, path
             assert err.startswith("spec error:"), path
 
-    def test_gamma_pole_refused_exit_2(self, tmp_path, capsys):
-        # s + 1 - d/2 = 0 is a pole of the constant K(s): no formula covers a
-        # direction inside the cone, so prepare refuses the point (it exited 4)
-        # whatever the direction, as it refuses any point without a formula
-        spec = {
-            "variables": ["X", "Y", "Z"],
-            "numerator": [{"coeff": "1", "exponents": [0, 0, 0]}],
-            "factors": [{"poly": [{"coeff": "3", "exponents": [0, 0, 0]},
-                                  {"coeff": "-2", "exponents": [1, 0, 0]},
-                                  {"coeff": "-2", "exponents": [0, 1, 0]},
-                                  {"coeff": "-2", "exponents": [0, 0, 1]},
-                                  {"coeff": "1", "exponents": [1, 1, 0]},
-                                  {"coeff": "1", "exponents": [1, 0, 1]},
-                                  {"coeff": "1", "exponents": [0, 1, 1]}],
-                         "power": "1/2"}],
-            "cone_direction_u": [-1, -1, -1],
-            "points": [["1", "1", "1"]],
-        }
+    def test_gamma_pole_is_a_lacuna_exit_2(self, tmp_path, capsys):
+        # s + 1 - d/2 = 0 is a pole of Gamma in K(s), so 1/Gamma makes every order of
+        # the series vanish inside the cone: a lacuna, answered with exit 2 as
+        # exponential decay is (it was refused); the float copy decides the pole to 1e-9
         path = tmp_path / "pole.json"
-        path.write_text(json.dumps(spec))
-        refusal = ("refused: point (1, 1, 1) has the quadratic to power 1/2 in 3 variables: "
-                   "the constant K(s) meets a gamma pole at 0.0\n"
-                   '{"point":["1","1","1"],"power":"1/2"}\n')
-        for terms in ("1", "3"):
-            for r in ("5,5,5", "1,0,0"):  # inside and outside the normal cone
-                rc, out, err = run(capsys, "asym", "--spec", str(path), "--r", r,
-                                   "--terms", terms)
-                assert (rc, out, err) == (2, "", refusal), (terms, r)
-        rc, out, err = run(capsys, "compare", "--spec", str(path), "--directions",
-                           "5,5,5;1,0,0")
-        assert (rc, out, err) == (2, "", refusal)
+        for raw in (FLS_HALF, _floated_json(FLS_HALF)):
+            path.write_text(json.dumps(raw))
+            for terms in ("1", "2", "3", "4"):
+                for r in ("5,5,5", "2,2,3", "3,2,2"):
+                    rc, out, err = run(capsys, "asym", "--spec", str(path), "--r", r,
+                                       "--terms", terms)
+                    report = json.loads(out)
+                    assert (rc, err, report["formula"], report["value"]) == \
+                        (2, "", "lacuna", 0.0), (terms, r)
+                    assert report["notes"] == [LACUNA_NOTE]
+                    assert [c["formula"] for c in report["per_point"]] == ["lacuna"]
+            rc, out, _ = run(capsys, "asym", "--spec", str(path), "--r", "1,0,0")
+            assert (rc, json.loads(out)["formula"]) == (2, "exponential-decay")
+            rc, out, err = run(capsys, "compare", "--spec", str(path), "--directions",
+                               "5,5,5;1,0,0")
+            assert (rc, err) == (0, "")
+            assert [row.split(",")[4:6] for row in out.splitlines()[1:-1]] == \
+                [["0.0", ""], ["0.0", ""]]
+            assert out.splitlines()[-1] == "# no interior points with nonzero oracle values"
+
+    def test_huygens_lacuna_in_four_variables(self, tmp_path, capsys):
+        # Q = 6 - 3 sum X_i + sum_{i<j} X_i X_j is Lorentzian at (1,1,1,1); at s = 1 and
+        # d = 4, s + 1 - d/2 = 0
+        terms = [("6", [0] * 4)] + [("-3", [int(i == j) for i in range(4)]) for j in range(4)]
+        terms += [("1", [int(i in (j, k)) for i in range(4)])
+                  for j in range(4) for k in range(j + 1, 4)]
+        raw = {"variables": ["A", "B", "C", "D"],
+               "numerator": [{"coeff": "1", "exponents": [0] * 4}],
+               "factors": [{"poly": [{"coeff": c, "exponents": m} for c, m in terms],
+                            "power": "1"}],
+               "cone_direction_u": ["-1"] * 4, "points": [["1"] * 4]}
+        path = tmp_path / "huygens.json"
+        path.write_text(json.dumps(raw))
+        rc, out, _ = run(capsys, "asym", "--spec", str(path), "--r", "1,1,1,1")
+        report = json.loads(out)
+        assert (rc, report["formula"], report["value"], report["notes"]) == \
+            (2, "lacuna", 0.0, [LACUNA_NOTE])
 
     def test_generic_spec_discovers_points(self, tmp_path, capsys):
         # spec JSON with no 'points' field: the singular point is found numerically

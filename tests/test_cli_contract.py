@@ -11,9 +11,10 @@ search would take most of the time this test has.  Whatever the spec,
 
 * the exit code is 0, 2, 3 or 4, and no exception escapes;
 * stderr starts with the prefix of that code: `refused: `, `spec error: `
-  or `numeric failure: ` (`asym` also exits 2, with its estimate on stdout,
-  for a direction outside every normal cone);
-* on exit 0, stdout parses as what the command prints.
+  or `numeric failure: `;
+* on exit 0, stdout parses as what the command prints, and exit 2 with an
+  empty stderr is `asym`'s estimate for a direction outside every normal
+  cone or inside a lacuna.
 
 A second draw puts a Lorentzian quadratic and one or two linear factors
 through (1, ..., 1), each to a drawn power, in 2 or 3 variables: the point
@@ -22,11 +23,12 @@ by name.  The prediction commands on those never exit 4.
 
 A point is refused once, when it is prepared, and never per direction:
 `classify_direction` tags every direction at a point that `point_data`
-returned, and no `compare` row is a refusal.  A third draw gives points
-that no formula covers inside their cone, a Lorentzian quadratic to the
-power 1/2 in 3 variables (K(s) on a Gamma pole) and a cone-plane point
-whose numerator vanishes there: `asym` and `compare` refuse them by name,
-whatever the direction.
+returned, and no `compare` row is a refusal.  A third draw gives
+cone-plane points whose numerator vanishes there, which no formula covers:
+`asym` and `compare` refuse them by name, whatever the direction.  A fourth
+puts K(s) on a pole of Gamma, a Lorentzian quadratic to the power 1/2 or
+-1/2 in 3 variables or 1 in 4: 1/Gamma is 0 there, `asym` answers
+`lacuna` inside the cone, and `compare` gives no row a relative error.
 """
 
 import contextlib
@@ -157,20 +159,32 @@ def cone_point_specs(draw, timelike=False):
 @st.composite
 def pointwise_refused_specs(draw):
     """A point at (1, 1, 1) that no formula covers inside its cone, with rational
-    coefficients and a timelike quadratic: the quadratic to the power 1/2
-    (s + 1 - d/2 = 0, a Gamma pole of K(s)) and a numerator that vanishes at the
-    point or not, or the quadratic and a linear factor, each to the first power,
-    and a numerator that vanishes at the point."""
-    pole = draw(st.booleans())
-    vanishing = not pole or draw(st.booleans())
-    factors = [{"poly": specio.poly_to_json(draw(lorentzian(3, RATIONAL, timelike=True))),
-                "power": "1/2" if pole else "1"}]
-    if not pole:
-        ell = _linear(draw(st.tuples(*[st.integers(-2, 2)] * 3).filter(any)))
-        factors.append({"poly": specio.poly_to_json(ell), "power": "1"})
-    numerator = draw(polys(3, vanishing, RATIONAL).filter(lambda p: any(p.terms.values())))
-    return {"variables": ["X", "Y", "Z"], "factors": factors,
-            "numerator": specio.poly_to_json(numerator), "points": [["1", "1", "1"]]}
+    coefficients and a timelike quadratic: the quadratic and a linear factor, each
+    to the first power, and a numerator that vanishes at the point."""
+    ell = _linear(draw(st.tuples(*[st.integers(-2, 2)] * 3).filter(any)))
+    numerator = draw(polys(3, True, RATIONAL).filter(lambda p: any(p.terms.values())))
+    return {"variables": ["X", "Y", "Z"], "numerator": specio.poly_to_json(numerator),
+            "factors": [{"poly": specio.poly_to_json(draw(lorentzian(3, RATIONAL, True))),
+                         "power": "1"}, {"poly": specio.poly_to_json(ell), "power": "1"}],
+            "points": [["1", "1", "1"]]}
+
+
+@st.composite
+def gamma_pole_cases(draw):
+    """(spec, a, b): a timelike quadratic at (1, ..., 1) to a power s with
+    s + 1 - d/2 a nonpositive integer, so that K(s) is on a pole of Gamma, a
+    rational numerator that vanishes at the point or not, and two directions, the
+    first near the axis of the cone."""
+    d, power = draw(st.sampled_from([(3, "1/2"), (3, "-1/2"), (4, "1")]))
+    numerator = draw(polys(d, draw(st.booleans()), RATIONAL).filter(
+        lambda p: any(p.terms.values())))
+    raw = {"variables": ["X", "Y", "Z", "W"][:d], "numerator": specio.poly_to_json(numerator),
+           "factors": [{"poly": specio.poly_to_json(draw(lorentzian(d, RATIONAL, True))),
+                        "power": power}],
+           "points": [["1"] * d]}
+    near_axis = st.tuples(st.integers(4, 8), *[st.integers(-1, 1)] * (d - 1))
+    vector = st.tuples(*[st.integers(-2, 8)] * d).filter(any)
+    return raw, *(",".join(map(str, draw(r))) for r in (near_axis, vector))
 
 
 @st.composite
@@ -309,13 +323,33 @@ DIRECTION_3D = st.tuples(*[st.integers(-2, 8)] * 3).filter(any).map(
 @settings(max_examples=20, deadline=None, database=None, derandomize=True)
 @given(pointwise_refused_specs(), DIRECTION_3D, DIRECTION_3D)
 @example(GROVE_VANISHING, "7,7,7", "1,0,0")
-@example(FLS_POLE, "7,7,7", "1,0,0")
-@example(FLS_POLE_VANISHING, "5,5,5", "1,0,0")
 def test_points_without_a_formula_are_refused_for_every_direction(spec_path, raw, a, b):
     for argv in (["asym", "--r", a], ["compare", "--directions", f"{a};{b}"]):
         rc, out, err = _run(spec_path, raw, argv)
         assert (rc, out) == (2, ""), (argv, err)
         assert err.startswith("refused: point (1, 1, 1) "), err
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(gamma_pole_cases())
+@example((FLS_POLE, "7,7,7", "1,0,0"))
+@example((FLS_POLE_VANISHING, "5,5,5", "1,0,0"))
+def test_gamma_pole_points_answer_lacuna_for_every_direction(spec_path, case):
+    raw, a, b = case
+    for r in (a, b):
+        rc, out, err = _run(spec_path, raw, ["asym", "--r", r])
+        assert rc == 2, err
+        if out:  # else a direction on the cone boundary, refused
+            report = json.loads(out)
+            inside = report["per_point"][0]["direction_class"] == "InteriorEllipticCone"
+            assert report["formula"] == ("lacuna" if inside else "exponential-decay")
+            assert report["value"] == 0.0
+        else:
+            assert err.startswith("refused: point (1, 1, 1"), err
+    rc, out, err = _run(spec_path, raw, ["compare", "--directions", f"{a};{b}"])
+    assert (rc, err) == (0, "")
+    # no row predicts, so no row has a relative error
+    assert all(row.split(",")[-2] == "" for row in out.splitlines()[1:-1]), out
 
 
 def _run(spec_path, raw, argv):
@@ -334,7 +368,8 @@ def _check_contract(spec_path, raw, argv):
     if rc == 0:
         _check_stdout(argv, out, len(raw["variables"]))
     elif rc == 2 and not err:
-        assert argv[0] == "asym" and json.loads(out)["formula"] == "exponential-decay"
+        assert argv[0] == "asym" and \
+            json.loads(out)["formula"] in ("exponential-decay", "lacuna")
     else:
         assert err.startswith(PREFIX[rc]) and not out, (rc, err)
     return rc
