@@ -12,11 +12,11 @@ _EXPORTS = {
               "empirical_decay expand expand_box",
     "localgeo": "DegenerateError DirectionClass DirectionTag GeometryError QuadraticPointData "
                 "SignatureError classify_direction classify_quadratic dual_quadratic "
-                "homogeneous_part normalizer_absdet quadratic_point_data vanishing_degree",
+                "homogeneous_part normalizer_absdet oriented_double_residue "
+                "quadratic_point_data vanishing_degree",
     "asympt": "AsymptoticEstimate PreparedPoint cone_constant "
               "cone_plane_asymptotics decay_exponent expansion_coefficients local_degree "
-              "oriented_double_residue prepare quadratic_asymptotics smooth_asymptotics "
-              "total_asymptotics",
+              "prepare quadratic_asymptotics smooth_asymptotics total_asymptotics",
     "presets": "Preset grove_relation_check preset qrw_simulate",
     "errors": "RefusalError",
 }

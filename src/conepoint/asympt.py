@@ -34,9 +34,9 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tu
 from .polyseries import Exponent, MultiPoly, TruncatedSeries, binomials
 from .oracle import QuasiRationalSpec, _as_int
 from .errors import RefusalError
-from .localgeo import (TOL, DegenerateError, DirectionTag, GeometryError, Matrix,
-                       QuadraticPointData, _gauss_jordan, _normalizer, _point_refusal,
-                       classify_direction, homogeneous_part, quadratic_point_data)
+from .localgeo import (TOL, DegenerateError, DirectionTag, Matrix, QuadraticPointData,
+                       _gauss_jordan, _point_refusal, classify_direction, homogeneous_part,
+                       quadratic_point_data)
 from .localgeo import log_compose_taylor  # noqa: F401  (perfbench traces it under this name)
 
 if TYPE_CHECKING:  # loads only where the search runs, never for `oracle`
@@ -186,26 +186,7 @@ def quadratic_asymptotics(data: QuadraticPointData, series: Sequence[SeriesOrder
     return sum((zr * K * _power_sum(polys, alpha, r, qval) for K, alpha, polys in series), 0.0)
 
 
-# -- double residue & the cone-plane formula ----------------------------------------
-
-
-def oriented_double_residue(data: QuadraticPointData):
-    """Res2 = |det q * q*(ell, ell)|^(-1/2) / 2: the positive value of the
-    iterated residue on either line where q and the linear factor ell both
-    vanish.  Exact when the product is a rational square.
-
-    Let a, a' span the two null lines of q in ell^perp, with a'^T q a = 1,
-    and let b = q^-1 ell.  The Gram matrix of (a, a', b) under q is
-    [[0,1,0],[1,0,0],[0,0,q*(ell,ell)]], so det[a,b,a']^2 = -q*(ell,ell)/det q.
-    2 q a x ell is orthogonal to q a and to ell, as a is, so it is c a, and the
-    residue at a is 1/c.  Dotting with q a' gives c = 2 det[qa, qb, qa'] =
-    2 det q det[a,b,a'], so c^2 = -4 det q q*(ell,ell).  The lines are real
-    and distinct exactly when that product is negative.
-    """
-    product = _gauss_jordan(data.q_matrix)[1] * data.qll
-    if not float(product) < 0:
-        raise GeometryError("intersection lines are not real and distinct")
-    return _normalizer(product) / 2
+# -- the cone-plane formula ----------------------------------------------------------
 
 
 def cone_plane_asymptotics(data: QuadraticPointData, r: Sequence[int], tag: DirectionTag):

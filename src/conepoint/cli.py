@@ -303,7 +303,7 @@ def _cmd_compare(args) -> int:
         summary = f"# interior points: {len(errors)}, max rel error {max(errors)!r}, " \
                   f"median rel error {median!r}"
     else:
-        summary = "# no interior points with nonzero oracle values"
+        summary = "# no predicted points with nonzero oracle values"
     lines.append(summary)
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK

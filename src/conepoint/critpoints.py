@@ -54,7 +54,6 @@ PIVOT_DROP = 64 * sys.float_info.epsilon  # squared Cholesky pivot / G_jj at whi
 
 class CriticalPoint(NamedTuple):
     Z: Tuple[complex, ...]
-    stratum: str              # "QuadraticSingular" | "SmoothOnFactor" | ...
     residual: float
     exact: bool = False       # confirmed in rational arithmetic
 
@@ -191,7 +190,7 @@ def find_singular_points(Q: MultiPoly, x: Sequence[float], starts: int = 200,
         return SearchReport([], False, 0, 0.0)
     d = Q.arity
     logQ = [MultiPoly.variable(d, i) * Q.diff(i) for i in range(d)]
-    return _multistart([Q] + logQ, x, starts, seed, "QuadraticSingular")
+    return _multistart([Q] + logQ, x, starts, seed)
 
 
 def find_smooth_critical(H: MultiPoly, r: Sequence[float], x: Sequence[float],
@@ -210,7 +209,7 @@ def find_smooth_critical(H: MultiPoly, r: Sequence[float], x: Sequence[float],
     # cross_i = g_i * r_piv - g_piv * r_i  for i != piv
     cross = [logH[i].scale(rs[piv]) - logH[piv].scale(rs[i])
              for i in range(d) if i != piv]
-    return _multistart([H] + cross, x, starts, seed, "SmoothOnFactor")
+    return _multistart([H] + cross, x, starts, seed)
 
 
 def _polish(residual: Callable, jacobian: Callable,
@@ -253,7 +252,7 @@ def _system(polys: Sequence[MultiPoly], x: Sequence[float]) -> Tuple[Callable, C
     return residual, jacobian
 
 
-def _multistart(polys, x, starts, seed, stratum) -> SearchReport:
+def _multistart(polys, x, starts, seed) -> SearchReport:
     residual, jacobian = _system(polys, x)
     rng = random.Random(seed)
     d = polys[0].arity
@@ -279,8 +278,8 @@ def _multistart(polys, x, starts, seed, stratum) -> SearchReport:
             if fr is not None and all(_vanishes(p, fr) for p in polys):
                 # keep the exact rational coordinates: downstream local analysis
                 # then runs in exact arithmetic
-                points.append(CriticalPoint(tuple(fr), stratum, 0.0, True))
+                points.append(CriticalPoint(tuple(fr), 0.0, True))
             else:
-                points.append(CriticalPoint(Z, stratum, res, False))
+                points.append(CriticalPoint(Z, res, False))
     return SearchReport(points=points, family_detected=family,
                         n_converged=len(cands), cluster_diameter=diam)

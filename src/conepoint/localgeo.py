@@ -11,7 +11,8 @@ outside).
 
 The dual form convention is strictly "matrix inverse of the quadratic's
 matrix".  All computations stay in exact rational arithmetic whenever the
-point and coefficients are rational.
+point and coefficients are rational, the test that the quadratic is
+nonsingular and Lorentzian included: it counts signs by Sylvester's inertia.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ def classify_quadratic(h: MultiPoly, u: Sequence) -> Tuple[Matrix, bool]:
 
     Complex coefficients are allowed if they share a global phase (the
     phase of the largest coefficient is removed, residual imaginary parts
-    must stay below TOL).  The signature must be Lorentzian: one positive
-    and d-1 negative eigenvalues.
+    must stay below TOL).  The form must be nonsingular (DegenerateError)
+    and Lorentzian (SignatureError): one positive and d-1 negative eigenvalues.
     """
     d = h.arity
     if h.is_zero() or any(sum(m) != 2 for m in h.terms):
@@ -138,45 +139,40 @@ def classify_quadratic(h: MultiPoly, u: Sequence) -> Tuple[Matrix, bool]:
         flipped = True
     elif qu == 0:
         raise GeometryError("reference direction lies on the quadratic's null cone")
-    eig = _symmetric_eigenvalues(M)
-    emax = max(abs(e) for e in eig)
-    if any(abs(e) <= 1e-12 * emax for e in eig):
+    pos, neg, zero = _inertia(M)
+    if zero:
         raise DegenerateError("quadratic form is singular")
-    npos = sum(1 for e in eig if e > 0)
-    if npos != 1:
-        raise SignatureError(f"signature ({npos},{len(eig) - npos}) is not Lorentzian")
+    if pos != 1:
+        raise SignatureError(f"signature ({pos},{neg}) is not Lorentzian")
     return M, flipped
 
 
-def _symmetric_eigenvalues(M: Matrix) -> List[float]:
-    """Eigenvalues of a real symmetric matrix, in floats, by cyclic Jacobi
-    rotations; each rotation zeroes one off-diagonal pair.  The matrix is
-    first scaled by a power of two to entries below 1, which is exact."""
-    e = math.frexp(max(abs(float(x)) for row in M for x in row))[1]
-    a = [[math.ldexp(float(x), -e) for x in row] for row in M]
-    n = len(a)
-    total = sum(x * x for row in a for x in row)
-    for _ in range(50):
-        if sum(a[p][q] * a[p][q] for p in range(n) for q in range(p)) <= 1e-34 * total:
-            break
-        for p in range(n):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                a[p][p] -= t * apq
-                a[q][q] += t * apq
-                a[p][q] = a[q][p] = 0.0
-                for r in range(n):
-                    if r != p and r != q:
-                        arp, arq = a[r][p], a[r][q]
-                        a[r][p] = a[p][r] = c * arp - s * arq
-                        a[r][q] = a[q][r] = s * arp + c * arq
-    return [math.ldexp(a[i][i], e) for i in range(n)]
+def _inertia(M: Matrix) -> Tuple[int, int, int]:
+    """(positive, negative, zero): the signs of a real symmetric matrix's
+    eigenvalues, which congruence keeps (Sylvester's law of inertia).  Each
+    step pivots on the largest diagonal entry and eliminates its row and
+    column; when every diagonal entry left is 0, adding row and column j to
+    row and column i makes a_ii = 2 a_ij.  Exact on rationals; in floats an
+    entry within 1e-12 of M's largest counts as zero."""
+    exact = all(isinstance(x, (int, Fraction)) for row in M for x in row)
+    a = [[Fraction(x) if exact else float(x) for x in row] for row in M]
+    tol = 0 if exact else 1e-12 * max(abs(x) for row in a for x in row)
+    pos = neg = 0
+    for n in range(len(M), 0, -1):
+        p = max(range(n), key=lambda i: abs(a[i][i]))
+        if abs(a[p][p]) <= tol:
+            p, j = max(((i, j) for i in range(n) for j in range(i)),
+                       key=lambda ij: abs(a[ij[0]][ij[1]]), default=(0, 0))
+            if abs(a[p][j]) <= tol:
+                break
+            a[p] = [x + y for x, y in zip(a[p], a[j])]
+            for row in a:
+                row[p] += row[j]
+        piv = a[p][p]
+        pos, neg = pos + (piv > 0), neg + (piv < 0)
+        rest = [i for i in range(n) if i != p]
+        a = [[a[r][c] - a[r][p] * a[p][c] / piv for c in rest] for r in rest]
+    return pos, neg, len(M) - pos - neg
 
 
 def dual_quadratic(q_matrix: Matrix) -> Matrix:
@@ -195,6 +191,25 @@ def _normalizer(det):
     x = 1 / abs(det)
     root = _rational_root(x, 2)
     return root if root is not None else math.sqrt(float(x))
+
+
+def oriented_double_residue(data: QuadraticPointData):
+    """Res2 = |det q * q*(ell, ell)|^(-1/2) / 2: the positive value of the
+    iterated residue on either line where q and the linear factor ell both
+    vanish.  Exact when the product is a rational square.
+
+    Let a, a' span the two null lines of q in ell^perp, with a'^T q a = 1,
+    and let b = q^-1 ell.  The Gram matrix of (a, a', b) under q is
+    [[0,1,0],[1,0,0],[0,0,q*(ell,ell)]], so det[a,b,a']^2 = -q*(ell,ell)/det q.
+    2 q a x ell is orthogonal to q a and to ell, as a is, so it is c a, and the
+    residue at a is 1/c.  Dotting with q a' gives c = 2 det[qa, qb, qa'] =
+    2 det q det[a,b,a'], so c^2 = -4 det q q*(ell,ell).  The lines are real
+    and distinct exactly when that product is negative.
+    """
+    product = _gauss_jordan(data.q_matrix)[1] * data.qll
+    if not float(product) < 0:
+        raise GeometryError("intersection lines are not real and distinct")
+    return _normalizer(product) / 2
 
 
 def _bilinear(M: Matrix, a: Sequence, b: Sequence):
@@ -300,7 +315,6 @@ class QuadraticPointData(Record):
     def residue(self):
         """The oriented iterated residue Res2 of a point with one linear factor,
         computed on first use and kept, since it does not depend on the direction."""
-        from .asympt import oriented_double_residue  # asympt imports this module
         return oriented_double_residue(self)
 
 
@@ -311,12 +325,12 @@ def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence,
     Factors are split by their vanishing degree at Z: nonvanishing factors
     are absorbed into the numerator, degree-1 factors become linear
     covectors (sign-fixed against the cone direction; at most one), and exactly
-    one degree-2 factor supplies the Lorentzian quadratic; a point that breaks
-    these rules is refused by name, but a singular quadratic raises
-    DegenerateError.  A factor with float coefficients vanishes to the
-    degree its expansion shows once terms of degree below 2 within TOL of
-    its size at Z are dropped; an exact factor vanishes where its terms are
-    exactly zero.
+    one degree-2 factor supplies the nonsingular Lorentzian quadratic; a point
+    that breaks these rules, or where a factor vanishes beyond the local
+    order, is refused by name.  A factor with float coefficients vanishes to
+    the degree its expansion shows once terms of degree below 2 within TOL
+    of its size at Z are dropped; an exact factor vanishes where its terms
+    are exactly zero.
     """
     u = spec.cone_direction_u
     p_series = log_compose_taylor(spec.numerator, Z, order)
@@ -331,7 +345,9 @@ def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence,
                                      {m: c for m, c in series.terms.items()
                                       if sum(m) >= 2 or abs(c) > tol})
         if series.is_zero():
-            raise GeometryError("a factor vanishes identically at the point")
+            raise _point_refusal(Z, f"is where a factor vanishes beyond the local order {order}: "
+                                    "the contour formulas need quadratic cone points and smooth "
+                                    "factors", order=order)
         v = vanishing_degree(series)
         if v == 0:
             p_series = p_series * series.pow_real(-power if isinstance(power, (int, float))
@@ -387,12 +403,10 @@ def _point_refusal(Z: Sequence, why: str, **diagnostics) -> RefusalError:
 
 
 def _fit_or_refuse(Z: Sequence, fit, h: MultiPoly, u: Sequence):
-    """fit(h, u), its GeometryError a refusal at Z: the local form is outside
-    the contour formulas.  A singular form (DegenerateError) stays numeric."""
+    """fit(h, u), its GeometryError (a singular form included) a refusal at Z:
+    the local form is outside the contour formulas."""
     try:
         return fit(h, u)
-    except DegenerateError:
-        raise
     except GeometryError as e:
         raise _point_refusal(Z, f"is outside the contour formulas: {e}") from None
 

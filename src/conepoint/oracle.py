@@ -385,8 +385,6 @@ def _sweep_real(D: MultiPoly, A: MultiPoly, w: Tuple[int, ...], lay: _Slabs, rec
     coefficients or powers) the coefficients are used as given.
     """
     zero = (0,) * D.arity
-    if D.terms.get(zero) != 1:
-        raise NotNormalizedError("real-power recurrence needs unit constant terms")
     L = _denominator_lcm(D, A) if C is not None else 1
     gens = [(lay.off(u), _grade_of(u, w), D.terms.get(u, 0), A.terms.get(u, 0))
             for u in {**D.terms, **A.terms} if u != zero]

@@ -122,7 +122,12 @@ def spec_points_from_json(obj: dict) -> Optional[List[tuple]]:
         return None
     if not isinstance(pts, list):
         raise SpecFormatError("points: expected a list of points")
-    return [_vector(Z, len(obj["variables"]), f"points[{i}]") for i, Z in enumerate(pts)]
+    points = [_vector(Z, len(obj["variables"]), f"points[{i}]") for i, Z in enumerate(pts)]
+    for i, Z in enumerate(points):
+        if not all(Z):
+            raise SpecFormatError(f"points[{i}]: a point lies on a torus, so no coordinate "
+                                  f"may be 0, got {pts[i]!r}")
+    return points
 
 
 def _vector(items, d: int, where: str) -> tuple:

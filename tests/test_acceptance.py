@@ -13,10 +13,11 @@ from fractions import Fraction
 from conepoint.polyseries import MultiPoly
 from conepoint.oracle import (QuasiRationalSpec, coefficient_at, empirical_decay,
                               expand, expand_box)
-from conepoint.localgeo import DirectionTag, dual_quadratic, quadratic_point_data
+from conepoint.localgeo import (DirectionTag, dual_quadratic, oriented_double_residue,
+                                quadratic_point_data)
 from conepoint.critpoints import find_smooth_critical
-from conepoint.asympt import (cone_constant, cone_plane_asymptotics, oriented_double_residue,
-                              prepare, smooth_asymptotics, total_asymptotics)
+from conepoint.asympt import (cone_constant, cone_plane_asymptotics, prepare,
+                              smooth_asymptotics, total_asymptotics)
 from conepoint.presets import grove_relation_check, qrw_walk
 from references import double_residue, dual_power_derivative, mat_inverse, naive_series
 

@@ -5,14 +5,14 @@ from fractions import Fraction
 import pytest
 
 from conepoint.polyseries import MultiPoly, TruncatedSeries
-from conepoint.localgeo import DirectionTag, classify_direction, quadratic_point_data
+from conepoint.localgeo import (DirectionTag, classify_direction, oriented_double_residue,
+                                quadratic_point_data)
 from conepoint.critpoints import CriticalPoint, find_smooth_critical
 from conepoint import asympt, localgeo, polyseries
 from conepoint.asympt import (RefusalError, cone_constant,
                               cone_plane_asymptotics, decay_exponent,
-                              expansion_coefficients, local_degree,
-                              oriented_double_residue, prepare, quadratic_asymptotics,
-                              smooth_asymptotics, total_asymptotics)
+                              expansion_coefficients, local_degree, prepare,
+                              quadratic_asymptotics, smooth_asymptotics, total_asymptotics)
 from conepoint.oracle import QuasiRationalSpec, coefficient_at
 from conepoint.presets import preset
 from float_specs import floated
@@ -317,7 +317,7 @@ class TestSmoothPoint:
     def test_flat_log_variety_refused(self):
         # 1 - X: the log-variety {x = 0} is flat, so the bordered Hessian is singular
         h = MultiPoly.const(2, 1) - MultiPoly.variable(2, 0)
-        cp = CriticalPoint((Fraction(1), Fraction(1)), "SmoothOnFactor", 0.0, True)
+        cp = CriticalPoint((Fraction(1), Fraction(1)), 0.0, True)
         with pytest.raises(localgeo.DegenerateError, match="curvature-degenerate"):
             smooth_asymptotics(MultiPoly.const(2, 1), h, cp, (5, 0), cone_direction_u=(-1, -1))
 
@@ -489,11 +489,11 @@ class TestTotals:
                    "_derivative_terms", "cone_constant"):
             monkeypatch.setattr(f"conepoint.asympt.{fn}", per_point_work)
         calls = {"classify_direction": 0, "oriented_double_residue": 0}
-        for fn in calls:
-            def counted(*args, _fn=fn, _real=getattr(asympt, fn), **kwargs):
+        for module, fn in ((asympt, "classify_direction"), (localgeo, "oriented_double_residue")):
+            def counted(*args, _fn=fn, _real=getattr(module, fn), **kwargs):
                 calls[_fn] += 1
                 return _real(*args, **kwargs)
-            monkeypatch.setattr(asympt, fn, counted)
+            monkeypatch.setattr(module, fn, counted)
         assert [total_asymptotics(pr.spec, r, points=prepared)
                 for r in directions] == raw
         # one classification per (point, direction), one residue per cone-plane point

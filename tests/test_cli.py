@@ -319,30 +319,45 @@ class TestRefusals:
                        "contour formulas need a quadratic factor\n"
                        '{"point":["1","2","2"]}\n')
 
-    @pytest.mark.parametrize("kind", ["non-lorentzian", "two-quadratics"])
+    @pytest.mark.parametrize("kind", ["non-lorentzian", "two-quadratics", "singular",
+                                      "beyond-order"])
     @pytest.mark.parametrize("argv", [("asym", "--r", "10,10,10"),
                                       ("classify", "--r", "10,10,10"),
                                       ("compare", "--directions", "10,10,10")], ids=" ".join)
     def test_point_outside_the_contour_formulas_exit_2(self, capsys, tmp_path, kind, argv):
-        # (X-1)^2 + (Y-1)^2 - (Z-1)^2 has signature (2,1), and fls's factor split
-        # into powers 1/2 and 1/4 puts two quadratic factors through (1, 1, 1);
-        # both exited 4 as numeric failures without naming the point
+        # (X-1)^2 + (Y-1)^2 - (Z-1)^2 has signature (2,1); fls's factor split into
+        # powers 1/2 and 1/4 puts two quadratic factors through (1, 1, 1);
+        # 2(X-1)^2 - (Y-1)^2 is singular in 3 variables; and (1 - X)^10 vanishes
+        # beyond the local order 8.  Each exited 4 as a numeric failure without
+        # naming the point
         raw = json.loads((SPEC_DIR / "fls.json").read_text())
+        diagnostics = {"point": ["1", "1", "1"]}
         if kind == "non-lorentzian":
             raw["factors"] = [{"poly": [{"coeff": c, "exponents": e} for c, e in [
                 ("1", [0, 0, 0]), ("-2", [1, 0, 0]), ("-2", [0, 1, 0]), ("2", [0, 0, 1]),
                 ("1", [2, 0, 0]), ("1", [0, 2, 0]), ("-1", [0, 0, 2])]], "power": "1"}]
             why = "is outside the contour formulas: signature (2,1) is not Lorentzian"
-        else:
+        elif kind == "two-quadratics":
             raw["factors"] = [dict(raw["factors"][0], power=p) for p in ("1/2", "1/4")]
             why = "is where more than one quadratic factor vanishes"
+        elif kind == "singular":
+            raw["factors"] = [{"poly": [{"coeff": c, "exponents": e} for c, e in [
+                ("1", [0, 0, 0]), ("-4", [1, 0, 0]), ("2", [0, 1, 0]), ("2", [2, 0, 0]),
+                ("-1", [0, 2, 0])]], "power": "1"}]
+            why = "is outside the contour formulas: quadratic form is singular"
+        else:
+            raw["factors"] = [{"poly": [{"coeff": str((-1) ** k * math.comb(10, k)),
+                                         "exponents": [k, 0, 0]} for k in range(11)],
+                               "power": "1"}]
+            why = "is where a factor vanishes beyond the local order 8"
+            diagnostics["order"] = 8
         path = tmp_path / f"{kind}.json"
         path.write_text(json.dumps(raw))
         rc, out, err = run(capsys, argv[0], "--spec", str(path), *argv[1:])
         assert rc == 2 and not out
-        first, diagnostics = err.splitlines()
+        first, second = err.splitlines()
         assert first.startswith(f"refused: point (1, 1, 1) {why}")
-        assert json.loads(diagnostics) == {"point": ["1", "1", "1"]}
+        assert json.loads(second) == diagnostics
 
     @staticmethod
     def _complex_point_spec(tmp_path, kind):
@@ -532,7 +547,7 @@ class TestDeterminismAndErrors:
             assert (rc, err) == (0, "")
             assert [row.split(",")[4:6] for row in out.splitlines()[1:-1]] == \
                 [["0.0", ""], ["0.0", ""]]
-            assert out.splitlines()[-1] == "# no interior points with nonzero oracle values"
+            assert out.splitlines()[-1] == "# no predicted points with nonzero oracle values"
 
     def test_huygens_lacuna_in_four_variables(self, tmp_path, capsys):
         # Q = 6 - 3 sum X_i + sum_{i<j} X_i X_j is Lorentzian at (1,1,1,1); at s = 1 and
@@ -691,15 +706,18 @@ class TestInputErrors:
         (("points", 0, 1), True, "points[0][1]: booleans are not scalars"),
         (("points", 0, 1), [None, 0], "points[0][1]: unrecognized scalar [None, 0]"),
         (("points", 0), ["1", "1"], "points[0]: expected a list of 3 scalars, got ['1', '1']"),
+        (("points", 0, 0), "0", "points[0]: a point lies on a torus, so no coordinate may be "
+                                "0, got ['0', '1', '1']"),
     ], ids=["exponent-1.5", "exponent-true", "factors-null", "complex-power",
             "complex-cone-direction", "point-null", "point-true", "point-complex-null",
-            "point-length"])
+            "point-length", "point-zero"])
     @pytest.mark.parametrize("argv", [("oracle", "--order", "3"), ("asym", "--r", "10,10,10")],
                              ids=" ".join)
     def test_malformed_value_exit_3(self, capsys, tmp_path, where, value, message, argv):
         # each value was read some other way: 1.5 and true as exponent 1, a point's
         # true as 1; the null factors, the complex power and direction and the null
-        # coordinates crashed with a traceback, and the short point exited 4
+        # coordinates crashed with a traceback, and the short point and the point
+        # with a zero coordinate exited 4 (or 0 from the oracle, which reads no point)
         raw = json.loads((SPEC_DIR / "fls.json").read_text())
         *keys, last = where
         target = raw

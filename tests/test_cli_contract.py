@@ -19,7 +19,9 @@ search would take most of the time this test has.  Whatever the spec,
 A second draw puts a Lorentzian quadratic and one or two linear factors
 through (1, ..., 1), each to a drawn power, in 2 or 3 variables: the point
 shapes that no formula covers, and that exited 4 before they were refused
-by name.  The prediction commands on those never exit 4.
+by name, as are a singular quadratic, a factor vanishing beyond the local
+order and a point with a zero coordinate.  The prediction commands on those
+never exit 4.
 
 A point is refused once, when it is prepared, and never per direction:
 `classify_direction` tags every direction at a point that `point_data`
@@ -34,6 +36,7 @@ puts K(s) on a pole of Gamma, a Lorentzian quadratic to the power 1/2 or
 import contextlib
 import io
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -281,6 +284,14 @@ PLANE_2D = {"variables": ["X", "Y"], "numerator": [{"coeff": "1", "exponents": [
                     ("-2", [0, 2])]], "power": "1"},
                 {"poly": [{"coeff": "1", "exponents": [0, 0]},
                           {"coeff": "-1", "exponents": [1, 0]}], "power": "1"}]}
+SINGULAR = _spec()  # 2(X-1)^2 - (Y-1)^2: a singular quadratic in 3 variables
+SINGULAR["factors"] = [{"poly": [{"coeff": c, "exponents": m} for c, m in [
+    ("1", [0, 0, 0]), ("-4", [1, 0, 0]), ("2", [0, 1, 0]), ("2", [2, 0, 0]),
+    ("-1", [0, 2, 0])]], "power": "1"}]
+BEYOND_ORDER = _spec()  # (1 - X)^10, beyond the local order
+BEYOND_ORDER["factors"] = [{"poly": [{"coeff": str((-1) ** k * math.comb(10, k)),
+                                      "exponents": [k, 0, 0]} for k in range(11)],
+                            "power": "1"}]
 
 
 @settings(max_examples=20, deadline=None, database=None, derandomize=True)
@@ -289,6 +300,10 @@ PLANE_2D = {"variables": ["X", "Y"], "numerator": [{"coeff": "1", "exponents": [
 @example((_grove(squared=0), ["compare", "--directions", "5,6,7;7,7,7"]))
 @example((_grove(extra=[X_MINUS_ONE]), ["classify", "--r", "5,6,7"]))
 @example((PLANE_2D, ["asym", "--r", "5,7"]))
+@example((SINGULAR, ["asym", "--r", "5,6,7"]))
+@example((SINGULAR, ["classify", "--r", "5,6,7"]))
+@example((BEYOND_ORDER, ["compare", "--directions", "5,6,7"]))
+@example((_spec(point=["0", "1", "1"]), ["asym", "--r", "5,6,7"]))
 def test_points_no_formula_covers_never_exit_4(spec_path, case):
     assert _check_contract(spec_path, *case) != 4
 

@@ -73,7 +73,7 @@ class TestSingularPoints:
         rep = find_singular_points(fls.spec.factors[0][0], [0.0] * 3, starts=200, seed=0)
         assert len(calls) == len(rep.points) == 1
         assert (rep.n_converged, rep.family_detected, rep.points) == (
-            200, False, [cp.CriticalPoint((1, 1, 1), "QuadraticSingular", 0.0, True)])
+            200, False, [cp.CriticalPoint((1, 1, 1), 0.0, True)])
 
     def test_rotated_point_stays_a_float_point(self, fls):
         # X -> lam X moves fls's point (1, 1, 1) to (conj(lam), 1, 1), off the

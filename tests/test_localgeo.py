@@ -9,7 +9,7 @@ from conepoint.asympt import point_data
 from conepoint.errors import RefusalError
 from conepoint.polyseries import MultiPoly, TruncatedSeries, log_compose_taylor
 from conepoint.localgeo import (DegenerateError, DirectionTag, SignatureError,
-                                _symmetric_eigenvalues, classify_direction,
+                                _inertia, classify_direction,
                                 classify_quadratic, dual_quadratic, homogeneous_part,
                                 normalizer_absdet, quadratic_point_data,
                                 vanishing_degree)
@@ -82,8 +82,19 @@ class TestClassifyQuadratic:
             classify_quadratic(h, (-1, 0, 0))
 
     def test_eigenvalues_match_numpy(self):
+        # _inertia counts the signs of the eigenvalues that numpy computes: in floats
+        # where none is within 1e-9 of 0 relative to the largest, and exactly on
+        # small rationals with zero diagonals, where every nonzero eigenvalue is
+        # far above that bound (6A is an integer matrix with entries up to 18)
         np = pytest.importorskip("numpy")
+
+        def signs(A):
+            w = np.linalg.eigvalsh(np.array(A, dtype=float))
+            tol = 1e-9 * max(abs(w))
+            return int((w > tol).sum()), int((w < -tol).sum()), int((abs(w) <= tol).sum())
+
         rng = random.Random(5)
+        checked = 0
         for trial in range(600):
             d = 2 + trial % 3
             scale = 10.0 ** rng.uniform(-3, 3)
@@ -91,10 +102,27 @@ class TestClassifyQuadratic:
             for i in range(d):
                 for j in range(i + 1):
                     A[i][j] = A[j][i] = rng.uniform(-1, 1) * scale
-            want = np.linalg.eigvalsh(np.array(A))
-            got = sorted(_symmetric_eigenvalues(A))
-            tol = 1e-12 * max(abs(want))
-            assert all(abs(g - w) <= tol for g, w in zip(got, want)), (trial, got, want)
+            want = signs(A)
+            if want[2]:
+                continue
+            checked += 1
+            assert _inertia(A) == want, (trial, A)
+        assert checked > 590
+        singular = 0
+        for trial in range(600):
+            d = 2 + trial % 3
+            A = [[Fraction(0)] * d for _ in range(d)]
+            for i in range(d):
+                for j in range(i):
+                    A[i][j] = A[j][i] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                if trial % 2:
+                    A[i][i] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            if not any(map(any, A)):
+                continue
+            want = signs(A)
+            singular += want[2] > 0
+            assert _inertia(A) == want, (trial, A)
+        assert singular > 30
 
 
 class TestDuals:
