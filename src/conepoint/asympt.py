@@ -20,8 +20,8 @@ taken in (0, pi): contribution = Z^(-r) P(Z) Res2/pi * theta inside the
 elliptic cone, and Z^(-r) P(Z) Res2 on the nonconvex flange.  Smooth
 (simple-pole) critical points contribute the classical Gaussian-curvature
 term, the curvature taken from the bordered log-Hessian.  Everything is
-summed over the discovered critical points, which handles parity
-cancellation between conjugate points automatically.
+summed over the critical points, which are real: a parity pattern such as
+aztec's comes from the real points +-(1,1,1) summed.
 """
 
 from __future__ import annotations
@@ -132,19 +132,15 @@ def _derivative_terms(dual_matrix: Matrix, alpha, m: Exponent,
 
 
 def _power_sum(terms: Dict[int, MultiPoly], alpha, r: Sequence, qval) -> float:
-    """sum_j P_j(r) qval^(alpha-j), qval = qdual(r,r).  Each P_j(r), and a rational
-    qval to an integer power, is exact over the rationals and rounds once."""
+    """sum_j P_j(r) qval^(alpha-j), qval = qdual(r,r) > 0.  Each P_j(r), and a
+    rational qval to an integer power, is exact over the rationals and rounds once."""
     total = 0.0
     for off, poly in terms.items():
         expo, pv = alpha - off, poly.eval(list(r))
         if pv == 0:
             continue
-        if qval == 0 and expo < 0:
-            raise DegenerateError("dual form vanishes at r with a negative power")
         if isinstance(expo, Fraction) and expo.denominator == 1 and isinstance(qval, Fraction):
             total += float(pv) * float(qval ** int(expo))
-        elif float(qval) < 0:
-            raise DegenerateError("dual form negative where a fractional power is needed")
         else:
             total += float(pv) * float(qval) ** float(expo)
     return total
@@ -291,35 +287,35 @@ class PreparedPoint(NamedTuple):
     series: Optional[Tuple[SeriesOrder, ...]]  # None if k = 1 or K(s) = 0 (a lacuna)
 
 
-def _given_or_found(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]],
-                    seed: int) -> Sequence[Sequence]:
-    """points when given; otherwise the singular points of every factor on
-    the unit torus, discovered numerically."""
-    if points is not None:
-        if not points:
-            raise RefusalError('the spec gives an empty point list: list its points, or '
-                               'leave "points" out to have them found')
-        return points
-    from .critpoints import find_singular_points
-    x = [0.0] * spec.arity
-    points = [p.Z for poly, _ in spec.factors
-              for p in find_singular_points(poly, x, seed=seed).points]
-    if not points:
-        raise RefusalError("no quadratic points found on the torus", {"x": x})
-    return points
-
-
 def point_data(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None, *,
                order: int = 8, seed: int = 0) -> Tuple[QuadraticPointData, ...]:
     """The local data at each point, to the given local order: what classify
-    reports.  points are taken as prepare takes them.  A point whose linear
-    factor lies inside the closed dual cone (q*(ell, ell) >= 0 within TOL) is
-    refused by name: no direction has a formula there."""
-    local = tuple(quadratic_point_data(spec, Z, order=order)
-                  for Z in _given_or_found(spec, points, seed))
+    reports.  points may be supplied (e.g. from a preset); otherwise the
+    singular points of every factor on the unit torus are discovered
+    numerically, and a factor whose singular points there are not isolated
+    is refused.  What quadratic_point_data refuses, a complex point or
+    coefficient included, is refused here, and so is a point whose linear
+    factor lies inside the closed dual cone: no direction has a formula there."""
+    if points is None:
+        from .critpoints import find_singular_points
+        x, points = [0.0] * spec.arity, []
+        for i, (poly, _) in enumerate(spec.factors):
+            report = find_singular_points(poly, x, seed=seed)
+            if report.family_detected:
+                raise RefusalError(
+                    f"factors[{i}] has singular points on the torus that are not isolated: "
+                    "the contour formulas need isolated quadratic points",
+                    {"factor": i, "n_converged": report.n_converged,
+                     "cluster_diameter": report.cluster_diameter})
+            points += [p.Z for p in report.points]
+        if not points:
+            raise RefusalError("no quadratic points found on the torus", {"x": x})
+    elif not points:
+        raise RefusalError('the spec gives an empty point list: list its points, or '
+                           'leave "points" out to have them found')
+    local = tuple(quadratic_point_data(spec, Z, order=order) for Z in points)
     for data in local:
-        if data.k and float(data.qll) >= -TOL * sum(float(x) * float(x)
-                                                    for x in data.linear_factors[0][0]):
+        if data.k and data.linear_in_dual_cone:
             raise _point_refusal(data.point_Z, "has a linear factor inside the closed dual "
                                  "cone: the intersection lines are not real and distinct",
                                  dual_ll=str(data.qll))
@@ -330,17 +326,14 @@ def prepare(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None
             order_terms: int = 1, seed: int = 0) -> Tuple[PreparedPoint, ...]:
     """Do the work of total_asymptotics that does not depend on the direction.
 
-    points may be supplied (e.g. from a preset); otherwise the singular
-    points of every factor on the unit torus are discovered numerically.
-    A point that no formula covers inside its cone is refused here, once,
-    by name: what point_data refuses; a point with a complex coordinate, and
-    every point of a spec with a complex coefficient (every polynomial of the
-    spec enters every local expansion, and the formulas need real ones); a
-    point with a linear factor that is not the cone-plane shape (d = 3, the
-    quadratic and the linear factor each to the first power) or whose
-    numerator vanishes there; a bare quadratic point whose numerator
-    vanishes beyond the local order.  A bare quadratic point whose K(s) is 0,
-    a lacuna, keeps no series: every order is 0.  Every other one keeps the
+    points are taken as point_data takes them.  A point that no formula
+    covers inside its cone is refused here, once, by name: what point_data
+    refuses, a complex point or coefficient included; a point with a linear
+    factor that is not the cone-plane shape (d = 3, the quadratic and the
+    linear factor each to the first power) or whose numerator vanishes
+    there; a bare quadratic point whose numerator vanishes beyond the local
+    order.  A bare quadratic point whose K(s) is 0, a lacuna, keeps no
+    series: every order is 0.  Every other one keeps the
     first order_terms orders of its series (v + 1 if more, since a numerator
     vanishing to degree v empties the first v), each as K(s+l) and one
     polynomial per power offset j, so a direction only evaluates them.
@@ -349,17 +342,8 @@ def prepare(spec: QuasiRationalSpec, points: Optional[Sequence[Sequence]] = None
     The result can be passed as `points` to total_asymptotics for any
     number of directions.
     """
-    points = _given_or_found(spec, points, seed)
-    polys = (spec.numerator, *(poly for poly, _ in spec.factors))
-    complex_expansion = any(isinstance(c, complex) for p in polys for c in p.terms.values())
-    for Z in points:
-        if any(isinstance(z, complex) for z in Z):
-            raise _point_refusal(Z, "has a complex coordinate: the formulas need a real point")
-        if complex_expansion:
-            raise _point_refusal(Z, "has a complex local expansion: the formulas need real "
-                                    "coefficients")
     prepared, order = [], max(8, 3 * order_terms - 3)
-    for data in point_data(spec, points, order=order):
+    for data in point_data(spec, points, order=order, seed=seed):
         Z, d, s, series = data.point_Z, data.arity, data.s, None
         if data.k and (d, _as_int(s), data.linear_factors[0][1]) != (3, 1, 1):
             raise _point_refusal(Z, f"has the quadratic to power {s} and a linear factor to "

@@ -103,27 +103,16 @@ def _gauss_jordan(M: Matrix) -> Tuple[Matrix, object]:
 
 
 def classify_quadratic(h: MultiPoly, u: Sequence) -> Tuple[Matrix, bool]:
-    """Symmetric matrix of a homogeneous quadratic, sign-fixed so q(u) > 0.
+    """Symmetric matrix of a real homogeneous quadratic, sign-fixed so q(u) > 0.
 
-    Complex coefficients are allowed if they share a global phase (the
-    phase of the largest coefficient is removed, residual imaginary parts
-    must stay below TOL).  The form must be nonsingular (DegenerateError)
-    and Lorentzian (SignatureError): one positive and d-1 negative eigenvalues.
+    The form must be nonsingular (DegenerateError) and Lorentzian
+    (SignatureError): one positive and d-1 negative eigenvalues.
     """
     d = h.arity
     if h.is_zero() or any(sum(m) != 2 for m in h.terms):
         raise GeometryError("expected a homogeneous quadratic")
-    terms = dict(h.terms)
-    if any(isinstance(c, complex) for c in terms.values()):
-        cmax = max(terms.values(), key=abs)
-        phase = cmax / abs(cmax)
-        terms = {m: c / phase for m, c in terms.items()}
-        scale = max(abs(c) for c in terms.values())
-        if any(abs(c.imag) > TOL * scale for c in terms.values()):
-            raise GeometryError("quadratic part is not a phase multiple of a real form")
-        terms = {m: c.real for m, c in terms.items()}
     M = [[Fraction(0) if is_exact(h) else 0.0] * d for _ in range(d)]
-    for m, c in terms.items():
+    for m, c in h.terms.items():
         idx = [i for i in range(d) for _ in range(m[i])]
         i, j = idx[0], idx[1]
         if i == j:
@@ -204,12 +193,13 @@ def oriented_double_residue(data: QuadraticPointData):
     2 q a x ell is orthogonal to q a and to ell, as a is, so it is c a, and the
     residue at a is 1/c.  Dotting with q a' gives c = 2 det[qa, qb, qa'] =
     2 det q det[a,b,a'], so c^2 = -4 det q q*(ell,ell).  The lines are real
-    and distinct exactly when that product is negative.
+    and distinct exactly when that product is negative.  det q > 0 for a
+    Lorentzian q in 3 variables, so that is when ell lies outside the closed
+    dual cone, which linear_in_dual_cone decides within TOL.
     """
-    product = _gauss_jordan(data.q_matrix)[1] * data.qll
-    if not float(product) < 0:
+    if data.linear_in_dual_cone:
         raise GeometryError("intersection lines are not real and distinct")
-    return _normalizer(product) / 2
+    return _normalizer(_gauss_jordan(data.q_matrix)[1] * data.qll) / 2
 
 
 def _bilinear(M: Matrix, a: Sequence, b: Sequence):
@@ -312,6 +302,13 @@ class QuadraticPointData(Record):
         return self.dual_eval(ell, ell)
 
     @cached_property
+    def linear_in_dual_cone(self) -> bool:
+        """Whether the first linear factor lies in the closed dual cone,
+        q*(ell, ell) >= -TOL |ell|^2: then no direction has a formula at the point."""
+        ell = self.linear_factors[0][0]
+        return float(self.qll) >= -TOL * sum(float(x) * float(x) for x in ell)
+
+    @cached_property
     def residue(self):
         """The oriented iterated residue Res2 of a point with one linear factor,
         computed on first use and kept, since it does not depend on the direction."""
@@ -322,16 +319,25 @@ def quadratic_point_data(spec: QuasiRationalSpec, Z: Sequence,
                          order: int = 6) -> QuadraticPointData:
     """Assemble the local data of a quadratic point of the pole variety.
 
-    Factors are split by their vanishing degree at Z: nonvanishing factors
-    are absorbed into the numerator, degree-1 factors become linear
-    covectors (sign-fixed against the cone direction; at most one), and exactly
-    one degree-2 factor supplies the nonsingular Lorentzian quadratic; a point
-    that breaks these rules, or where a factor vanishes beyond the local
-    order, is refused by name.  A factor with float coefficients vanishes to
+    The formulas read a real local form, so a point with a complex coordinate,
+    and any point of a spec with a complex coefficient (every polynomial of
+    the spec enters the expansion), is refused by name first.  Factors are
+    split by their vanishing degree at Z: nonvanishing factors are absorbed
+    into the numerator, degree-1 factors become linear covectors (sign-fixed
+    against the cone direction; at most one), and exactly one degree-2
+    factor supplies the nonsingular Lorentzian quadratic; a point that breaks
+    these rules, or where a factor vanishes beyond the local order, is
+    refused by name.  A factor with float coefficients vanishes to
     the degree its expansion shows once terms of degree below 2 within TOL
     of its size at Z are dropped; an exact factor vanishes where its terms
     are exactly zero.
     """
+    if any(isinstance(z, complex) for z in Z):
+        raise _point_refusal(Z, "has a complex coordinate: the formulas need a real point")
+    if any(isinstance(c, complex) for p in (spec.numerator, *(f for f, _ in spec.factors))
+           for c in p.terms.values()):
+        raise _point_refusal(Z, "has a complex local expansion: the formulas need real "
+                                "coefficients")
     u = spec.cone_direction_u
     p_series = log_compose_taylor(spec.numerator, Z, order)
     q_series = None
@@ -416,12 +422,7 @@ def _linear_covector(h: MultiPoly, u: Sequence) -> Tuple[object, ...]:
     d = h.arity
     ell = [Fraction(0)] * d
     for m, c in h.terms.items():
-        i = next(j for j in range(d) if m[j] == 1)
-        if isinstance(c, complex):
-            if abs(c.imag) > TOL * abs(c):
-                raise GeometryError("linear factor covector is not real")
-            c = c.real
-        ell[i] = c
+        ell[next(j for j in range(d) if m[j] == 1)] = c
     lu = sum(a * b for a, b in zip(ell, u))
     if lu == 0:
         raise GeometryError("linear factor is tangent to the cone direction")
@@ -466,10 +467,9 @@ def classify_direction(data: QuadraticPointData, r: Sequence) -> DirectionClass:
         return DirectionClass(DirectionTag.OutsideNormalCone, float(qrr) / rn2)
 
     ell, _ = data.linear_factors[0]
-    ln2 = sum(float(x) * float(x) for x in ell)
-    qll = data.qll
-    if float(qll) >= -TOL * ln2:
+    if data.linear_in_dual_cone:
         raise GeometryError("linear factor inside the closed dual cone")
+    ln2, qll = sum(float(x) * float(x) for x in ell), data.qll
     qrl = data.dual_eval(r, ell)
     if inside:
         return DirectionClass(DirectionTag.InteriorEllipticCone, float(qrr) / rn2)
@@ -496,9 +496,8 @@ def classify_direction(data: QuadraticPointData, r: Sequence) -> DirectionClass:
     lam_lo = (float(qrl) + root) / float(qll)
     lam_hi = (float(qrl) - root) / float(qll)
     # w . u = r.u - lambda * (ell.u) must stay negative
-    lam_cap = (ru - 0.0) / lu if lu < 0 else float("inf")
     lo = max(lam_lo, TOL * math.sqrt(rn2 / ln2))
-    hi = min(lam_hi, lam_cap)
+    hi = min(lam_hi, ru / lu)
     width = hi - lo
     if width > TOL * math.sqrt(rn2 / ln2):
         return DirectionClass(DirectionTag.InteriorE, width / math.sqrt(rn2 / ln2))

@@ -320,16 +320,16 @@ class TestRefusals:
                        '{"point":["1","2","2"]}\n')
 
     @pytest.mark.parametrize("kind", ["non-lorentzian", "two-quadratics", "singular",
-                                      "beyond-order"])
+                                      "beyond-order", "cubic"])
     @pytest.mark.parametrize("argv", [("asym", "--r", "10,10,10"),
                                       ("classify", "--r", "10,10,10"),
                                       ("compare", "--directions", "10,10,10")], ids=" ".join)
     def test_point_outside_the_contour_formulas_exit_2(self, capsys, tmp_path, kind, argv):
         # (X-1)^2 + (Y-1)^2 - (Z-1)^2 has signature (2,1); fls's factor split into
         # powers 1/2 and 1/4 puts two quadratic factors through (1, 1, 1);
-        # 2(X-1)^2 - (Y-1)^2 is singular in 3 variables; and (1 - X)^10 vanishes
+        # 2(X-1)^2 - (Y-1)^2 is singular in 3 variables; (1 - X)^10 vanishes
         # beyond the local order 8.  Each exited 4 as a numeric failure without
-        # naming the point
+        # naming the point.  fls times 1/(1 - X)^3 has a factor of order 3
         raw = json.loads((SPEC_DIR / "fls.json").read_text())
         diagnostics = {"point": ["1", "1", "1"]}
         if kind == "non-lorentzian":
@@ -345,6 +345,11 @@ class TestRefusals:
                 ("1", [0, 0, 0]), ("-4", [1, 0, 0]), ("2", [0, 1, 0]), ("2", [2, 0, 0]),
                 ("-1", [0, 2, 0])]], "power": "1"}]
             why = "is outside the contour formulas: quadratic form is singular"
+        elif kind == "cubic":
+            raw["factors"].append({"poly": [{"coeff": str((-1) ** k * math.comb(3, k)),
+                                             "exponents": [k, 0, 0]} for k in range(4)],
+                                   "power": "1"})
+            why = "is where a factor vanishes to order 3"
         else:
             raw["factors"] = [{"poly": [{"coeff": str((-1) ** k * math.comb(10, k)),
                                          "exponents": [k, 0, 0]} for k in range(11)],
@@ -384,29 +389,60 @@ class TestRefusals:
 
     @pytest.mark.parametrize("kind", ["written", "found", "expansion", "linear"])
     @pytest.mark.parametrize("argv", [("asym", "--r", "8,12,10"),
+                                      ("classify", "--r", "8,12,10"),
                                       ("compare", "--directions", "8,12,10")], ids=" ".join)
     def test_complex_point(self, capsys, tmp_path, kind, argv):
         # these raised TypeError from the formulas and exited 1 (but "linear" from
-        # asym, which exited 4 on fls's power 3/4: the linear factor is checked first)
+        # asym, which exited 4 on fls's power 3/4: the linear factor is checked first);
+        # classify reported the written point and the expansion with exit 0.  The
+        # refusal is the point's, so every command prints the same stderr
         path = self._complex_point_spec(tmp_path, kind)
         rc, out, err = run(capsys, argv[0], "--spec", path, *argv[1:])
         assert rc == 2 and not out
-        first, diagnostics = err.splitlines()
-        reason = "complex coordinate" if kind in ("written", "found") else "complex local expansion"
-        assert first.startswith("refused: point (") and reason in first
-        assert len(json.loads(diagnostics)["point"]) == 3
+        if kind == "found":  # the digits of the found point are the search's
+            first, diagnostics = err.splitlines()
+            assert first.startswith("refused: point (") and "complex coordinate" in first
+            assert len(json.loads(diagnostics)["point"]) == 3
+        elif kind == "written":
+            assert err == ("refused: point ((1+0j), 1, 1) has a complex coordinate: the "
+                           "formulas need a real point\n"
+                           '{"point":["(1+0j)","1","1"]}\n')
+        else:
+            assert err == ("refused: point (1, 1, 1) has a complex local expansion: the "
+                           "formulas need real coefficients\n"
+                           '{"point":["1","1","1"]}\n')
 
-    def test_classify_still_reports_a_complex_point(self, capsys, tmp_path):
-        rc, out, _ = run(capsys, "classify", "--spec",
-                         self._complex_point_spec(tmp_path, "written"), "--r", "8,12,10")
-        assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (
-            0, "9dc188738c32cfb0f72be020488b3551c41e1cf145733c1bb81ecccfc35dcb95")
+    @pytest.mark.parametrize("argv", [("asym", "--r", "10,10,10"),
+                                      ("classify", "--r", "10,10,10"),
+                                      ("compare", "--directions", "10,10,10")], ids=" ".join)
+    def test_non_isolated_singular_points_exit_2(self, capsys, tmp_path, argv):
+        # 2(X-1)^2 - (Y-1)^2 in 3 variables is singular along X = Y = 1: the search
+        # finds a family, not points, which was refused as "no quadratic points found"
+        raw = json.loads((SPEC_DIR / "fls.json").read_text())
+        raw.pop("points")
+        raw["factors"] = [{"poly": [{"coeff": c, "exponents": e} for c, e in [
+            ("1", [0, 0, 0]), ("-4", [1, 0, 0]), ("2", [0, 1, 0]), ("2", [2, 0, 0]),
+            ("-1", [0, 2, 0])]], "power": "1"}]
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(raw))
+        rc, out, err = run(capsys, argv[0], "--spec", str(path), *argv[1:])
+        assert rc == 2 and not out
+        first, second = err.splitlines()
+        assert first == ("refused: factors[0] has singular points on the torus that are not "
+                         "isolated: the contour formulas need isolated quadratic points")
+        diagnostics = json.loads(second)
+        assert diagnostics.pop("factor") == 0 and diagnostics.pop("n_converged") > 8
+        assert diagnostics.pop("cluster_diameter") > 1e-3 and not diagnostics
 
-    def test_classify_still_reports_a_complex_expansion(self, capsys, tmp_path):
-        rc, out, _ = run(capsys, "classify", "--spec",
-                         self._complex_point_spec(tmp_path, "expansion"), "--r", "8,12,10")
-        assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (
-            0, "5bf864fa5f24003b485009e611b6f55d155cadfc52a086db95d9b68c59e4c3db")
+    def test_obstructed_direction_exit_2(self, capsys):
+        # 2 r^2 + 2 s^2 = t^2 with q*(r, ell) = t - 2s < 0 at aztec's point (1, 1, 1)
+        rc, out, err = run(capsys, "asym", "--preset", "aztec", "--r", "1,7,10")
+        assert rc == 2 and not out
+        first, second = err.splitlines()
+        assert first == ("refused: point (1, 1, 1) sees direction (1, 7, 10) as "
+                         "ObstructedBoundary: no formula holds there")
+        assert json.loads(second) == {"class": "ObstructedBoundary", "margin": 0.0,
+                                      "point": ["1", "1", "1"]}
 
 
 class TestCompare:
@@ -750,6 +786,9 @@ GOLDEN_STDOUT = {
         (0, "0610cb4ad38a7195d93599f8d488dad256ca6eb62c2d9b69751b476cae0e0e90"),
     ("compare", "--preset", "cube_grove", "--directions", "7,7,7;9,9,9;5,6,7;4,9,8"):
         (0, "bf6804edc06471429f2b05f3a6d3eb4023bec986600ca455829184dd1f406d92"),
+    # an elliptic-cone row, a flange row and an obstructed row with no prediction
+    ("compare", "--preset", "aztec", "--directions", "0,0,9;0,9,10;1,7,10"):
+        (0, "d51e9885da7a9f855c1d9d4997b19742ead6b7f5149a77cc307e4b83ec84a5f3"),
     ("compare", "--preset", "fls", "--directions", "10,10,10;8,12,10;6,9,14"):
         (0, "ec957bd5d46f6d27d39eddee251231e771c5149f43e30c4248db9a0218f2d171"),
     ("compare", "--preset", "superballot-core", "--directions", "10,20,30;12,12,12;5,9,11"):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conepoint import localgeo
-from conepoint.asympt import point_data
+from conepoint.asympt import local_degree, point_data
 from conepoint.errors import RefusalError
 from conepoint.polyseries import MultiPoly, TruncatedSeries, log_compose_taylor
 from conepoint.localgeo import (DegenerateError, DirectionTag, SignatureError,
@@ -195,6 +195,20 @@ class TestPointData:
         # pairing with (r,s,t) gives t - 2s
         assert data.dual_eval((3, 5, 7), (0, 1, 1)) == 7 - 2 * 5
         assert data.dual_eval((3, 5, 7), (0, 0, 0)) == 0
+
+    def test_complex_point_or_coefficient_refused(self, fls):
+        # the formulas read a real local form, so the local data of a complex
+        # point, or of any point of a spec with a complex coefficient, is refused
+        # where it would first be expanded, for every caller
+        cases = [(fls.spec, (1 + 0j, 1, 1), "has a complex coordinate"),
+                 (replaced(fls.spec, numerator=mp(3, (2j, (0, 0, 0)))), (1, 1, 1),
+                  "has a complex local expansion")]
+        for spec, Z, why in cases:
+            for fn in (quadratic_point_data, local_degree):
+                with pytest.raises(RefusalError) as err:
+                    fn(spec, Z)
+                assert str(err.value).startswith(f"point ({', '.join(map(str, Z))}) {why}")
+                assert err.value.diagnostics == {"point": list(map(str, Z))}
 
     def test_dual_times_q_is_identity(self, aztec, cube_grove, fls, superballot_core):
         for pr in (aztec, cube_grove, fls, superballot_core):
