@@ -14,24 +14,26 @@ failure.  With a fixed seed, outputs are byte-identical between runs.
 discover the points when the spec gives none); `compare` then evaluates
 every grid direction against the prepared points.  They import the
 prediction modules (`asympt`, `localgeo`) when they run, so `oracle` loads
-only the series oracle, the presets and the spec reader.
+only the series oracle and the presets.  The spec reader and printer
+(`specio`) and `json` load only where a command reads a spec file, prints a
+table or prints JSON (`asym`, `classify`, a refusal's diagnostics): a preset
+`oracle --at` or `compare` loads neither.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import re
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .oracle import (QuasiRationalSpec, SpecError, coefficient_at, expand, expand_box)
-from .errors import RefusalError
+from .oracle import (QuasiRationalSpec, SpecError, coefficient_at, expand, expand_box,
+                     format_value)
+from .errors import RefusalError, SpecFormatError
 from .presets import PRESET_NAMES, preset
-from . import specio
 
 if TYPE_CHECKING:
     from .asympt import PreparedPoint
@@ -49,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise specio.SpecFormatError(message)
+        raise SpecFormatError(message)
 
 
 def _positive_int(text: str) -> int:
@@ -135,17 +137,17 @@ def _parse_vec(text: str, arity: Optional[int]) -> Tuple[int, ...]:
     try:
         r = tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise specio.SpecFormatError(f"bad integer vector {text!r}") from None
+        raise SpecFormatError(f"bad integer vector {text!r}") from None
     if arity is not None and len(r) != arity:
-        raise specio.SpecFormatError(f"{text!r} has {len(r)} entries, the spec has "
-                                     f"{arity} variables")
+        raise SpecFormatError(f"{text!r} has {len(r)} entries, the spec has "
+                              f"{arity} variables")
     return r
 
 
 def _parse_direction(text: str, arity: int) -> Tuple[int, ...]:
     r = _parse_vec(text, arity)
     if not any(r):
-        raise specio.SpecFormatError(f"direction {text!r} must be nonzero")
+        raise SpecFormatError(f"direction {text!r} must be nonzero")
     return r
 
 
@@ -158,21 +160,23 @@ def _parse_beta(text):
             return Fraction(int(num), int(den))
         return Fraction(text) if "." not in text else float(text)
     except (ValueError, ZeroDivisionError):
-        raise specio.SpecFormatError(f"--beta {text!r} is not a number like 3/4") from None
+        raise SpecFormatError(f"--beta {text!r} is not a number like 3/4") from None
 
 
 def _load(args) -> Tuple[QuasiRationalSpec, Optional[list]]:
     """Returns (spec, known_points)."""
     if args.beta is not None and args.preset != "fls":
-        raise specio.SpecFormatError("--beta applies only to --preset fls")
+        raise SpecFormatError("--beta applies only to --preset fls")
     if args.preset:
         pr = preset(args.preset, beta=_parse_beta(args.beta))
         return pr.spec, list(pr.known_points)
+    import json
+    from . import specio
     with open(args.spec) as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as e:
-            raise specio.SpecFormatError(f"{args.spec}:{e.lineno}:{e.colno}: {e.msg}") from None
+            raise SpecFormatError(f"{args.spec}:{e.lineno}:{e.colno}: {e.msg}") from None
     return specio.spec_from_json(obj), specio.spec_points_from_json(obj)
 
 
@@ -186,15 +190,16 @@ def _emit(text: str, out: Optional[str]):
 
 def _cmd_oracle(args) -> int:
     if args.at is not None and args.format is not None:
-        raise specio.SpecFormatError("--format applies only to --order tables")
+        raise SpecFormatError("--format applies only to --order tables")
     spec, _ = _load(args)
     if args.at is not None:
         r = _parse_vec(args.at, spec.arity)
         v = coefficient_at(spec, r)
-        _emit(specio.format_value(v, args.float_digits) + "\n", args.out)
+        _emit(format_value(v, args.float_digits) + "\n", args.out)
         return EXIT_OK
     if args.order < 0:
-        raise specio.SpecFormatError(f"--order must be nonnegative, got {args.order}")
+        raise SpecFormatError(f"--order must be nonnegative, got {args.order}")
+    from . import specio
     table = expand(spec, args.order)
     if args.format == "json":
         _emit(specio.canonical_json(specio.table_to_json(table, args.float_digits)),
@@ -206,6 +211,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_asym(args) -> int:
     from .asympt import prepare, total_asymptotics
+    from . import specio
     spec, points = _load(args)
     r = _parse_direction(args.r, spec.arity)
     prepared = prepare(spec, points, order_terms=args.terms, seed=args.seed)
@@ -219,6 +225,7 @@ def _cmd_asym(args) -> int:
 def _cmd_classify(args) -> int:
     from .asympt import decay_exponent, point_data
     from .localgeo import classify_direction
+    from . import specio
     spec, points = _load(args)
     r = _parse_direction(args.r, spec.arity)
     report = []
@@ -252,7 +259,7 @@ def _grid(args, spec, prepared: Sequence[PreparedPoint]) -> List[Tuple[int, ...]
     ts = _parse_vec(args.t_list, None)
     step = args.slice_step
     if step <= 0:
-        raise specio.SpecFormatError(f"--slice-step must be positive, got {step!r}")
+        raise SpecFormatError(f"--slice-step must be positive, got {step!r}")
     lams = [lam_lo + i * step for i in range(int(round((lam_hi - lam_lo) / step)) + 1)]
     out = []
     for t in ts:
@@ -273,7 +280,7 @@ def _cmd_compare(args) -> int:
     if targets is None:
         targets = _grid(args, spec, prepared)
     if not targets:
-        raise specio.SpecFormatError("empty comparison grid")
+        raise SpecFormatError("empty comparison grid")
     lo = tuple(min(0, min(r[i] for r in targets)) for i in range(spec.arity))
     hi = tuple(max(0, max(r[i] for r in targets)) for i in range(spec.arity))
     table = expand_box(spec, lo, hi)
@@ -319,9 +326,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RefusalError as e:
         sys.stderr.write(f"refused: {e}\n")
         if e.diagnostics:
+            from . import specio
             sys.stderr.write(specio.canonical_json(e.diagnostics))
         return EXIT_REFUSAL
-    except (specio.SpecFormatError, SpecError, OSError, KeyError) as e:
+    except (SpecFormatError, SpecError, OSError, KeyError) as e:
         sys.stderr.write(f"spec error: {e}\n")
         return EXIT_SPEC
     except (ArithmeticError, ValueError) as e:

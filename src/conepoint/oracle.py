@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import islice, product
-from operator import add, le, mul
+from operator import add, le, mul, sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .polyseries import MultiPoly, Record, is_exact
@@ -181,6 +181,18 @@ class CoeffTable(Record):
     def bounds(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         axes = list(zip(*self.cells)) or [(0,)] * self.arity
         return tuple(map(min, axes)), tuple(map(max, axes))
+
+
+def format_value(v, float_digits: Optional[int] = None) -> str:
+    """One coefficient as the CLI prints it: an exact value as num/den (num
+    alone when integral), a float or complex one in its shortest repr or to
+    float_digits significant digits."""
+    if isinstance(v, Fraction) and float_digits is None:
+        return str(v)
+    spec = "" if float_digits is None else f".{float_digits}g"  # "": the shortest repr
+    if isinstance(v, complex):
+        return f"{v.real:{spec}}{v.imag:+{spec}}j"
+    return f"{float(v):{spec}}"
 
 
 def _grade_of(m: Exponent, w: Tuple[int, ...]) -> int:
@@ -313,9 +325,9 @@ def _sweep_integer(numer: MultiPoly, D: MultiPoly, w: Tuple[int, ...], max_level
     of m) through G_m = d0^g L P_m - sum_u L c_u d0^(grade(u)-1) G_{m-u}.
     With a box, level g keeps lo - s*up .. hi + s*down, s = max_level - g,
     up/down being the largest reach of a generator or numerator term along
-    each axis: the dependency closure of the box.
+    each axis: the dependency closure of the box.  D has a constant term
+    and every other term a positive grade (checked by _plan).
     """
-    _check_graded_unit(D, w)
     zero = (0,) * D.arity
     d0 = D.terms[zero]
     gens = [(m, c) for m, c in D.terms.items() if m != zero]
@@ -513,12 +525,44 @@ def _prepare_real(spec: QuasiRationalSpec, w: Tuple[int, ...]):
     return D, A, scale if scale_exact else scale * float_scale, C
 
 
-def _run(spec: QuasiRationalSpec, max_level: int,
-         box: Optional[Tuple[Sequence[int], Sequence[int]]], engine: str = "auto") -> CoeffTable:
+def _echelon(vectors: Sequence[Exponent]) -> List[Tuple[int, List[int]]]:
+    """An echelon basis of the lattice the integer vectors span, as (pivot
+    column, row) pairs: each row is 0 before its pivot, and the pivots
+    increase.  Euclid's algorithm on each column in turn."""
+    rows = [list(v) for v in vectors]
+    basis = []
+    for c in range(len(rows[0]) if rows else 0):
+        live = [r for r in rows if r[c]]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[c]))
+            p = live[0]
+            for r in live[1:]:
+                q = r[c] // p[c]
+                r[:] = [a - q * b for a, b in zip(r, p)]
+            live = [p] + [r for r in live[1:] if r[c]]
+        if live:
+            basis.append((c, live[0]))
+            rows = [r for r in rows if r is not live[0]]
+    return basis
+
+
+def _in_lattice(v: Sequence[int], basis: List[Tuple[int, List[int]]]) -> bool:
+    """Whether v lies in the lattice that an _echelon basis spans."""
+    v = list(v)
+    for c, p in basis:
+        q = v[c] // p[c]
+        v = [a - q * b for a, b in zip(v, p)]
+    return not any(v)
+
+
+def _plan(spec: QuasiRationalSpec, engine: str = "auto"):
+    """Make every check the sweeps make before they fill a cell; returns
+    (w, D, A, scale, C): the grading, the product of the factors and, for
+    the real-power recurrence, A, scale and C as _prepare_real returns them
+    (A and C None for the integer recurrence)."""
     w = grading_vector(spec.cone_direction_u, spec.arity)
-    numer = spec.numerator
     # a numerator term of grade g < 0 would need the series up to max_level - g
-    if any(_grade_of(m, w) < 0 for m in numer.terms):
+    if any(_grade_of(m, w) < 0 for m in spec.numerator.terms):
         raise SpecError("numerator has negative grade in the chosen direction")
     use_integer = spec.all_integer_powers() if engine == "auto" else engine == "integer"
     if use_integer and not spec.all_integer_powers():
@@ -527,14 +571,23 @@ def _run(spec: QuasiRationalSpec, max_level: int,
         D = MultiPoly.const(spec.arity, 1)
         for poly, power in spec.factors:
             D = D * poly.pow(_as_int(power))
-        cells, runs = _sweep_integer(numer, D, w, max_level, box)
-        scale = Fraction(1)
-    else:
-        D, A, scale, C = _prepare_real(spec, w)
         _check_graded_unit(D, w)
-        if any(wi < 1 for wi in w):
-            raise SpecError("real powers need a strictly negative cone direction "
-                            "(every variable graded)")
+        return w, D, None, Fraction(1), None
+    D, A, scale, C = _prepare_real(spec, w)
+    _check_graded_unit(D, w)
+    if any(wi < 1 for wi in w):
+        raise SpecError("real powers need a strictly negative cone direction "
+                        "(every variable graded)")
+    return w, D, A, scale, C
+
+
+def _run(spec: QuasiRationalSpec, max_level: int,
+         box: Optional[Tuple[Sequence[int], Sequence[int]]], engine: str = "auto") -> CoeffTable:
+    w, D, A, scale, C = _plan(spec, engine)
+    numer = spec.numerator
+    if A is None:
+        cells, runs = _sweep_integer(numer, D, w, max_level, box)
+    else:
         # plain-series level n holds the cells m >= 0 of grade n that the
         # terms of D and A reach from 0 (a term of A may cancel out of D);
         # with a box, m stays below its top minus the numerator's least exponents
@@ -584,6 +637,13 @@ def coefficient_at(spec: QuasiRationalSpec, r: Sequence[int]):
     w = grading_vector(spec.cone_direction_u, spec.arity)
     if _grade_of(r, w) < 0:
         return Fraction(0)
+    # after the sweeps' checks: a sweep fills only numerator terms p plus sums
+    # of its steps, the exponents of D (and A), so off every coset p + (their
+    # lattice) a_r is the empty table's zero
+    _, D, A, scale, _ = _plan(spec)
+    basis = _echelon([u for poly in (D, A) if poly is not None for u in poly.terms])
+    if not any(_in_lattice(map(sub, r, p), basis) for p in spec.numerator.terms):
+        return CoeffTable(spec.arity, {}, {}, w, 0, scale).value_at(r)
     return expand_box(spec, r, r).value_at(r)
 
 

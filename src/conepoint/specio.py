@@ -3,23 +3,22 @@
 Exact rationals serialize as "num/den" strings and round-trip bit-exactly;
 floats serialize as JSON numbers, complex values as [re, im] pairs.  The
 canonical JSON form (sorted keys, minimal separators, terms sorted by
-exponent) is idempotent under parse/re-serialize.
+exponent) is idempotent under parse/re-serialize.  `SpecFormatError` lives in
+`errors` and `format_value` beside `CoeffTable` in `oracle`, so that a
+command that prints one coefficient loads neither this module nor `json`;
+both are re-exported here.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import partial
 from math import gcd
 from typing import List, Optional, Sequence
 
+from .errors import SpecFormatError
 from .polyseries import MultiPoly
-from .oracle import CoeffTable, QuasiRationalSpec
-
-
-class SpecFormatError(ValueError):
-    """Malformed spec JSON, with a best-effort location message."""
+from .oracle import CoeffTable, QuasiRationalSpec, format_value
 
 
 def scalar_to_json(c):
@@ -138,16 +137,8 @@ def _vector(items, d: int, where: str) -> tuple:
 
 
 def canonical_json(obj) -> str:
+    import json  # here, so that CSV tables load no json
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def format_value(v, float_digits: Optional[int] = None) -> str:
-    if isinstance(v, Fraction) and float_digits is None:
-        return scalar_to_json(v)
-    spec = "" if float_digits is None else f".{float_digits}g"  # "": the shortest repr
-    if isinstance(v, complex):
-        return f"{v.real:{spec}}{v.imag:+{spec}}j"
-    return f"{float(v):{spec}}"
 
 
 def _table_rows(table: CoeffTable, float_digits: Optional[int], csv: bool) -> list:

@@ -2,10 +2,11 @@
 
 `import conepoint` loads no submodule: each public name is imported from its
 home module on first use.  The exact oracle loads neither the prediction
-modules (`asympt`, `localgeo`) nor the critical-point search.  `asym`,
-`classify` and `compare` load the search only when the spec or preset gives
-no points.  No command loads numpy, `dataclasses` or `inspect`: every command
-runs with their imports blocked.
+modules (`asympt`, `localgeo`) nor the critical-point search, and a
+preset's single coefficient loads neither the spec reader and printer
+(`specio`) nor `json`.  `asym`, `classify` and `compare` load the search
+only when the spec or preset gives no points.  No command loads numpy,
+`dataclasses` or `inspect`: every command runs with their imports blocked.
 
 Each load check runs in a fresh interpreter: this suite's own process has
 imported everything long before.
@@ -26,8 +27,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SPEC_DIR = ROOT / "specs"
 
 SEARCH = {"numpy", "conepoint.critpoints"}
+SPEC_IO = {"conepoint.specio", "json"}
 ORACLE_PATH = {"conepoint.cli", "conepoint.errors", "conepoint.oracle",
-               "conepoint.polyseries", "conepoint.presets", "conepoint.specio"}
+               "conepoint.polyseries", "conepoint.presets"}
 
 # every public name of the package, by the module it is defined in
 HOMES = {
@@ -51,12 +53,12 @@ SUBMODULES = ("asympt", "localgeo", "oracle", "polyseries", "presets")
 
 
 def _modules_after(statements, prelude="import conepoint, conepoint.cli"):
-    """Run statements after `prelude`; returns (stdout, the numpy and
+    """Run statements after `prelude`; returns (stdout, the numpy, json and
     conepoint.* entries then in sys.modules)."""
     code = "\n".join(["import sys", f"sys.path.insert(0, {str(ROOT / 'src')!r})",
                       prelude, *statements,
                       "print(sorted(m for m in sys.modules "
-                      "if m == 'numpy' or m.startswith('conepoint.')))"])
+                      "if m in ('numpy', 'json') or m.startswith('conepoint.')))"])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -70,15 +72,41 @@ def test_import_loads_neither():
 
 
 def test_oracle_commands_load_neither():
-    # neither the search nor the prediction modules
+    # neither the search nor the prediction modules; a table or a spec file
+    # loads the spec reader and printer
     spec = str(SPEC_DIR / "qrw2d.json")
     out, loaded = _modules_after([
         'assert conepoint.cli.main(["oracle", "--preset", "aztec", "--order", "4"]) == 0',
         'assert conepoint.cli.main(["oracle", "--preset", "fls", "--at", "5,5,5", '
         '"--float"]) == 0',
         f'assert conepoint.cli.main(["oracle", "--spec", {spec!r}, "--at", "1,1,3"]) == 0'])
-    assert loaded == ORACLE_PATH
+    assert loaded == ORACLE_PATH | SPEC_IO
     assert out[0] == "r1,r2,r3,value" and len(out) > 2
+
+
+def test_point_queries_load_no_spec_io():
+    out, loaded = _modules_after([
+        'assert conepoint.cli.main(["oracle", "--preset", "aztec", "--at=0,-1,39"]) == 0',
+        'assert conepoint.cli.main(["oracle", "--preset", "aztec", "--at=0,0,39"]) == 0',
+        'assert conepoint.cli.main(["oracle", "--preset", "fls", "--at", "5,5,5", '
+        '"--float"]) == 0',
+        'assert conepoint.cli.main(["oracle", "--preset", "aztec", "--at", "0,0,39", '
+        '"--float", "5"]) == 0',
+        'assert conepoint.cli.main(["compare", "--preset", "aztec", '
+        '"--directions=2,2,22;-1,3,23"]) == 0'])
+    assert not loaded & SPEC_IO
+    assert out[:2] == ["0", "1/4"] and out[3] == "0.25"
+    assert out[4] == "r1,r2,r3,oracle,prediction,rel_error,class" and len(out) == 8
+
+
+def test_tables_load_json_only_to_print_it():
+    csv, loaded = _modules_after([
+        'assert conepoint.cli.main(["oracle", "--preset", "aztec", "--order", "2"]) == 0'])
+    assert loaded & SPEC_IO == {"conepoint.specio"} and csv[0] == "r1,r2,r3,value"
+    doc, loaded = _modules_after([
+        'assert conepoint.cli.main(["oracle", "--preset", "aztec", "--order", "2", '
+        '"--format", "json"]) == 0'])
+    assert loaded >= SPEC_IO and json.loads(doc[0])["max_level"] == 2
 
 
 def test_prepared_commands_load_neither():

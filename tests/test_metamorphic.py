@@ -6,9 +6,13 @@ coefficients are a'_r = lam^r a_r and whose singular points are Z / lam.
 The local geometry at Z / lam is the geometry at Z, so the oracle must
 transform exactly and every estimate must be lam^r times the unscaled one.
 Permuting the variables permutes indices, points and directions alike.
+A triangular unimodular change of variables, x'_i = x_i x_j, moves each
+index by an integer matrix of determinant 1; the oracle must move with it
+exactly, structural zeros included.
 """
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,10 +21,11 @@ from hypothesis import given, settings, strategies as st
 
 from conepoint.asympt import prepare, total_asymptotics
 from conepoint.localgeo import classify_direction
-from conepoint.oracle import QuasiRationalSpec, expand
+from conepoint.oracle import QuasiRationalSpec, coefficient_at, expand
 from conepoint.polyseries import MultiPoly
 from conepoint.presets import preset
 from float_specs import floated
+from lattice_specs import SUBLATTICES, sublattice_specs
 
 LAM = (Fraction(2), Fraction(1, 3), Fraction(3, 2))
 
@@ -131,3 +136,56 @@ def test_scaled_and_permuted_presets_transform(name, floats, lam, perm):
             assert [c.direction_class for c in got.per_point] == \
                 [c.direction_class for c in est.per_point]
             assert [c.Z for c in got.per_point] == points
+
+
+def absorbed(spec: QuasiRationalSpec, i: int, j: int):
+    """spec in the variables x'_i = x_i x_j, the others kept, and the index
+    map m -> m': x^m is x'^m' with m'_j = m_j - m_i, so a'_(m') = a_m.  The
+    cone direction moves as a grading, w'_i = w_i + w_j, which gives m' the
+    grade of m: the sweeps run the same levels in the new coordinates."""
+    def move(m):
+        return tuple(e - m[i] if k == j else e for k, e in enumerate(m))
+
+    def moved(p: MultiPoly) -> MultiPoly:
+        return MultiPoly(p.arity, {move(m): c for m, c in p.terms.items()})
+
+    u = spec.cone_direction_u
+    u = tuple(x + u[j] if k == i else x for k, x in enumerate(u))
+    return QuasiRationalSpec(spec.arity, moved(spec.numerator),
+                             tuple((moved(p), s) for p, s in spec.factors), u, spec.name), move
+
+
+def test_aztec_in_xz_and_yz_moves_the_oracle_exactly():
+    # X' = XZ, Y' = YZ: a_r moves to (r1, r2, r3 - r1 - r2), graded by (1, 1, 1)
+    spec = preset("aztec").spec
+    once, move_x = absorbed(spec, 0, 2)
+    moved, move_y = absorbed(once, 1, 2)
+
+    def move(r):
+        return move_y(move_x(r))
+
+    assert moved.cone_direction_u == (-1, -1, -1)
+    table, there = expand(spec, 8).values, expand(moved, 8).values
+    assert there == {move(r): v for r, v in table.items()} and len(table) > 100
+    # even index sums are structural zeros in either coordinates
+    for r in [(0, -1, 17), (3, 1, 17), (-2, 5, 17), (3, 1, 16), (0, 0, 16), (1, 1, 2)]:
+        got, want = coefficient_at(moved, move(r)), coefficient_at(spec, r)
+        assert got == want and type(got) is type(want), r
+        assert (want == 0) == (sum(r) % 2 == 0), r
+
+
+@pytest.mark.parametrize("family", [f for f in SUBLATTICES if len(f[0]) > 1],
+                         ids=lambda f: str(f[1]))
+@settings(DRAWN, max_examples=3)
+@given(data=st.data())
+def test_sublattice_spec_in_xy_moves_the_oracle_exactly(family, data):
+    # X' = XY.  Integer powers only: the moved spec may be Laurent in Y, and
+    # the real-power recurrence takes factors with nonnegative exponents
+    spec = data.draw(sublattice_specs(*family, integer_powers=True))
+    moved, move = absorbed(spec, 0, 1)
+    table, there = expand(spec, 5).values, expand(moved, 5).values
+    assert there == {move(r): v for r, v in table.items()}
+    lo = data.draw(st.tuples(*[st.integers(-1, 2)] * spec.arity))
+    for r in itertools.product(*[range(a, a + 3) for a in lo]):
+        got, want = coefficient_at(moved, move(r)), coefficient_at(spec, r)
+        assert got == want and type(got) is type(want), r

@@ -8,6 +8,7 @@ import pytest
 
 from conepoint.presets import preset
 from conepoint.polyseries import MultiPoly, TruncatedSeries
+from conepoint import oracle
 from conepoint.oracle import (NotNormalizedError, QuasiRationalSpec, SpecError,
                               coefficient_at, empirical_decay, expand, expand_box)
 from float_specs import floated
@@ -107,6 +108,19 @@ class TestCoefficientAt:
 
     def test_aztec_even_parity_zero(self, aztec):
         assert coefficient_at(aztec.spec, (1, 1, 2)) == 0
+
+    def test_off_lattice_index_builds_no_slab(self, aztec, monkeypatch):
+        # aztec's steps span {i + j + k even}; its numerator Z sits off it
+        def refuse(*args):
+            raise AssertionError("a sweep was built")
+
+        monkeypatch.setattr(oracle, "_Slabs", refuse)
+        for r in [(0, -1, 39), (1, 1, 2), (-7, 4, 39)]:
+            value = coefficient_at(aztec.spec, r)
+            assert value == 0 and type(value) is Fraction, r
+            assert coefficient_at(floated(aztec.spec), r) == 0
+        with pytest.raises(AssertionError, match="a sweep was built"):
+            coefficient_at(aztec.spec, (0, 0, 39))
 
     def test_table_builds_a_fraction_only_where_a_value_is_read(self, aztec, monkeypatch):
         # the box's dependency closure holds 7,661 cells; building each as a

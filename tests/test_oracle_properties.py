@@ -5,7 +5,9 @@ float) are checked against each other and against naive_series, the
 independent truncated-series inversion; the spec JSON format must
 round-trip.  Gradings include weights of 2 and Laurent specs graded by one
 variable, so the sweeps' implied coordinate and padding are exercised
-beyond the presets' gradings.
+beyond the presets' gradings.  Specs whose steps span a proper sublattice
+check that coefficient_at, which answers an index off every numerator coset
+of that lattice without a sweep, reads what the box sweep reads.
 """
 
 import json
@@ -13,19 +15,20 @@ import math
 from fractions import Fraction
 from operator import mul
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conepoint.oracle import QuasiRationalSpec, expand, expand_box
+from conepoint.oracle import QuasiRationalSpec, SpecError, coefficient_at, expand, expand_box
 from conepoint.polyseries import MultiPoly
 from conepoint.specio import canonical_json, spec_from_json, spec_to_json
 from float_specs import floated
+from lattice_specs import COEFF, SUBLATTICES, sublattice_specs
 from references import naive_series
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
 GRADINGS = [(1,), (1, 1), (1, 2), (2, 1), (1, 1, 1), (1, 2, 1), (2, 1, 2)]
 LAURENT_GRADINGS = [(0, 1), (1, 0), (0, 0, 1)]
-COEFF = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.sampled_from((1, 2, 3)))
 
 
 @st.composite
@@ -141,3 +144,68 @@ def test_spec_json_round_trip(spec, order):
     assert canonical_json(spec_to_json(parsed)) == text
     table, again = expand(spec, order), expand(parsed, order)
     assert again.values == table.values and again.scale == table.scale
+
+
+@pytest.mark.parametrize("family", SUBLATTICES, ids=lambda f: str(f[1]))
+@settings(PROPERTY, max_examples=6)
+@given(data=st.data())
+def test_structural_zeros_match_the_sweep(family, data):
+    spec = data.draw(sublattice_specs(*family))
+    lo, hi = data.draw(_boxes(spec))
+    spec = floated(spec) if data.draw(st.booleans()) else spec
+    box = expand_box(spec, lo, hi)
+    for r in _cells(lo, hi):
+        if sum(map(mul, box.grading_w, r)) < 0:
+            continue  # coefficient_at answers a negative grade before any table
+        got, want = coefficient_at(spec, r), box.value_at(r)
+        assert got == want and type(got) is type(want), r
+
+
+@pytest.mark.parametrize("powers, odd_zeros", [
+    ((1, 1), True),                                  # 1/(1 - X^2)
+    ((Fraction(1, 2), Fraction(1, 2)), True),        # (1 - X^2)^(-1/2): A = -X^2
+    ((Fraction(1, 2), Fraction(1, 3)), False),       # A has an X term D lacks
+])
+def test_cancelling_factors_keep_the_sweeps_lattice(powers, odd_zeros):
+    # (1 + X)^-s (1 - X)^-t: the factors span Z, but D = 1 - X^2 spans 2Z,
+    # and the real engine also steps by the terms of A
+    factors = tuple((MultiPoly(1, {(0,): Fraction(1), (1,): Fraction(c)}), s)
+                    for c, s in zip((1, -1), powers))
+    spec = QuasiRationalSpec(1, MultiPoly.const(1, 1), factors, (-1,))
+    box = expand_box(spec, (0,), (7,))
+    for r in range(8):
+        got, want = coefficient_at(spec, (r,)), box.value_at((r,))
+        assert got == want and type(got) is type(want), r
+        assert (got == 0) == (odd_zeros and r % 2 == 1), r
+
+
+def _laurent_real_power():
+    X = MultiPoly(3, {(0, 0, 0): Fraction(1), (1, 0, 1): Fraction(-1, 2),
+                      (-1, 0, 1): Fraction(-1, 2)})
+    return QuasiRationalSpec(3, MultiPoly(3, {(0, 0, 1): Fraction(1)}),
+                             ((X, Fraction(1, 2)),), (0, 0, -1))
+
+
+def _negative_grade_numerator():
+    Q = MultiPoly(2, {(0, 0): Fraction(1), (1, 1): Fraction(-1)})
+    return QuasiRationalSpec(2, MultiPoly(2, {(0, -1): Fraction(1)}), ((Q, 1),), (-1, -1))
+
+
+def _ungraded_factor_term():
+    Q = MultiPoly(2, {(0, 0): Fraction(1), (2, 0): Fraction(-1), (2, 2): Fraction(1)})
+    return QuasiRationalSpec(2, MultiPoly.const(2, 1), ((Q, 1),), (0, -1))
+
+
+@pytest.mark.parametrize("make, on, off", [
+    (_laurent_real_power, (0, 0, 3), (0, 0, 2)),
+    (_negative_grade_numerator, (2, 1), (2, 2)),
+    (_ungraded_factor_term, (2, 2), (1, 2)),
+])
+def test_refused_specs_stay_refused_off_the_lattice(make, on, off):
+    spec = make()
+    refusals = []
+    for r in (on, off):
+        with pytest.raises(SpecError) as err:
+            coefficient_at(spec, r)
+        refusals.append((type(err.value), str(err.value)))
+    assert refusals[0] == refusals[1]
