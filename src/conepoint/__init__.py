@@ -8,8 +8,8 @@ import importlib
 
 _EXPORTS = {
     "polyseries": "DomainError MultiPoly NonUnitError TruncatedSeries log_compose_taylor",
-    "oracle": "CoeffTable NotNormalizedError QuasiRationalSpec SpecError coefficient_at "
-              "empirical_decay expand expand_box",
+    "spec": "NotNormalizedError QuasiRationalSpec SpecError",
+    "oracle": "CoeffTable coefficient_at empirical_decay expand expand_box",
     "localgeo": "DegenerateError DirectionClass DirectionTag GeometryError QuadraticPointData "
                 "SignatureError classify_direction classify_quadratic dual_quadratic "
                 "homogeneous_part normalizer_absdet oriented_double_residue "

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .polyseries import Exponent, MultiPoly, TruncatedSeries, binomials
-from .oracle import QuasiRationalSpec, _as_int
+from .spec import QuasiRationalSpec, _as_int
 from .errors import RefusalError
 from .localgeo import (TOL, DegenerateError, DirectionTag, Matrix, QuadraticPointData,
                        _gauss_jordan, _point_refusal, classify_direction, homogeneous_part,

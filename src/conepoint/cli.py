@@ -14,10 +14,12 @@ failure.  With a fixed seed, outputs are byte-identical between runs.
 discover the points when the spec gives none); `compare` then evaluates
 every grid direction against the prepared points.  They import the
 prediction modules (`asympt`, `localgeo`) when they run, so `oracle` loads
-only the series oracle and the presets.  The spec reader and printer
-(`specio`) and `json` load only where a command reads a spec file, prints a
-table or prints JSON (`asym`, `classify`, a refusal's diagnostics): a preset
-`oracle --at` or `compare` loads neither.
+only the series oracle and the presets.  The spec type comes from `spec`,
+and the series oracle (`oracle`) loads only in `oracle` and `compare`, the
+commands that sweep: `asym` and `classify` compile none of it.  The spec
+reader and printer (`specio`) and `json` load only where a command reads a
+spec file, prints a table or prints JSON (`asym`, `classify`, a refusal's
+diagnostics): a preset `oracle --at` or `compare` loads neither.
 """
 
 from __future__ import annotations
@@ -30,9 +32,8 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .oracle import (QuasiRationalSpec, SpecError, coefficient_at, expand, expand_box,
-                     format_value)
 from .errors import RefusalError, SpecFormatError
+from .spec import QuasiRationalSpec, SpecError
 from .presets import PRESET_NAMES, preset
 
 if TYPE_CHECKING:
@@ -189,6 +190,7 @@ def _emit(text: str, out: Optional[str]):
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import coefficient_at, expand, format_value
     if args.at is not None and args.format is not None:
         raise SpecFormatError("--format applies only to --order tables")
     spec, _ = _load(args)
@@ -272,6 +274,7 @@ def _grid(args, spec, prepared: Sequence[PreparedPoint]) -> List[Tuple[int, ...]
 
 def _cmd_compare(args) -> int:
     from .asympt import prepare, total_asymptotics
+    from .oracle import expand_box
     spec, points = _load(args)
     targets = (sorted({_parse_direction(part, spec.arity)
                        for part in args.directions.split(";") if part})
@@ -337,9 +340,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_NUMERIC
 
 
-# Forwards to `asympt` the names perfbench/test_perfbench.py and tests/test_bench_hooks.py
-# look up here; goes once perfbench wraps functions in their home modules (ROADMAP item 4).
+# Forwards to `oracle` and `asympt` the names perfbench/test_perfbench.py and
+# tests/test_bench_hooks.py look up here; goes once perfbench wraps functions in
+# their home modules.
 def __getattr__(name):
+    if name == "expand_box":
+        from . import oracle
+        return oracle.expand_box
     if name not in ("prepare", "total_asymptotics", "PreparedPoint", "classify_direction"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import asympt

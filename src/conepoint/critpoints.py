@@ -9,10 +9,11 @@ strata exist, e.g. binomial factors whose log-gradient is constant).
 
 The search runs in plain Python floats and complex numbers.  Each search
 builds its system once: the union of the supports, one coefficient row per
-polynomial and, because d/dtheta_j Z^e = i e_j Z^e, one Jacobian row
-i c_e e_j per (polynomial, coordinate).  An evaluation computes each
-monomial once as exp(e.x + i e.theta); the residual and the Jacobian are
-dot products of those rows with the monomials.  A complex entry stands for
+polynomial and, because d/dtheta_j Z^e = i e_j Z^e, the Jacobian row
+c_e e_j, times i, per (polynomial, coordinate), each distinct row kept
+once.  An evaluation computes each monomial once as exp(e.x + i e.theta);
+the residual and the Jacobian are dot products of those rows with the
+monomials.  A complex entry stands for
 its real and imaginary rows, so the m polynomials in d unknowns make a
 real 2m x d least-squares problem.  Its step solves the normal equations
 by Cholesky on the d x d Gram matrix Re(J^H J) (`_lstsq_step`).  Squaring
@@ -115,7 +116,7 @@ def _gauss_newton(residual: Callable, jacobian: Callable,
     for _ in range(NEWTON_MAX_ITER):
         if norm < NEWTON_TOL:
             return theta, f
-        step = _lstsq_step(jacobian(mono), f)
+        step = _lstsq_step(jacobian(f, mono), f)
         if not all(map(math.isfinite, step)):
             return None
         alpha = 1.0
@@ -219,7 +220,7 @@ def _polish(residual: Callable, jacobian: Callable,
     f, mono = residual(theta)
     norm = _norm(f)
     for _ in range(POLISH_STEPS):
-        step = _lstsq_step(jacobian(mono), f)
+        step = _lstsq_step(jacobian(f, mono), f)
         if not all(map(math.isfinite, step)):
             break
         cand = [t + s for t, s in zip(theta, step)]
@@ -234,20 +235,40 @@ def _polish(residual: Callable, jacobian: Callable,
 def _system(polys: Sequence[MultiPoly], x: Sequence[float]) -> Tuple[Callable, Callable]:
     """The system of polys on the torus through x, as two functions:
     residual(theta) -> (f, mono), one complex value per polynomial and the
-    monomials they were computed from, and jacobian(mono) -> the d complex
-    columns df/dtheta_j at the same theta."""
+    monomials they were computed from, and jacobian(f, mono) -> the d
+    complex columns df/dtheta_j at the same theta.
+
+    Entry (j, p) is i times the dot product of mono with the row c * m[j]
+    of p (c its coefficient at the support monomial m).  Each distinct row
+    is dotted once: a row equal to a polynomial's own row reuses its value
+    in f, as the row for theta_j of Q does that of Z_j dQ/dZ_j, and the
+    mixed rows of the log-gradient system, c m_i m_j, are symmetric in i
+    and j.  Rows are matched by value, so every entry is the one that the
+    products 1j * c * m[j], summed in support order, give."""
     support = sorted({m for p in polys for m in p.terms})
     ex = [sum(map(mul, m, x)) for m in support]
     rows = [[complex(p.terms.get(m, 0)) for m in support] for p in polys]
-    jac_rows = [[[1j * c * m[j] for c, m in zip(row, support)] for row in rows]
-                for j in range(len(x))]
+    known = {}  # each distinct row -> the index of its value in f + the extra values
+    for k, row in enumerate(rows):
+        known.setdefault(tuple(row), k)
+    extra, cols = [], []
+    for j in range(len(x)):
+        col = []
+        for row in rows:
+            key = tuple(c * m[j] for c, m in zip(row, support))
+            if key not in known:
+                known[key] = len(rows) + len(extra)
+                extra.append(key)
+            col.append(known[key])
+        cols.append(col)
 
     def residual(theta):
         mono = [cmath.exp(complex(a, sum(map(mul, m, theta)))) for a, m in zip(ex, support)]
         return [sum(map(mul, row, mono)) for row in rows], mono
 
-    def jacobian(mono):
-        return [[sum(map(mul, row, mono)) for row in col] for col in jac_rows]
+    def jacobian(f, mono):
+        v = f + [sum(map(mul, row, mono)) for row in extra]
+        return [[1j * v[k] for k in col] for col in cols]
 
     return residual, jacobian
 

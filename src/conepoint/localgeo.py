@@ -26,7 +26,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 from .polyseries import (MultiPoly, Record, TruncatedSeries, _rational_root, is_exact,
                          log_compose_taylor)
-from .oracle import QuasiRationalSpec, SpecError, _as_int
+from .spec import QuasiRationalSpec, SpecError, _as_int
 from .errors import RefusalError
 
 

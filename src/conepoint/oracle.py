@@ -44,6 +44,9 @@ keeps one rectangle, the dependency closure of the box (the box widened by
 the remaining levels times the generators' reach) cut to the bounding box
 of the cells that level can reach; its other cells stay 0.  This is what
 makes single-coefficient queries at large total degree cheap.
+
+The spec type (`QuasiRationalSpec`) and its errors live in `spec`, which the
+prediction commands read without loading this module.
 """
 
 from __future__ import annotations
@@ -55,67 +58,10 @@ from operator import add, le, mul, sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .polyseries import MultiPoly, Record, is_exact
+from .spec import NotNormalizedError, QuasiRationalSpec, SpecError, _as_int
 
 Exponent = Tuple[int, ...]
 Runs = Dict[int, Tuple[Optional[int], int]]  # level -> (denominator, cell count)
-
-
-class SpecError(ValueError):
-    """Raised for structurally invalid quasirational specs."""
-
-
-class NotNormalizedError(SpecError):
-    """Raised when a factor lacks the unit term the recurrence pivots on."""
-
-
-class QuasiRationalSpec(Record):
-    """F = numerator * prod_j factor_j ^ (-power_j).
-
-    cone_direction_u is a reference direction interior to the
-    series-convergence component (componentwise <= 0, e.g. (-1,...,-1) for
-    an ordinary power series).  Laurent specs need no normalization: the
-    sweeps expand them as given, graded along -cone_direction_u.
-    """
-
-    __slots__ = _fields = ("arity", "numerator", "factors", "cone_direction_u", "name")
-
-    def __init__(self, arity: int, numerator: MultiPoly,
-                 factors: Tuple[Tuple[MultiPoly, object], ...],
-                 cone_direction_u: Tuple[object, ...], name: str = ""):
-        self.arity = arity
-        self.numerator = numerator
-        self.factors = factors
-        self.cone_direction_u = cone_direction_u
-        self.name = name
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.numerator.arity != self.arity:
-            raise SpecError("numerator arity mismatch")
-        facs = []
-        for poly, power in self.factors:
-            if poly.arity != self.arity:
-                raise SpecError("factor arity mismatch")
-            if poly.is_zero():
-                raise SpecError("zero polynomial factor")
-            if power == 0 or isinstance(power, complex):
-                raise SpecError("factor powers must be nonzero reals")
-            facs.append((poly, power))
-        self.factors = tuple(facs)
-        self.cone_direction_u = tuple(self.cone_direction_u)
-
-    def all_integer_powers(self) -> bool:
-        return all(_as_int(p) is not None and _as_int(p) > 0 for _, p in self.factors)
-
-
-def _as_int(power) -> Optional[int]:
-    if isinstance(power, int):
-        return power
-    if isinstance(power, Fraction) and power.denominator == 1:
-        return power.numerator
-    if isinstance(power, float) and power.is_integer():
-        return int(power)
-    return None
 
 
 def grading_vector(u: Sequence, arity: int) -> Tuple[int, ...]:
@@ -634,15 +580,14 @@ def expand_box(spec: QuasiRationalSpec, lo: Sequence[int], hi: Sequence[int]) ->
 def coefficient_at(spec: QuasiRationalSpec, r: Sequence[int]):
     """The single coefficient a_r (0 outside the computed support)."""
     r = tuple(int(e) for e in r)
-    w = grading_vector(spec.cone_direction_u, spec.arity)
-    if _grade_of(r, w) < 0:
-        return Fraction(0)
-    # after the sweeps' checks: a sweep fills only numerator terms p plus sums
-    # of its steps, the exponents of D (and A), so off every coset p + (their
-    # lattice) a_r is the empty table's zero
-    _, D, A, scale, _ = _plan(spec)
+    # after the sweeps' checks: a sweep fills no level below 0, and only
+    # numerator terms p plus sums of its steps, the exponents of D (and A),
+    # so below grade 0 or off every coset p + (their lattice) a_r is the
+    # empty table's zero
+    w, D, A, scale, _ = _plan(spec)
     basis = _echelon([u for poly in (D, A) if poly is not None for u in poly.terms])
-    if not any(_in_lattice(map(sub, r, p), basis) for p in spec.numerator.terms):
+    if _grade_of(r, w) < 0 or not any(_in_lattice(map(sub, r, p), basis)
+                                      for p in spec.numerator.terms):
         return CoeffTable(spec.arity, {}, {}, w, 0, scale).value_at(r)
     return expand_box(spec, r, r).value_at(r)
 

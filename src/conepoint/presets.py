@@ -20,10 +20,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Tuple
 
 from .polyseries import MultiPoly, Record
-from .oracle import CoeffTable, QuasiRationalSpec, SpecError, expand
+from .spec import QuasiRationalSpec, SpecError
+
+if TYPE_CHECKING:
+    from .oracle import CoeffTable
 
 
 def _mp(arity, *terms) -> MultiPoly:
@@ -104,6 +107,7 @@ def grove_relation_check(n: int, edge_table: Optional[CoeffTable] = None,
     """
     if n < 1:
         raise ValueError("relation is defined for n >= 1; n = 0 is skipped by convention")
+    from .oracle import expand
     g = _cube_grove()
     if edge_table is None:
         edge_table = expand(g.spec, n)
@@ -124,6 +128,7 @@ def grove_relation_check(n: int, edge_table: Optional[CoeffTable] = None,
 def aztec_creation_check(n_max: int) -> bool:
     """c(i,j,n) = 2 (p(i,j,n) - p(i,j-1,n-1)) for all levels <= n_max - 1,
     checked at every cell where c or p is nonzero."""
+    from .oracle import expand
     a = _aztec()
     p_table = expand(a.spec, n_max)
     c_table = expand(a.companions["creation"], n_max)

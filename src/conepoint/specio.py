@@ -6,7 +6,9 @@ canonical JSON form (sorted keys, minimal separators, terms sorted by
 exponent) is idempotent under parse/re-serialize.  `SpecFormatError` lives in
 `errors` and `format_value` beside `CoeffTable` in `oracle`, so that a
 command that prints one coefficient loads neither this module nor `json`;
-both are re-exported here.
+`SpecFormatError` is re-exported here.  This module reads and writes specs
+without the oracle: it imports `format_value` only where it prints a table,
+which the oracle has already built, so `asym` and `classify` load no sweep.
 """
 
 from __future__ import annotations
@@ -14,11 +16,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from math import gcd
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from .errors import SpecFormatError
 from .polyseries import MultiPoly
-from .oracle import CoeffTable, QuasiRationalSpec, format_value
+from .spec import QuasiRationalSpec
+
+if TYPE_CHECKING:
+    from .oracle import CoeffTable
 
 
 def scalar_to_json(c):
@@ -152,6 +157,7 @@ def _table_rows(table: CoeffTable, float_digits: Optional[int], csv: bool) -> li
     digits N, a JSON value is the number that its N digits read back as
     (17 digits keep every double), and a complex one the pair [re, im] of
     those."""
+    from .oracle import format_value
     s = table.scale
     exact = isinstance(s, (int, Fraction))
     a, b = (s.numerator, s.denominator) if exact else (1, 1)

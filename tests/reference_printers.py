@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from conepoint.oracle import CoeffTable
-from conepoint.specio import format_value, scalar_to_json
+from conepoint.oracle import CoeffTable, format_value
+from conepoint.specio import scalar_to_json
 
 
 def _items(table: CoeffTable):

@@ -168,6 +168,14 @@ def _compiled_systems():
 COMPILED_SYSTEMS = list(_compiled_systems())
 
 
+def _support_order_columns(polys, mono):
+    """The Jacobian columns as the sum, in support order, of the products
+    1j * c * m[j] times the monomials, c each polynomial's coefficient at m."""
+    support = sorted({m for p in polys for m in p.terms})
+    return [[sum(1j * complex(p.terms.get(m, 0)) * m[j] * z for m, z in zip(support, mono))
+             for p in polys] for j in range(polys[0].arity)]
+
+
 @pytest.mark.parametrize("name,polys", COMPILED_SYSTEMS,
                          ids=[name for name, _ in COMPILED_SYSTEMS])
 def test_compiled_system_matches_term_by_term_evaluation(name, polys):
@@ -180,7 +188,10 @@ def test_compiled_system_matches_term_by_term_evaluation(name, polys):
         theta = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(d)]
         residual, jacobian = _system(polys, x)
         f, mono = residual(theta)
-        cols = jacobian(mono)
+        cols = jacobian(f, mono)
+        # rows shared with f or with another column are dotted once, and give
+        # the same bits as each entry's own products
+        assert cols == _support_order_columns(polys, mono)
         f_ref, cols_ref = _reference_system(polys, x, theta)
         assert len(f) == len(f_ref) and len(cols) == d
         assert all(len(col) == len(f_ref) for col in cols)
@@ -309,3 +320,34 @@ def test_search_report_golden(name, factor, seed):
     rep = find_singular_points(pr.spec.factors[factor][0], x, seed=seed)
     points = tuple((",".join(map(str, p.Z)), p.exact, p.residual) for p in rep.points)
     assert (rep.n_converged, rep.family_detected, points) == GOLDEN_SEARCH[name, factor, seed]
+
+
+_H_DIAGONAL = mp(2, (1, (0, 0)), (-1, (1, 0)), (-1, (0, 1)))        # 1 - X - Y
+_H_SILVER = mp(2, (1, (0, 0)), (-1, (1, 0)), (-1, (0, 1)), (-1, (1, 1)))  # 1 - X - Y - XY
+
+# find_smooth_critical(H, r, x, starts, seed) -> (n_converged, family_detected,
+# points as in GOLDEN_SEARCH).  The first two are acceptance criterion 10's
+# system; the point of 1 - X - Y - XY along (1, 1) is (sqrt 2 - 1)(1, 1), which
+# stays a float point and so pins the polished coordinates and residual bits.
+GOLDEN_SMOOTH = [
+    ((_H_DIAGONAL, (1, 1), [math.log(0.5)] * 2, 40, 0),
+     (40, False, (("1/2,1/2", True, 0.0),))),
+    ((_H_DIAGONAL, (1, 1), [math.log(0.5)] * 2, 40, 3),
+     (40, False, (("1/2,1/2", True, 0.0),))),
+    ((_H_SILVER, (1, 1), [math.log(math.sqrt(2) - 1)] * 2, 40, 0),
+     (40, False, (("(0.41421356237309515+2.2141907839047623e-50j),"
+                   "(0.41421356237309515-6.642572351714287e-51j)", False,
+                   2.498001805406602e-16),))),
+    ((preset("superballot-core").spec.factors[0][0], (2, 3, 5), [0.0] * 3, 60, 0),
+     (35, False, (("1,1,1", True, 0.0),))),
+]
+
+
+@pytest.mark.parametrize("case,expected", GOLDEN_SMOOTH,
+                         ids=["criterion-10-seed-0", "criterion-10-seed-3", "silver-float",
+                              "superballot-core-cross"])
+def test_smooth_search_report_golden(case, expected):
+    H, r, x, starts, seed = case
+    rep = find_smooth_critical(H, r, x, starts=starts, seed=seed)
+    points = tuple((",".join(map(str, p.Z)), p.exact, p.residual) for p in rep.points)
+    assert (rep.n_converged, rep.family_detected, points) == expected

@@ -1,7 +1,9 @@
 """What each entry point loads, and the package surface that loads lazily.
 
 `import conepoint` loads no submodule: each public name is imported from its
-home module on first use.  The exact oracle loads neither the prediction
+home module on first use.  The spec type lives in `spec`, so the command
+line and the presets load no oracle: only `oracle` and `compare`, which
+sweep, load `oracle`.  The exact oracle loads neither the prediction
 modules (`asympt`, `localgeo`) nor the critical-point search, and a
 preset's single coefficient loads neither the spec reader and printer
 (`specio`) nor `json`.  `asym`, `classify` and `compare` load the search
@@ -28,15 +30,16 @@ SPEC_DIR = ROOT / "specs"
 
 SEARCH = {"numpy", "conepoint.critpoints"}
 SPEC_IO = {"conepoint.specio", "json"}
-ORACLE_PATH = {"conepoint.cli", "conepoint.errors", "conepoint.oracle",
-               "conepoint.polyseries", "conepoint.presets"}
+CLI_PATH = {"conepoint.cli", "conepoint.errors", "conepoint.polyseries",
+            "conepoint.presets", "conepoint.spec"}
+ORACLE_PATH = CLI_PATH | {"conepoint.oracle"}
 
 # every public name of the package, by the module it is defined in
 HOMES = {
     "polyseries": ("DomainError", "MultiPoly", "NonUnitError", "TruncatedSeries",
                    "log_compose_taylor"),
-    "oracle": ("CoeffTable", "NotNormalizedError", "QuasiRationalSpec", "SpecError",
-               "coefficient_at", "empirical_decay", "expand", "expand_box"),
+    "spec": ("NotNormalizedError", "QuasiRationalSpec", "SpecError"),
+    "oracle": ("CoeffTable", "coefficient_at", "empirical_decay", "expand", "expand_box"),
     "localgeo": ("DegenerateError", "DirectionClass", "DirectionTag", "GeometryError",
                  "QuadraticPointData", "SignatureError", "classify_direction",
                  "classify_quadratic", "dual_quadratic", "homogeneous_part",
@@ -68,7 +71,9 @@ def _modules_after(statements, prelude="import conepoint, conepoint.cli"):
 
 def test_import_loads_neither():
     assert _modules_after([], prelude="import conepoint") == ([], set())
-    assert _modules_after([]) == ([], ORACLE_PATH)
+    assert _modules_after([]) == ([], CLI_PATH)
+    assert _modules_after([], prelude="import conepoint.presets") == (
+        [], {"conepoint.polyseries", "conepoint.presets", "conepoint.spec"})
 
 
 def test_oracle_commands_load_neither():
@@ -128,6 +133,24 @@ def _without_points(tmp_path, name):
     return str(path)
 
 
+def test_prediction_commands_load_no_oracle(tmp_path):
+    # asym and classify never sweep: with points given or found, they compile
+    # none of the oracle; compare sweeps its box and loads it
+    given = str(SPEC_DIR / "fls.json")
+    found = _without_points(tmp_path, "fls")
+    out, loaded = _modules_after([
+        f'assert conepoint.cli.main(["asym", "--spec", {given!r}, "--r", "10,10,10"]) == 0',
+        f'assert conepoint.cli.main(["asym", "--spec", {found!r}, "--r", "10,10,10"]) == 0',
+        'assert conepoint.cli.main(["classify", "--preset", "fls", "--r", "10,10,10"]) == 0',
+        'assert conepoint.cli.main(["classify", "--preset", "aztec", "--r", "1,2,9"]) == 0'])
+    assert "conepoint.oracle" not in loaded and "conepoint.critpoints" in loaded
+    assert out[0] == out[1] and len(out) == 4
+    _, loaded = _modules_after([
+        'assert conepoint.cli.main(["compare", "--preset", "aztec", '
+        '"--directions=2,2,22;-1,3,23"]) == 0'])
+    assert "conepoint.oracle" in loaded
+
+
 def test_discovery_still_loads_the_search(tmp_path):
     path = _without_points(tmp_path, "fls")
     out, loaded = _modules_after([
@@ -171,8 +194,10 @@ def test_cli_forwards_prediction_names_on_first_lookup():
         "f = conepoint.cli.total_asymptotics",
         "print(f is sys.modules['conepoint.asympt'].total_asymptotics)",
         "print(conepoint.cli.classify_direction is conepoint.localgeo.classify_direction)",
+        "print('conepoint.oracle' in sys.modules)",
+        "print(conepoint.cli.expand_box is sys.modules['conepoint.oracle'].expand_box)",
         "print(hasattr(conepoint.cli, 'no_such_name'))"])
-    assert out == ["False", "True", "True", "False"]
+    assert out == ["False", "True", "True", "False", "True", "False"]
 
 
 def test_public_names_are_pinned():

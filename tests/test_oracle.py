@@ -122,6 +122,24 @@ class TestCoefficientAt:
         with pytest.raises(AssertionError, match="a sweep was built"):
             coefficient_at(aztec.spec, (0, 0, 39))
 
+    def test_negative_grade_gets_the_typed_zero_after_the_checks(self):
+        # (2 - X - Y)^(-1/2) has the float scale 2^(-1/2): below grade 0 its
+        # zero is the 0.0 that expand_box gives, as above the support
+        spec = QuasiRationalSpec(2, mp(2, (1, (0, 0))),
+                                 ((mp(2, (2, (0, 0)), (-1, (1, 0)), (-1, (0, 1))), HALF),),
+                                 (-1, -1))
+        for r in [(-1, 0), (2, -1)]:
+            value = coefficient_at(spec, r)
+            assert value == 0.0 and type(value) is float, r
+            assert expand_box(spec, r, r).value_at(r) == value
+        # a real power needs every variable graded: a Laurent direction is
+        # refused below grade 0 as it is above
+        laurent = QuasiRationalSpec(2, mp(2, (1, (0, 0))),
+                                    ((mp(2, (1, (0, 0)), (-1, (0, 1))), HALF),), (0, -1))
+        for r in [(0, -1), (0, 1)]:
+            with pytest.raises(SpecError, match="strictly negative cone direction"):
+                coefficient_at(laurent, r)
+
     def test_table_builds_a_fraction_only_where_a_value_is_read(self, aztec, monkeypatch):
         # the box's dependency closure holds 7,661 cells; building each as a
         # Fraction took 7,722 constructions, keeping them as ints takes 61
