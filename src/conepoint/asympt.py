@@ -255,10 +255,10 @@ def local_degree(spec: QuasiRationalSpec, Z: Sequence):
     return quadratic_point_data(spec, Z).degree
 
 
-def decay_exponent(spec: QuasiRationalSpec, points: Sequence[Tuple[Sequence, object]]) -> float:
+def decay_exponent(arity: int, degrees: Sequence) -> float:
     """Upper-bound decay exponent: a_r = O(|Z|^-r |r|^-alpha) with
     alpha = d + max over contributing points of the local degree."""
-    return float(spec.arity + max(float(deg) for _, deg in points))
+    return float(arity + max(float(deg) for deg in degrees))
 
 
 # -- totals ------------------------------------------------------------------------------
@@ -415,5 +415,5 @@ def total_asymptotics(spec: QuasiRationalSpec, r: Sequence[int],
     else:
         notes = ("direction outside every normal cone: coefficients are exponentially small",)
         formula = "exponential-decay"
-    alpha = decay_exponent(spec, [(pt.data.point_Z, pt.data.degree) for pt in points])
+    alpha = decay_exponent(spec.arity, [pt.data.degree for pt in points])
     return AsymptoticEstimate(r, total, alpha, tuple(contribs), formula, notes)

@@ -238,7 +238,7 @@ def _cmd_classify(args) -> int:
             "class": cls.tag.value,
             "margin": cls.margin,
             "dual_rr": specio.scalar_to_json(data.dual_eval(r, r)),
-            "decay_exponent_bound": decay_exponent(spec, [(data.point_Z, data.degree)]),
+            "decay_exponent_bound": decay_exponent(spec.arity, [data.degree]),
         })
         if data.k == 1:
             ell = data.linear_factors[0][0]

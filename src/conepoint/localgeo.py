@@ -237,31 +237,13 @@ class DirectionClass(NamedTuple):
 
 
 class QuadraticPointData(Record):
-    """Everything local to one quadratic singular point."""
+    """Everything local to one quadratic singular point: s is the power of
+    the quadratic factor, and numerator_value the collected numerator value
+    P(Z)."""
 
     _fields = ("arity", "point_Z", "s", "q_matrix", "dual_matrix", "normalizer_absdet",
                "numerator_value", "linear_factors", "cone_direction_u", "sign_flipped",
                "p_series", "q_series", "numerator_valuation")
-
-    def __init__(self, arity: int, point_Z: Tuple[object, ...], s, q_matrix: Matrix,
-                 dual_matrix: Matrix, normalizer_absdet, numerator_value,
-                 linear_factors: Tuple[Tuple[Tuple[object, ...], int], ...],
-                 cone_direction_u: Tuple[object, ...], sign_flipped: bool,
-                 p_series: TruncatedSeries, q_series: TruncatedSeries,
-                 numerator_valuation: int):
-        self.arity = arity
-        self.point_Z = point_Z
-        self.s = s  # power of the quadratic factor
-        self.q_matrix = q_matrix
-        self.dual_matrix = dual_matrix
-        self.normalizer_absdet = normalizer_absdet
-        self.numerator_value = numerator_value  # collected numerator value P(Z)
-        self.linear_factors = linear_factors
-        self.cone_direction_u = cone_direction_u
-        self.sign_flipped = sign_flipped
-        self.p_series = p_series
-        self.q_series = q_series
-        self.numerator_valuation = numerator_valuation
 
     @property
     def k(self) -> int:

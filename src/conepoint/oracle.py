@@ -98,15 +98,7 @@ class CoeffTable(Record):
     """
 
     __slots__ = _fields = ("arity", "cells", "runs", "grading_w", "max_level", "scale")
-
-    def __init__(self, arity: int, cells: Dict[Exponent, object], runs: Runs,
-                 grading_w: Tuple[int, ...], max_level: int, scale=Fraction(1)):
-        self.arity = arity
-        self.cells = cells
-        self.runs = runs
-        self.grading_w = grading_w
-        self.max_level = max_level
-        self.scale = scale
+    _defaults = {"scale": Fraction(1)}
 
     def value_at(self, r: Sequence[int]):
         m = tuple(r)

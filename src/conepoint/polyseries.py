@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from itertools import product
 from operator import add
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 
@@ -95,13 +95,35 @@ def is_exact(p) -> bool:
 class Record:
     """Base of the package's record classes, which cost nothing to define.
 
-    == compares the fields named in _fields, in order, and only between
-    instances of the same class; a record is unhashable.  repr lists the
-    fields by name.
+    A subclass names its fields once, in _fields.  The constructor takes
+    them by position or by name, fills those left out from _defaults (one
+    object shared by every instance, like a function's default argument),
+    raises TypeError for a missing, unknown or doubled field, and then calls
+    __post_init__, where a subclass checks and normalizes its fields.  ==
+    compares the fields, in order, and only between instances of the same
+    class; a record is unhashable.  repr lists the fields by name.
     """
 
     __slots__ = ()
     _fields: Tuple[str, ...] = ()
+    _defaults: Dict[str, object] = {}
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__name__, self._fields
+        given = dict(zip(fields, args))
+        if len(args) > len(fields) or given.keys() & kwargs.keys():
+            raise TypeError(f"{name} takes each of its fields {fields} once")
+        values = {**self._defaults, **given, **kwargs}
+        for field in fields:
+            if field not in values:
+                raise TypeError(f"{name} is missing field {field!r}")
+            setattr(self, field, values.pop(field))
+        if values:
+            raise TypeError(f"{name} has no field {next(iter(values))!r}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -154,11 +176,7 @@ class MultiPoly(_Terms):
     """
 
     __slots__ = _fields = ("arity", "terms")
-
-    def __init__(self, arity: int, terms: Optional[Dict[Exponent, object]] = None):
-        self.arity = arity
-        self.terms = {} if terms is None else terms
-        self.__post_init__()
+    _defaults = {"terms": {}}
 
     def __post_init__(self):
         if self.arity < 1:
@@ -283,13 +301,7 @@ class TruncatedSeries(_Terms):
     """
 
     __slots__ = _fields = ("arity", "order", "terms")
-
-    def __init__(self, arity: int, order: int,
-                 terms: Optional[Dict[Exponent, object]] = None):
-        self.arity = arity
-        self.order = order
-        self.terms = {} if terms is None else terms
-        self.__post_init__()
+    _defaults = {"terms": {}}
 
     def __post_init__(self):
         if self.order < 0:

@@ -60,14 +60,6 @@ _P_SUPER = _mp(3, (1, (0, 0, 0)), (-2, (1, 0, 0)))          # 1 - 2X
 class Preset(Record):
     __slots__ = _fields = ("name", "spec", "known_points", "companions")
 
-    def __init__(self, name: str, spec: QuasiRationalSpec,
-                 known_points: Tuple[Tuple[object, ...], ...],
-                 companions: Optional[Dict[str, QuasiRationalSpec]] = None):
-        self.name = name
-        self.spec = spec
-        self.known_points = known_points
-        self.companions = {} if companions is None else companions
-
 
 # -- Aztec diamond --------------------------------------------------------------
 
@@ -213,7 +205,7 @@ def _fls(beta=Fraction(3, 4)) -> Preset:
         raise SpecError("the graph-polynomial preset needs beta > 1/2")
     spec = QuasiRationalSpec(3, MultiPoly.const(3, 1), ((_Q_FLS, beta),),
                              (-1, -1, -1), name="fls")
-    return Preset("fls", spec, ((1, 1, 1),))
+    return Preset("fls", spec, ((1, 1, 1),), {})
 
 
 # -- superballot numbers --------------------------------------------------------------
@@ -246,21 +238,14 @@ def _superballot(core: bool) -> Preset:
 
 # -- registry ----------------------------------------------------------------------------
 
-PRESET_NAMES = ("aztec", "cube_grove", "qrw2d", "fls", "superballot", "superballot-core")
+_BUILDERS = {"aztec": _aztec, "cube_grove": _cube_grove, "qrw2d": _qrw, "fls": _fls,
+             "superballot": lambda: _superballot(core=False),
+             "superballot-core": lambda: _superballot(core=True)}
+PRESET_NAMES = tuple(_BUILDERS)
 
 
 def preset(name: str, beta=None) -> Preset:
     """Look up a shipped application by name (`fls` takes beta > 1/2)."""
-    if name == "aztec":
-        return _aztec()
-    if name == "cube_grove":
-        return _cube_grove()
-    if name == "qrw2d":
-        return _qrw()
-    if name == "fls":
-        return _fls(beta if beta is not None else Fraction(3, 4))
-    if name == "superballot":
-        return _superballot(core=False)
-    if name == "superballot-core":
-        return _superballot(core=True)
-    raise KeyError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    if name not in _BUILDERS:
+        raise KeyError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    return _fls(beta) if name == "fls" and beta is not None else _BUILDERS[name]()

@@ -9,9 +9,9 @@ modules analyse its points.  It lives apart from both, so that `asym` and
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional
 
-from .polyseries import MultiPoly, Record
+from .polyseries import Record
 
 
 class SpecError(ValueError):
@@ -32,16 +32,7 @@ class QuasiRationalSpec(Record):
     """
 
     __slots__ = _fields = ("arity", "numerator", "factors", "cone_direction_u", "name")
-
-    def __init__(self, arity: int, numerator: MultiPoly,
-                 factors: Tuple[Tuple[MultiPoly, object], ...],
-                 cone_direction_u: Tuple[object, ...], name: str = ""):
-        self.arity = arity
-        self.numerator = numerator
-        self.factors = factors
-        self.cone_direction_u = cone_direction_u
-        self.name = name
-        self.__post_init__()
+    _defaults = {"name": ""}
 
     def __post_init__(self):
         if self.numerator.arity != self.arity:

@@ -526,6 +526,10 @@ class TestCompare:
         assert rc == rc_found == 0
         assert out_found == out
 
+    def test_empty_direction_list_exit_3(self, capsys):
+        rc, out, err = run(capsys, "compare", "--preset", "fls", "--directions", ";")
+        assert (rc, out, err) == (3, "", "spec error: empty comparison grid\n")
+
 
 class TestDeterminismAndErrors:
     def test_byte_identical_reruns(self, capsys):
@@ -559,6 +563,24 @@ class TestDeterminismAndErrors:
             rc, _, err = run(capsys, "oracle", "--spec", path, "--order", "2")
             assert rc == 3, path
             assert err.startswith("spec error:"), path
+
+    def test_truncated_spec_file_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "cut.json"
+        path.write_text('{"variables":\n')
+        rc, out, err = run(capsys, "asym", "--spec", str(path), "--r", "1,1,1")
+        assert (rc, out) == (3, "")
+        assert err == f"spec error: {path}:2:1: Expecting value\n"
+
+    def test_overflowing_float_scale_exit_4(self, tmp_path, capsys):
+        # the table scale is 1e-300 ** -2.5, past the largest float
+        spec = {"variables": ["X"],
+                "factors": [{"poly": [{"coeff": 1e-300, "exponents": [0]},
+                                      {"coeff": "-1", "exponents": [1]}], "power": 2.5}]}
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(spec))
+        rc, out, err = run(capsys, "oracle", "--spec", str(path), "--order", "2")
+        assert (rc, out) == (4, "")
+        assert err.startswith("numeric failure: ")
 
     def test_gamma_pole_is_a_lacuna_exit_2(self, tmp_path, capsys):
         # s + 1 - d/2 = 0 is a pole of Gamma in K(s), so 1/Gamma makes every order of

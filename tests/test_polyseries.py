@@ -3,8 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conepoint.polyseries import (DomainError, MultiPoly, NonUnitError, TruncatedSeries,
+from conepoint.localgeo import QuadraticPointData, quadratic_point_data
+from conepoint.oracle import CoeffTable
+from conepoint.polyseries import (DomainError, MultiPoly, NonUnitError, Record, TruncatedSeries,
                                   _rational_root, is_exact, log_compose_taylor)
+from conepoint.presets import PRESET_NAMES, Preset, preset
+from conepoint.spec import QuasiRationalSpec
 
 
 def mp(arity, *terms):
@@ -63,6 +67,94 @@ class TestConstructors:
             with pytest.raises(TypeError):
                 hash(obj)
         assert repr(p) == "MultiPoly(1*x^[0, 0] + 1/2*x^[1, 1])"
+
+
+def _record_examples():
+    """Each Record subclass with one valid map of its fields, in order, and
+    the defaults it fills in."""
+    fls = preset("fls")
+    core = preset("superballot-core").spec
+    data = quadratic_point_data(core, (1, 1, 1))
+    return [
+        (MultiPoly, {"arity": 2, "terms": {(0, 0): 1, (1, 1): HALF}}, {"terms": {}}),
+        (TruncatedSeries, {"arity": 2, "order": 3, "terms": {(1, 0): HALF}}, {"terms": {}}),
+        (QuasiRationalSpec, {"arity": 3, "numerator": core.numerator, "factors": core.factors,
+                             "cone_direction_u": (-1, -1, -1), "name": "core"}, {"name": ""}),
+        (CoeffTable, {"arity": 1, "cells": {(0,): 1, (1,): 3}, "runs": {0: (1, 1), 1: (2, 1)},
+                      "grading_w": (1,), "max_level": 1, "scale": HALF},
+         {"scale": Fraction(1)}),
+        (Preset, {"name": "fls", "spec": fls.spec, "known_points": ((1, 1, 1),),
+                  "companions": {"core": core}}, {}),
+        (QuadraticPointData, {name: getattr(data, name) for name in data._fields}, {}),
+    ]
+
+
+RECORD_EXAMPLES = _record_examples()
+
+
+class TestRecord:
+    def test_every_record_class_has_an_example(self):
+        classes, todo = set(), [Record]
+        while todo:
+            cls = todo.pop()
+            todo += cls.__subclasses__()
+            if cls._fields:
+                classes.add(cls)
+        assert classes == {cls for cls, _, _ in RECORD_EXAMPLES}
+
+    @pytest.mark.parametrize("cls,fields,defaults", RECORD_EXAMPLES,
+                             ids=[cls.__name__ for cls, _, _ in RECORD_EXAMPLES])
+    def test_construction(self, cls, fields, defaults):
+        assert tuple(fields) == cls._fields and cls._defaults == defaults
+        values = list(fields.values())
+        rec = cls(*values)
+        assert [getattr(rec, name) for name in cls._fields] == values
+        assert cls(**fields) == rec
+        assert cls(**dict(reversed(fields.items()))) == rec
+        assert cls(*values[:1], **dict(list(fields.items())[1:])) == rec
+        assert rec == cls(*values) and not rec != cls(*values)
+        for name, value in defaults.items():
+            left_out = {key: v for key, v in fields.items() if key != name}
+            assert cls(**left_out) == cls(**left_out, **{name: value})
+        with pytest.raises(TypeError):
+            hash(rec)
+
+    @pytest.mark.parametrize("cls,fields,defaults", RECORD_EXAMPLES,
+                             ids=[cls.__name__ for cls, _, _ in RECORD_EXAMPLES])
+    def test_bad_fields_raise_type_error(self, cls, fields, defaults):
+        for name in cls._fields:
+            if name not in defaults:
+                left_out = {key: v for key, v in fields.items() if key != name}
+                with pytest.raises(TypeError, match=f"{cls.__name__} is missing field {name!r}"):
+                    cls(**left_out)
+        with pytest.raises(TypeError, match=f"{cls.__name__} has no field 'bogus'"):
+            cls(**fields, bogus=1)
+        first = cls._fields[0]
+        with pytest.raises(TypeError, match="takes each of its fields"):
+            cls(fields[first], **fields)
+        with pytest.raises(TypeError, match="takes each of its fields"):
+            cls(*fields.values(), None)
+
+    def test_repr_lists_the_fields_by_name(self):
+        table = CoeffTable(1, {(0,): 1}, {0: (1, 1)}, (1,), 0)
+        assert repr(table) == ("CoeffTable(arity=1, cells={(0,): 1}, runs={0: (1, 1)}, "
+                               "grading_w=(1,), max_level=0, scale=Fraction(1, 1))")
+        assert repr(TruncatedSeries(2, 3, {(1, 0): HALF})) == \
+            "TruncatedSeries(arity=2, order=3, terms={(1, 0): Fraction(1, 2)})"
+        spec = QuasiRationalSpec(1, MultiPoly.const(1, 1), ((MultiPoly.const(1, 1), 1),), (-1,))
+        assert repr(spec) == ("QuasiRationalSpec(arity=1, numerator=MultiPoly(1*x^[0]), "
+                              "factors=((MultiPoly(1*x^[0]), 1),), cone_direction_u=(-1,), "
+                              "name='')")
+
+    def test_shared_defaults_are_never_shared_state(self):
+        # every instance gets the same default object, so the records whose
+        # default is a dict must not keep it
+        assert MultiPoly(2).terms is not MultiPoly(2).terms
+        assert TruncatedSeries(2, 1).terms is not TruncatedSeries(2, 1).terms
+        with pytest.raises(TypeError, match="missing field 'companions'"):
+            Preset("fls", preset("fls").spec, ((1, 1, 1),))
+        for name in PRESET_NAMES:
+            assert preset(name).companions is not preset(name).companions, name
 
 
 class TestEval:

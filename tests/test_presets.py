@@ -180,8 +180,21 @@ class TestParameters:
         assert preset("fls", beta=Fraction(5, 8)).spec.factors[0][1] == Fraction(5, 8)
 
     def test_unknown_preset(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as err:
             preset("nope")
+        assert err.value.args == ("unknown preset 'nope'; choose from ('aztec', 'cube_grove', "
+                                  "'qrw2d', 'fls', 'superballot', 'superballot-core')",)
+
+    def test_registry_order_and_beta(self):
+        # argparse's choices, usage and --help list the presets in this order
+        assert PRESET_NAMES == ("aztec", "cube_grove", "qrw2d", "fls", "superballot",
+                                "superballot-core")
+        assert [preset(name).name for name in PRESET_NAMES] == list(PRESET_NAMES)
+        assert preset("fls").spec.factors[0][1] == Fraction(3, 4)
+        assert preset("fls", beta=None) == preset("fls")
+        # beta is read by fls only
+        for name in ("aztec", "superballot-core"):
+            assert preset(name, beta=Fraction(5, 8)) == preset(name)
 
 
 class TestShippedSpecFiles:
